@@ -21,9 +21,11 @@
 //! ([`MfccExtractor::extract_reference`]) and a direct-to-`i8` feature
 //! path for the A8 device image
 //! ([`MfccExtractor::extract_padded_a8_into`]). See the
-//! [`mfcc`](MfccExtractor) module docs for the stage-by-stage story;
-//! streaming extraction ([`StreamingMfcc`]) is bit-identical to batch
-//! for any chunk split.
+//! [`mfcc`](MfccExtractor) module docs for the stage-by-stage story.
+//! Frames computed one window at a time
+//! ([`MfccExtractor::compute_frame_into`], which `kwt-engine`'s
+//! streaming core runs over a [`SampleRing`]) are bit-identical to batch
+//! extraction for any chunk split.
 //!
 //! # Example
 //!
@@ -48,7 +50,6 @@ mod fft;
 mod mel;
 mod mfcc;
 mod ring;
-mod streaming;
 mod window;
 
 pub use dct::dct_ii_matrix;
@@ -59,7 +60,6 @@ pub use mfcc::{
     kwt1_frontend, kwt_tiny_frontend, validate_samples, MfccConfig, MfccExtractor, MfccScratch,
 };
 pub use ring::{RingOverflow, SampleRing};
-pub use streaming::StreamingMfcc;
 pub use window::WindowKind;
 
 /// Convenience alias for results returned by this crate.

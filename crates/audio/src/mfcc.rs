@@ -29,8 +29,8 @@
 //!
 //! Every fixed-point stage is exact integer arithmetic with
 //! row-independent outputs, so streaming extraction (one frame at a
-//! time, [`crate::StreamingMfcc`]) is **bit-identical** to batch
-//! extraction for any chunk split. The seed's double-precision pipeline
+//! time, [`MfccExtractor::compute_frame_into`]) is **bit-identical** to
+//! batch extraction for any chunk split. The seed's double-precision pipeline
 //! survives verbatim as [`MfccExtractor::extract_reference`] — the
 //! oracle the golden-vector tests and the `paper check-frontend`
 //! agreement gate compare against.
@@ -59,8 +59,8 @@ const SPEC_TARGET_EXP: i32 = 29;
 const MAX_SPEC_SHIFT: i32 = 75;
 
 /// Reusable work buffers for the MFCC pipeline — one arena shared by every
-/// frame an extractor computes. [`MfccExtractor::extract_into`] and the
-/// streaming front end ([`crate::StreamingMfcc`]) thread one of these
+/// frame an extractor computes. [`MfccExtractor::extract_into`] and
+/// [`MfccExtractor::compute_frame_into`] thread one of these
 /// through each call, so steady-state extraction performs no heap
 /// allocation once the buffers have grown to the configured sizes.
 #[derive(Debug, Clone, Default)]
@@ -334,7 +334,7 @@ impl MfccExtractor {
 
     /// Computes the MFCC row of a single analysis window of exactly
     /// [`MfccConfig::win_length`] samples — the shared kernel behind batch
-    /// extraction and [`crate::StreamingMfcc`]. The window runs the same
+    /// and streaming extraction. The window runs the same
     /// fixed-point block pipeline with a one-frame block; every stage is
     /// exact, row-independent integer arithmetic, which is what makes
     /// incremental extraction bit-identical to [`extract`](Self::extract).
@@ -639,10 +639,11 @@ impl MfccExtractor {
 /// Rejects the first NaN, infinite or subnormal sample with a typed
 /// [`AudioError::InvalidSample`] — the ingest guard shared by batch
 /// extraction ([`MfccExtractor::extract_into`]) and streaming pushes
-/// ([`crate::StreamingMfcc::push`]). Signed zeros pass; true subnormals
+/// (`kwt-engine` and `kwt-serve`). Signed zeros pass; true subnormals
 /// are rejected rather than flushed so a corrupted capture path is loud
 /// instead of silently denormal-flushing into wrong features. Public so
-/// ingest layers above the front end (the serve crate) can apply the
+/// ingest layers above the front end (the streaming engine and the serve
+/// crate) can apply the
 /// exact same gate before buffering a chunk.
 ///
 /// # Errors

@@ -1,12 +1,14 @@
 //! Bounded, pre-allocated audio sample ring buffer with absolute stream
 //! indexing.
 //!
-//! [`SampleRing`] is the per-session ingest primitive of the serving
-//! layer: capacity is fixed at construction (one allocation, never
-//! resized), samples are addressed by their **absolute position in the
-//! stream** (sample 0 is the first ever pushed), and a push that does not
-//! fit is rejected *whole* with a typed [`RingOverflow`] — the ring never
-//! grows, never partially buffers a chunk, and never panics on overflow.
+//! [`SampleRing`] is the ingest primitive of streaming keyword spotting
+//! (`kwt-engine`'s `StreamCore`, run by the standalone streamer and by
+//! every serving session): capacity is fixed at construction (one
+//! allocation, never resized), samples are addressed by their **absolute
+//! position in the stream** (sample 0 is the first ever pushed), and a
+//! push that does not fit is rejected *whole* with a typed
+//! [`RingOverflow`] — the ring never grows, never partially buffers a
+//! chunk, and never panics on overflow.
 //! That makes backpressure an explicit, testable event instead of a
 //! silent reallocation.
 //!
@@ -110,7 +112,7 @@ impl SampleRing {
     /// # Panics
     ///
     /// Panics if the requested range is not fully retained — the caller
-    /// (the scheduler) must only ask for windows it knows are buffered.
+    /// (the streaming core) must only ask for windows it knows are buffered.
     pub fn copy_to(&self, abs_start: u64, dst: &mut [f32]) {
         assert!(
             abs_start >= self.start && abs_start + dst.len() as u64 <= self.end(),

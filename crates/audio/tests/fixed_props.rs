@@ -1,13 +1,10 @@
-//! Property tests for the fixed-point front end:
-//!
-//! * streaming extraction over the fixed-point kernels stays
-//!   **bit-identical** to batch extraction for random chunk splits and
-//!   geometries (the block pipeline is exact, row-independent integer
-//!   arithmetic — this asserts no per-frame state leaks in);
-//! * the direct-to-`i8` emission path (`extract_padded_a8_into`) equals
-//!   quantising the float features, bit-for-bit, for random exponents.
+//! Property tests for the fixed-point front end: the direct-to-`i8`
+//! emission path (`extract_padded_a8_into`) equals quantising the float
+//! features, bit-for-bit, for random exponents. (Streaming extraction
+//! over the same kernels is property-tested against batch extraction in
+//! `kwt-engine`'s `streaming_props`, where the streaming core lives.)
 
-use kwt_audio::{MfccConfig, MfccExtractor, StreamingMfcc, WindowKind};
+use kwt_audio::{MfccConfig, MfccExtractor};
 use kwt_tensor::{qops, Mat};
 use proptest::prelude::*;
 
@@ -25,48 +22,6 @@ fn wave(seed: u64, n: usize) -> Vec<f32> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn streaming_fixed_kernels_bit_identical_to_batch(
-        win_sel in 32usize..200,
-        hop_sel in 8usize..300,
-        clip_extra in 0usize..2_000,
-        seed in 0u64..1_000,
-        cuts in proptest::collection::vec(1usize..4_000, 0..6),
-    ) {
-        let config = MfccConfig {
-            n_fft: 256,
-            win_length: win_sel,
-            hop_length: hop_sel,
-            n_mels: 12,
-            n_mfcc: 8,
-            window: WindowKind::Hann,
-            clip_samples: win_sel + 100,
-            ..MfccConfig::default()
-        };
-        let extractor = MfccExtractor::new(config).unwrap();
-        let clip = wave(seed, win_sel + 100 + clip_extra);
-        let batch = extractor.extract(&clip).unwrap();
-        let mut stream = StreamingMfcc::from_extractor(extractor);
-        let mut rows = Vec::new();
-        let mut off = 0;
-        for &c in &cuts {
-            let end = off + c % (clip.len() - off).max(1);
-            stream
-                .push(&clip[off..end], |_, row| rows.push(row.to_vec()))
-                .unwrap();
-            off = end;
-        }
-        stream
-            .push(&clip[off..], |_, row| rows.push(row.to_vec()))
-            .unwrap();
-        prop_assert_eq!(rows.len(), batch.rows());
-        for (t, row) in rows.iter().enumerate() {
-            for (a, b) in row.iter().zip(batch.row(t)) {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "frame {}", t);
-            }
-        }
-    }
 
     #[test]
     fn a8_emission_equals_quantised_float_features(

@@ -58,15 +58,18 @@
 //!
 //! # Streaming semantics
 //!
-//! [`StreamingKws`] spots keywords on a continuous stream: a bounded
-//! sample buffer feeds incremental, hop-aligned MFCC extraction
-//! (bit-identical to batch extraction — same per-frame kernel), frames
-//! slide through a `T x F` model window, and the window is classified
-//! every [`StreamingConfig::stride_frames`] frames with majority-vote
-//! smoothing over the last [`StreamingConfig::vote_window`] raw
-//! decisions. After exactly one nominal clip, the streamed window equals
-//! the batch spectrogram bit-for-bit, so streamed and one-shot
-//! classifications agree.
+//! [`StreamCore`] is the one samples → decision state machine: a bounded
+//! [`kwt_audio::SampleRing`] feeds hop-aligned MFCC frames (bit-identical
+//! to batch extraction — same per-frame kernel), frames slide through a
+//! `T x F` model window, every [`StreamingConfig::stride_frames`]-th
+//! frame past `T` is a classification boundary, and decisions are
+//! majority-vote smoothed over the last [`StreamingConfig::vote_window`]
+//! raw classes. [`StreamingKws`] runs one core over an [`Engine`] and
+//! accepts chunks of any size (fed through the ring in pieces that fit,
+//! so nothing grows); `kwt-serve` runs one core per multiplexed session.
+//! After exactly one nominal clip, the streamed window equals the batch
+//! spectrogram bit-for-bit, so streamed and one-shot classifications
+//! agree.
 //!
 //! # Wake-word cascade
 //!
@@ -96,7 +99,7 @@ pub use cluster::Rv32ClusterBackend;
 pub use engine::{Engine, Prediction};
 pub use error::EngineError;
 pub use resilient::{BackendHealth, FaultStats, ResilientBackend, ResilientConfig};
-pub use streaming::{majority_vote, StreamDecision, StreamingConfig, StreamingKws};
+pub use streaming::{StreamCore, StreamDecision, StreamingConfig, StreamingKws};
 
 /// Convenience alias for results returned by this crate.
 pub type Result<T> = std::result::Result<T, EngineError>;

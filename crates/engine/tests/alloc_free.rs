@@ -1,32 +1,44 @@
 //! Proof of the zero-allocation steady state: wraps the global allocator
-//! in a counter and asserts that, after warm-up, repeated host-side
-//! `classify_into` calls perform **no heap allocation at all** — the
-//! tentpole property the scratch arenas exist for.
+//! in a per-thread counter and asserts that, after warm-up, repeated
+//! host-side `classify_into` calls and streaming pushes perform **no heap
+//! allocation at all** — the property the scratch arenas and the bounded
+//! streaming ring exist for.
 
 use kwt_audio::kwt_tiny_frontend;
-use kwt_engine::{Engine, Prediction, StreamingConfig, StreamingKws};
+use kwt_engine::{Engine, Prediction, StreamDecision, StreamingConfig, StreamingKws};
 use kwt_model::{KwtConfig, KwtParams};
 use kwt_quant::{QuantConfig, QuantizedKwt};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Per-thread, so tests running in parallel in this binary cannot
+    // inflate each other's counts. Const-initialised with no destructor:
+    // touching it never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` fails only while the thread is being torn down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -38,10 +50,36 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Heap allocations `f` makes on the calling thread.
 fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::get) - before
+}
+
+#[test]
+fn sibling_thread_allocations_are_not_counted() {
+    // Regression: with one process-wide counter, a test allocating on
+    // another thread made every measured hot loop look allocating.
+    let stop = AtomicBool::new(false);
+    let sibling_allocs = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                std::hint::black_box(vec![0u8; 64]);
+                sibling_allocs.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        let n = allocations(|| {
+            while sibling_allocs.load(Ordering::Relaxed) < 1_000 {
+                std::hint::spin_loop();
+            }
+        });
+        stop.store(true, Ordering::Relaxed);
+        assert_eq!(n, 0, "sibling thread's allocations leaked into the count");
+    });
+    // The counter does see this thread's own allocations.
+    assert!(allocations(|| drop(std::hint::black_box(vec![0u8; 64]))) > 0);
 }
 
 fn trained_ish() -> KwtParams {
@@ -131,6 +169,38 @@ fn streaming_push_is_allocation_bounded() {
         }
     });
     assert_eq!(n, 0, "streaming steady state allocated {n} times");
+}
+
+#[test]
+fn one_large_push_matches_small_chunks_and_allocates_nothing() {
+    // Any chunk size streams through the bounded ring in pieces: one 10 s
+    // push yields the decisions of the same audio in 100 ms chunks, and
+    // no buffer grows to hold the chunk.
+    let streamer = || {
+        StreamingKws::new(
+            Engine::host_float(trained_ish(), kwt_tiny_frontend().unwrap()).unwrap(),
+            StreamingConfig::default(),
+        )
+        .unwrap()
+    };
+    let (mut whole, mut chunked) = (streamer(), streamer());
+    let warm_up = clip(7);
+    for kws in [&mut whole, &mut chunked] {
+        for chunk in warm_up.chunks(1_600) {
+            kws.push_with(chunk, |_| {}).unwrap();
+        }
+    }
+    let signal: Vec<f32> = (0..10).flat_map(clip).collect();
+    let key = |d: StreamDecision| (d.frame_index, d.class, d.score.to_bits(), d.smoothed_class);
+    let mut want = Vec::new();
+    for chunk in signal.chunks(1_600) {
+        chunked.push_with(chunk, |d| want.push(key(d))).unwrap();
+    }
+    let mut got = Vec::with_capacity(want.len());
+    let n = allocations(|| whole.push_with(&signal, |d| got.push(key(d))).unwrap());
+    assert_eq!(n, 0, "a 10 s push allocated {n} times");
+    assert!(want.len() > 200, "expected a decision per hop");
+    assert_eq!(got, want);
 }
 
 #[test]

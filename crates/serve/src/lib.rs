@@ -10,10 +10,11 @@
 //! question this crate answers is the production-scale inverse — many
 //! microphones, one inference resource. The pieces:
 //!
-//! * **Slab sessions** ([`SessionId`]): every per-stream resource — a
-//!   bounded [`kwt_audio::SampleRing`], the sliding `T x F` window, the
-//!   vote state — is allocated once when the server is built and reused
-//!   through open/close cycles. Handles are generation-tagged, so an id
+//! * **Slab sessions** ([`SessionId`]): every session is a slot holding
+//!   one [`kwt_engine::StreamCore`] — a bounded [`kwt_audio::SampleRing`],
+//!   the sliding `T x F` window, the vote state — allocated once when the
+//!   server is built and reused through open/close cycles; the extractor
+//!   scratch and frame buffers are shared by every session. Handles are generation-tagged, so an id
 //!   held past `close` fails with [`ServeError::StaleSession`] instead
 //!   of touching the slot's next occupant.
 //! * **Explicit backpressure**: a chunk that does not fit its session's
@@ -28,14 +29,14 @@
 //!   windows ([`Engine::classify_window_wave_into`]). On a 4-hart
 //!   cluster a wave costs one SoC timeline instead of four serial runs —
 //!   that is where the multiplexed throughput win comes from.
-//! * **Bit-identity**: scheduling never changes results. Per session the
-//!   server replays the exact `StreamingMfcc` emission rule, the exact
-//!   `StreamingKws` classify condition and the exact
-//!   [`kwt_engine::majority_vote`] smoothing, and the wave contract
-//!   guarantees wave logits equal serial logits — so every delivered
-//!   [`SessionDecision`] is bit-identical to a standalone
-//!   [`kwt_engine::StreamingKws`] over the same audio, for any
-//!   interleaving and any chunk split (property-tested).
+//! * **Bit-identity**: scheduling never changes results. Each session
+//!   runs the same [`kwt_engine::StreamCore`] as a standalone
+//!   [`kwt_engine::StreamingKws`] — one emission rule, one classify
+//!   boundary, one vote — and the wave contract guarantees wave logits
+//!   equal serial logits, so every delivered [`SessionDecision`] is
+//!   bit-identical to the standalone streamer over the same audio, for
+//!   any interleaving and any chunk split. The property tests check both
+//!   against an independent batch reference.
 //! * **Accounting** ([`ServeMetrics`]): decisions, wave occupancy,
 //!   summed device cycles, and pre-allocated p50/p99/p999 histograms of
 //!   wall-clock and simulated-cycle delivery latency.

@@ -4,7 +4,7 @@ use crate::metrics::ServeMetrics;
 use crate::session::{SessionId, Slot};
 use crate::{Result, ServeError};
 use kwt_audio::{validate_samples, MfccExtractor, MfccScratch};
-use kwt_engine::{majority_vote, Engine, Prediction, StreamDecision, StreamingConfig};
+use kwt_engine::{Engine, Prediction, StreamCore, StreamDecision, StreamingConfig};
 use kwt_tensor::Mat;
 use std::time::Instant;
 
@@ -46,15 +46,6 @@ pub struct SessionDecision {
     pub decision: StreamDecision,
 }
 
-/// Frame geometry shared by every per-session advance.
-#[derive(Debug, Clone, Copy)]
-struct Geometry {
-    win: usize,
-    hop: u64,
-    t_frames: u64,
-    stride: u64,
-}
-
 /// Session-multiplexed KWS ingest server (see the [crate docs](crate)).
 ///
 /// One engine, one slab, one scheduler: thousands of independent audio
@@ -67,12 +58,8 @@ struct Geometry {
 /// *when* windows reach the backend, never *what* they compute.
 pub struct KwsServer {
     engine: Engine,
-    /// Cloned from the engine's extractor (exactly like `StreamingKws`),
-    /// so frames match its batch output bit-for-bit.
-    frontend: MfccExtractor,
+    /// Front-end scratch shared by every session's [`StreamCore`].
     scratch: MfccScratch,
-    geo: Geometry,
-    vote_window: usize,
     slots: Vec<Slot>,
     /// Free-slot stack (indices into `slots`).
     free: Vec<u32>,
@@ -113,12 +100,10 @@ impl KwsServer {
                 why: "stride_frames and vote_window must be positive".into(),
             });
         }
-        let frontend = engine.frontend().clone();
-        let fc = frontend.config();
-        let (win, hop) = (fc.win_length, fc.hop_length);
-        let n_mfcc = fc.n_mfcc;
+        let fc = engine.frontend().config();
+        let (win, n_mfcc) = (fc.win_length, fc.n_mfcc);
         let ring_samples = if config.ring_samples == 0 {
-            win + 4 * hop
+            StreamCore::default_ring_samples(engine.frontend())
         } else {
             config.ring_samples
         };
@@ -133,23 +118,16 @@ impl KwsServer {
         let width = engine.wave_width();
         let slots = (0..config.max_sessions)
             .map(|_| {
-                Slot::new(
+                Slot::new(StreamCore::new(
                     ring_samples,
                     c.input_time,
                     n_mfcc,
                     c.num_classes,
-                    config.streaming.vote_window,
-                )
+                    config.streaming,
+                ))
             })
             .collect();
         Ok(KwsServer {
-            geo: Geometry {
-                win,
-                hop: hop as u64,
-                t_frames: c.input_time as u64,
-                stride: config.streaming.stride_frames as u64,
-            },
-            vote_window: config.streaming.vote_window,
             slots,
             free: (0..config.max_sessions as u32).rev().collect(),
             active: 0,
@@ -163,7 +141,6 @@ impl KwsServer {
             next_round: Vec::with_capacity(config.max_sessions),
             metrics: ServeMetrics::default(),
             scratch: MfccScratch::new(),
-            frontend,
             engine,
         })
     }
@@ -195,7 +172,7 @@ impl KwsServer {
 
     /// Per-session ring capacity in samples.
     pub fn ring_samples(&self) -> usize {
-        self.slots[0].ring.capacity()
+        self.slots[0].core.ring().capacity()
     }
 
     /// Admits a new stream into a free slab slot.
@@ -210,7 +187,7 @@ impl KwsServer {
             });
         };
         let slot = &mut self.slots[index as usize];
-        debug_assert!(!slot.active && slot.ring.is_empty() && slot.frames_seen == 0);
+        debug_assert!(!slot.active && slot.core.ring().is_empty() && slot.core.frames_seen() == 0);
         slot.active = true;
         self.active += 1;
         self.metrics.sessions_opened += 1;
@@ -249,7 +226,7 @@ impl KwsServer {
     pub fn push(&mut self, id: SessionId, samples: &[f32]) -> Result<()> {
         let index = self.slot_index(id)?;
         validate_samples(samples)?;
-        match self.slots[index].ring.push(samples) {
+        match self.slots[index].core.push(samples) {
             Ok(()) => {
                 self.metrics.chunks_accepted += 1;
                 self.metrics.samples_accepted += samples.len() as u64;
@@ -274,7 +251,7 @@ impl KwsServer {
     ///
     /// Returns [`ServeError::StaleSession`] for a dead id.
     pub fn ring_free(&self, id: SessionId) -> Result<usize> {
-        Ok(self.slots[self.slot_index(id)?].ring.free())
+        Ok(self.slots[self.slot_index(id)?].core.ring().free())
     }
 
     /// Runs the scheduler until no session can produce another decision
@@ -300,11 +277,8 @@ impl KwsServer {
         let started = Instant::now();
         let mut drive_cycles = 0u64;
         let mut delivered = 0usize;
-        let vote_window = self.vote_window;
-        let geo = self.geo;
         let Self {
             engine,
-            frontend,
             scratch,
             slots,
             frame_buf,
@@ -321,7 +295,14 @@ impl KwsServer {
         ready.clear();
         for (index, slot) in slots.iter_mut().enumerate() {
             if slot.active
-                && advance_to_boundary(slot, frontend, scratch, frame_buf, row_buf, geo, metrics)?
+                && advance(
+                    &mut slot.core,
+                    engine.frontend(),
+                    scratch,
+                    frame_buf,
+                    row_buf,
+                    metrics,
+                )?
             {
                 ready.push(index as u32);
             }
@@ -334,7 +315,7 @@ impl KwsServer {
                 for (stage, &index) in staging.iter_mut().zip(chunk) {
                     stage
                         .as_mut_slice()
-                        .copy_from_slice(slots[index as usize].window.as_slice());
+                        .copy_from_slice(slots[index as usize].core.window().as_slice());
                 }
                 engine.classify_window_wave_into(&staging[..k], &mut preds[..k])?;
                 let wave_cycles = engine.last_wave_device_cycles().unwrap_or(0);
@@ -344,18 +325,9 @@ impl KwsServer {
                 metrics.device_cycles += wave_cycles;
                 for (pred, &index) in preds[..k].iter().zip(chunk) {
                     let slot = &mut slots[index as usize];
-                    if slot.votes.len() == vote_window {
-                        slot.votes.pop_front();
-                    }
-                    slot.votes.push_back(pred.class);
                     let decision = SessionDecision {
                         session: SessionId::new(index, slot.generation),
-                        decision: StreamDecision {
-                            frame_index: slot.frames_seen - 1,
-                            class: pred.class,
-                            score: pred.score,
-                            smoothed_class: majority_vote(&slot.votes, &mut slot.counts),
-                        },
+                        decision: slot.core.decide(pred),
                     };
                     metrics.decisions += 1;
                     metrics
@@ -370,8 +342,15 @@ impl KwsServer {
             // boundary buffered; everyone else is already starved.
             next_round.clear();
             for &index in ready.iter() {
-                let slot = &mut slots[index as usize];
-                if advance_to_boundary(slot, frontend, scratch, frame_buf, row_buf, geo, metrics)? {
+                let core = &mut slots[index as usize].core;
+                if advance(
+                    core,
+                    engine.frontend(),
+                    scratch,
+                    frame_buf,
+                    row_buf,
+                    metrics,
+                )? {
                     next_round.push(index);
                 }
             }
@@ -401,39 +380,18 @@ impl std::fmt::Debug for KwsServer {
     }
 }
 
-/// Consumes buffered samples into hop-aligned frames, sliding the
-/// session's window, until it crosses a classification boundary (`true`)
-/// or starves (`false`) — the exact emission and classify conditions of
-/// `StreamingMfcc::push` + `StreamingKws::push_with`, which is what
-/// keeps multiplexed decisions bit-identical to a standalone streamer.
-fn advance_to_boundary(
-    slot: &mut Slot,
+/// [`StreamCore::advance`] with the frames it emits counted in
+/// `metrics`, including those before a failure.
+fn advance(
+    core: &mut StreamCore,
     frontend: &MfccExtractor,
     scratch: &mut MfccScratch,
     frame_buf: &mut [f32],
     row_buf: &mut [f32],
-    geo: Geometry,
     metrics: &mut ServeMetrics,
 ) -> Result<bool> {
-    loop {
-        let start = slot.frames_seen * geo.hop;
-        if slot.ring.end() < start + geo.win as u64 {
-            return Ok(false);
-        }
-        slot.ring.copy_to(start, frame_buf);
-        frontend.compute_frame_into(frame_buf, row_buf, scratch)?;
-        let cols = slot.window.cols();
-        slot.window.as_mut_slice().copy_within(cols.., 0);
-        let last = slot.window.rows() - 1;
-        slot.window.row_mut(last).copy_from_slice(row_buf);
-        slot.frames_seen += 1;
-        metrics.frames_emitted += 1;
-        // Samples before the next frame's start can never be read again.
-        slot.ring.discard_to(slot.frames_seen * geo.hop);
-        if slot.frames_seen >= geo.t_frames
-            && (slot.frames_seen - geo.t_frames).is_multiple_of(geo.stride)
-        {
-            return Ok(true);
-        }
-    }
+    let before = core.frames_seen();
+    let boundary = core.advance(frontend, scratch, frame_buf, row_buf);
+    metrics.frames_emitted += core.frames_seen() - before;
+    Ok(boundary?)
 }

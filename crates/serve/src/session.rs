@@ -1,8 +1,6 @@
 //! Session identity and per-session slab state.
 
-use kwt_audio::SampleRing;
-use kwt_tensor::Mat;
-use std::collections::VecDeque;
+use kwt_engine::StreamCore;
 use std::fmt;
 
 /// Generation-tagged handle to a slab slot.
@@ -39,50 +37,26 @@ impl fmt::Display for SessionId {
     }
 }
 
-/// One slab slot: everything a multiplexed stream needs, all allocated
-/// when the slab is built and reused across sessions
-/// ([`SampleRing::clear_for_reuse`] keeps the ring's buffer, the window
-/// matrix is overwritten by the first `T` frame shifts, the vote deque
-/// keeps its capacity).
-///
-/// The fields mirror [`kwt_engine::StreamingKws`] exactly — ring in place
-/// of its `StreamingMfcc` buffer, same sliding window, same vote state —
-/// which is what makes multiplexed decisions bit-identical to a
+/// One slab slot: a generation tag plus the stream's [`StreamCore`]
+/// (ring, window, votes), allocated when the slab is built and reused
+/// across sessions. The core is the one [`kwt_engine::StreamingKws`]
+/// runs, which is what makes multiplexed decisions bit-identical to a
 /// standalone streamer (the serve property tests assert it).
 pub(crate) struct Slot {
     /// Bumped on close; part of every minted [`SessionId`].
     pub generation: u32,
     /// Occupied (open) vs free.
     pub active: bool,
-    /// Bounded ingest ring; absolute indices are stream sample numbers.
-    pub ring: SampleRing,
-    /// Sliding `T x F` model window.
-    pub window: Mat<f32>,
-    /// MFCC frames folded into the window so far; the next frame covers
-    /// stream samples `[frames_seen * hop, frames_seen * hop + win)`.
-    pub frames_seen: u64,
-    /// Most recent raw classes for majority smoothing.
-    pub votes: VecDeque<usize>,
-    /// Reusable per-class tally for [`kwt_engine::majority_vote`].
-    pub counts: Vec<usize>,
+    /// The session's samples → decision state.
+    pub core: StreamCore,
 }
 
 impl Slot {
-    pub fn new(
-        ring_samples: usize,
-        t_frames: usize,
-        n_mfcc: usize,
-        classes: usize,
-        vote_window: usize,
-    ) -> Self {
+    pub fn new(core: StreamCore) -> Self {
         Slot {
             generation: 0,
             active: false,
-            ring: SampleRing::with_capacity(ring_samples),
-            window: Mat::zeros(t_frames, n_mfcc),
-            frames_seen: 0,
-            votes: VecDeque::with_capacity(vote_window),
-            counts: vec![0; classes],
+            core,
         }
     }
 
@@ -91,11 +65,6 @@ impl Slot {
     pub fn release(&mut self) {
         self.generation = self.generation.wrapping_add(1);
         self.active = false;
-        self.ring.clear_for_reuse();
-        self.frames_seen = 0;
-        self.votes.clear();
-        // `window` needs no clearing: nothing is classified before
-        // `T` frames have been appended, and `T` appends overwrite
-        // every row (same invariant as `StreamingKws::reset`).
+        self.core.reset();
     }
 }

@@ -8,25 +8,36 @@ use kwt_engine::{Engine, StreamingConfig};
 use kwt_model::{KwtConfig, KwtParams};
 use kwt_serve::{KwsServer, ServeConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Per-thread, so tests running in parallel in this binary cannot
+    // inflate each other's counts. Const-initialised with no destructor:
+    // touching it never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` fails only while the thread is being torn down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -38,10 +49,36 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Heap allocations `f` makes on the calling thread.
 fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::get) - before
+}
+
+#[test]
+fn sibling_thread_allocations_are_not_counted() {
+    // Regression: with one process-wide counter, a test allocating on
+    // another thread made every measured hot loop look allocating.
+    let stop = AtomicBool::new(false);
+    let sibling_allocs = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                std::hint::black_box(vec![0u8; 64]);
+                sibling_allocs.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        let n = allocations(|| {
+            while sibling_allocs.load(Ordering::Relaxed) < 1_000 {
+                std::hint::spin_loop();
+            }
+        });
+        stop.store(true, Ordering::Relaxed);
+        assert_eq!(n, 0, "sibling thread's allocations leaked into the count");
+    });
+    // The counter does see this thread's own allocations.
+    assert!(allocations(|| drop(std::hint::black_box(vec![0u8; 64]))) > 0);
 }
 
 fn trained_ish() -> KwtParams {

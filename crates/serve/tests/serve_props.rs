@@ -2,13 +2,19 @@
 //! multiplexed through one server — arbitrary interleavings, arbitrary
 //! chunk splits, slots reused across close/open — produce decision
 //! streams **bit-identical** to running each stream through its own
-//! standalone [`StreamingKws`]. Plus the typed-backpressure and
-//! admission-control contracts at their exact boundaries.
+//! standalone [`StreamingKws`], and both equal an independent batch
+//! reference (the server and the streamer share one streaming core, so
+//! agreeing with each other alone would prove little). Plus the
+//! typed-backpressure and admission-control contracts at their exact
+//! boundaries.
 
 use kwt_audio::kwt_tiny_frontend;
-use kwt_engine::{Engine, StreamDecision, StreamingConfig, StreamingKws};
+use kwt_engine::{
+    Backend, BackendKind, Engine, Prediction, StreamDecision, StreamingConfig, StreamingKws,
+};
 use kwt_model::{KwtConfig, KwtParams};
 use kwt_serve::{KwsServer, ServeConfig, ServeError};
+use kwt_tensor::Mat;
 use proptest::prelude::*;
 
 fn trained_ish() -> KwtParams {
@@ -43,6 +49,80 @@ fn wave(seed: u64, n: usize) -> Vec<f32> {
 fn standalone(engine: Engine, cfg: StreamingConfig, signal: &[f32]) -> Vec<StreamDecision> {
     let mut kws = StreamingKws::new(engine, cfg).unwrap();
     kws.push(signal).unwrap()
+}
+
+/// A test backend whose logits are a hash of the window's bits: a change
+/// to any frame changes the decision, and with four unbiased classes the
+/// majority vote ties often, so the tie-break is exercised too.
+struct WindowHash(KwtConfig);
+
+impl Backend for WindowHash {
+    fn kind(&self) -> BackendKind {
+        BackendKind::HostFloat
+    }
+
+    fn config(&self) -> &KwtConfig {
+        &self.0
+    }
+
+    fn infer_into(&mut self, mfcc: &Mat<f32>, logits: &mut Vec<f32>) -> kwt_engine::Result<()> {
+        let h = mfcc
+            .as_slice()
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+                (h ^ u64::from(v.to_bits())).wrapping_mul(0x0100_0000_01b3)
+            });
+        logits.clear();
+        logits.extend((0..self.0.num_classes).map(|c| ((h >> (8 * c)) & 0xff) as f32 / 64.0));
+        Ok(())
+    }
+}
+
+fn hash_engine() -> Engine {
+    let config = KwtConfig {
+        num_classes: 4,
+        ..KwtConfig::kwt_tiny()
+    };
+    Engine::new(kwt_tiny_frontend().unwrap(), Box::new(WindowHash(config))).unwrap()
+}
+
+/// Independent reference: batch-extract the whole signal, classify every
+/// `T`-row window ending at a stride boundary, and smooth with
+/// [`majority`].
+fn batch_reference(
+    engine: &mut Engine,
+    cfg: StreamingConfig,
+    signal: &[f32],
+) -> Vec<StreamDecision> {
+    let frames = engine.frontend().extract(signal).unwrap();
+    let (t, f) = (engine.config().input_time, engine.config().input_freq);
+    let mut window = Mat::zeros(t, f);
+    let mut pred = Prediction::default();
+    let mut classes = Vec::new();
+    let mut out = Vec::new();
+    for end in (t..=frames.rows()).step_by(cfg.stride_frames) {
+        for r in 0..t {
+            window.row_mut(r).copy_from_slice(frames.row(end - t + r));
+        }
+        engine.classify_mfcc_into(&window, &mut pred).unwrap();
+        classes.push(pred.class);
+        let recent = &classes[classes.len().saturating_sub(cfg.vote_window)..];
+        out.push(StreamDecision {
+            frame_index: (end - 1) as u64,
+            class: pred.class,
+            score: pred.score,
+            smoothed_class: majority(recent),
+        });
+    }
+    out
+}
+
+/// The most frequent class in `votes`; ties go to the class voted most
+/// recently.
+fn majority(votes: &[usize]) -> usize {
+    let count = |c: usize| votes.iter().filter(|&&v| v == c).count();
+    let best = votes.iter().map(|&v| count(v)).max().unwrap();
+    *votes.iter().rev().find(|&&v| count(v) == best).unwrap()
 }
 
 fn assert_decisions_match(got: &[StreamDecision], want: &[StreamDecision], which: usize) {
@@ -84,41 +164,47 @@ proptest! {
             .map(|(i, &s)| wave(s, 16_000 + len_extra + i * 701))
             .collect();
         let n = signals.len();
-        let mut server = KwsServer::new(
-            host_engine(),
-            ServeConfig { max_sessions: n, streaming, ..ServeConfig::default() },
-        ).unwrap();
-        let ids: Vec<_> = (0..n).map(|_| server.open().unwrap()).collect();
+        // The host model proves the real path; the window hash makes any
+        // frame or vote difference visible.
+        for engine in [host_engine, hash_engine] {
+            let mut server = KwsServer::new(
+                engine(),
+                ServeConfig { max_sessions: n, streaming, ..ServeConfig::default() },
+            ).unwrap();
+            let ids: Vec<_> = (0..n).map(|_| server.open().unwrap()).collect();
 
-        // Interleave: each pass pushes every still-live session's next
-        // chunk (session order rotated per pass), then drives once — so
-        // waves genuinely mix sessions.
-        let mut got: Vec<Vec<StreamDecision>> = vec![Vec::new(); n];
-        let mut offset = vec![0usize; n];
-        let mut pass = 0usize;
-        while offset.iter().zip(&signals).any(|(o, s)| *o < s.len()) {
-            for k in 0..n {
-                let s = (k + rotate * pass) % n;
-                let end = (offset[s] + chunk_sel[(pass + k) % chunk_sel.len()])
-                    .min(signals[s].len());
-                if offset[s] < end {
-                    server.push(ids[s], &signals[s][offset[s]..end]).unwrap();
-                    offset[s] = end;
+            // Interleave: each pass pushes every still-live session's next
+            // chunk (session order rotated per pass), then drives once — so
+            // waves genuinely mix sessions.
+            let mut got: Vec<Vec<StreamDecision>> = vec![Vec::new(); n];
+            let mut offset = vec![0usize; n];
+            let mut pass = 0usize;
+            while offset.iter().zip(&signals).any(|(o, s)| *o < s.len()) {
+                for k in 0..n {
+                    let s = (k + rotate * pass) % n;
+                    let end = (offset[s] + chunk_sel[(pass + k) % chunk_sel.len()])
+                        .min(signals[s].len());
+                    if offset[s] < end {
+                        server.push(ids[s], &signals[s][offset[s]..end]).unwrap();
+                        offset[s] = end;
+                    }
                 }
+                server.drive(|d| {
+                    let s = ids.iter().position(|&i| i == d.session).unwrap();
+                    got[s].push(d.decision.clone());
+                }).unwrap();
+                pass += 1;
             }
-            server.drive(|d| {
-                let s = ids.iter().position(|&i| i == d.session).unwrap();
-                got[s].push(d.decision.clone());
-            }).unwrap();
-            pass += 1;
-        }
 
-        for (s, signal) in signals.iter().enumerate() {
-            let want = standalone(host_engine(), streaming, signal);
-            assert_decisions_match(&got[s], &want, s);
+            for (s, signal) in signals.iter().enumerate() {
+                let want = batch_reference(&mut engine(), streaming, signal);
+                prop_assert!(!want.is_empty());
+                assert_decisions_match(&got[s], &want, s);
+                assert_decisions_match(&standalone(engine(), streaming, signal), &want, s);
+            }
+            prop_assert_eq!(server.metrics().decisions as usize,
+                got.iter().map(Vec::len).sum::<usize>());
         }
-        prop_assert_eq!(server.metrics().decisions as usize,
-            got.iter().map(Vec::len).sum::<usize>());
     }
 }
 

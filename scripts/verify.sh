@@ -9,7 +9,9 @@
 #                                # is installed (some CI sandboxes kill the
 #                                # trap handler or mount /tmp noexec)
 #
-# Tier-1 (must stay green): release build and the full test suite.
+# Tier-1 (must stay green): release build, the full test suite, and the
+# benchmark package's tests (`kwsbench/` is its own workspace, so a plain
+# `cargo test` would not notice a public-API break it depends on).
 # The smoke pass then runs every criterion bench exactly once,
 # single-iteration `paper bench-engine` and `paper bench-serve --smoke`
 # in a scratch directory (so the committed BENCH_*.json artefacts are
@@ -85,6 +87,10 @@ cargo build --release || fail "cargo build --release"
 
 echo "== tier-1: cargo test -q =="
 cargo test -q || fail "cargo test"
+
+echo "== tier-1: cargo test (kwsbench benchmark package) =="
+cargo test -q --offline --locked --manifest-path kwsbench/Cargo.toml \
+    || fail "cargo test kwsbench"
 
 if [[ "$fast" == 1 ]]; then
     echo "verify: tier-1 green (--fast)"
