@@ -2341,6 +2341,136 @@ mod tests {
         assert_eq!(logits, want);
     }
 
+    /// FNV-1a-64 over everything a build decides: text, data, symbols,
+    /// the mutable ranges (as a set — their order carries no meaning,
+    /// [`InferenceImage::static_ranges`] sorts them), bank usage, the
+    /// mailbox addresses, flavour, ISA and platform.
+    fn image_digest(img: &InferenceImage) -> u64 {
+        let mut h = FNV_OFFSET;
+        for w in &img.program.text {
+            h = fnv1a64_update(h, &w.to_le_bytes());
+        }
+        h = fnv1a64_update(h, &img.program.data);
+        for (name, addr) in &img.program.symbols {
+            h = fnv1a64_update(h, name.as_bytes());
+            h = fnv1a64_update(h, &addr.to_le_bytes());
+        }
+        let mut ranges = img.mutable_ranges.clone();
+        ranges.sort_unstable();
+        let mut words: Vec<u64> = ranges
+            .iter()
+            .flat_map(|&(a, l)| [a as u64, l as u64])
+            .collect();
+        words.extend(
+            img.bank_usage
+                .iter()
+                .flat_map(|&(h, c)| [h as u64, c as u64]),
+        );
+        words.extend([
+            img.input_addr as u64,
+            img.logits_addr as u64,
+            img.platform.ram_size as u64,
+            img.platform.stack_bytes as u64,
+        ]);
+        for w in words {
+            h = fnv1a64_update(h, &w.to_le_bytes());
+        }
+        fnv1a64_update(h, format!("{:?}/{:?}", img.flavor, img.isa).as_bytes())
+    }
+
+    fn scaled_params(config: KwtConfig) -> KwtParams {
+        let mut p = KwtParams::init(config, 77).unwrap();
+        p.visit_mut(|s| s.iter_mut().for_each(|v| *v *= 0.6));
+        p
+    }
+
+    /// Every image flavour built from `params`, labelled for the pins.
+    fn pinned_builds(params: &KwtParams) -> Vec<(String, InferenceImage)> {
+        use kwt_quant::{A8Config, A8Kwt};
+        let qm = QuantizedKwt::quantize(params, QuantConfig::paper_best());
+        let accel = qm.clone().with_nonlinearity(Nonlinearity::FixedLut);
+        let a8 = A8Kwt::quantize(params, A8Config::paper_a8()).unwrap();
+        let mut out = vec![(
+            "float".to_string(),
+            InferenceImage::build_float(params).unwrap(),
+        )];
+        for model in [&qm, &accel] {
+            for isa in [KernelIsa::Rv32im, KernelIsa::Xkwtdot] {
+                let img = InferenceImage::build_quant_with_isa(model, isa).unwrap();
+                out.push((format!("{:?}/{isa:?}", img.flavor), img));
+            }
+        }
+        let tuned = TunedKernels::embedded();
+        for (name, table) in [("a8/tuned", Some(&tuned)), ("a8/generic", None)] {
+            let img = InferenceImage::build_a8_with(&a8, table).unwrap();
+            out.push((name.to_string(), img));
+        }
+        out
+    }
+
+    #[test]
+    fn every_image_build_is_pinned() {
+        // Digests of every flavour's build, recorded before the three
+        // builder bodies were folded into one graph emitter: refactors of
+        // the builders must keep every image byte-identical. Depth 2
+        // reaches the A8 layer >= 1 shifts and LayerNorm block, which
+        // KWT-Tiny (depth 1) never emits. Re-record only for a
+        // deliberate image change.
+        let tiny = KwtConfig::kwt_tiny();
+        let deep = KwtConfig { depth: 2, ..tiny };
+        let mut got = Vec::new();
+        for (depth, config) in [(1, tiny), (2, deep)] {
+            for (name, img) in pinned_builds(&scaled_params(config)) {
+                got.push((format!("depth{depth}/{name}"), image_digest(&img)));
+            }
+        }
+        // the cascade verifier's path: an untuned A8 image too large for
+        // the paper's 64 kB part, linked against an enlarged platform
+        let verifier = KwtConfig {
+            depth: 1,
+            num_classes: 2,
+            ..KwtConfig::kwt1()
+        };
+        let a8 =
+            kwt_quant::A8Kwt::quantize(&scaled_params(verifier), kwt_quant::A8Config::paper_a8())
+                .unwrap();
+        assert!(matches!(
+            InferenceImage::build_a8_with(&a8, None),
+            Err(BuildError::RamBudget { .. })
+        ));
+        let big = Platform::ibex_with_ram(1 << 20);
+        let img = InferenceImage::build_a8_with_on(&a8, None, big).unwrap();
+        got.push((
+            "kwt1-depth1/a8/generic@1MiB".to_string(),
+            image_digest(&img),
+        ));
+        let want = [
+            ("depth1/float", 0xec6b04d0e146ede8),
+            ("depth1/Quantized/Rv32im", 0xc0321fe5222eacae),
+            ("depth1/Quantized/Xkwtdot", 0x9579eab6c2668d59),
+            ("depth1/Accelerated/Rv32im", 0xe36e353a212d2099),
+            ("depth1/Accelerated/Xkwtdot", 0x1e75fff74688f88c),
+            ("depth1/a8/tuned", 0x3d47424d67f7f295),
+            ("depth1/a8/generic", 0xb1f46a2b0c5fef75),
+            ("depth2/float", 0xdbe0e9845d1e4ed7),
+            ("depth2/Quantized/Rv32im", 0x19b74c851c43d0a3),
+            ("depth2/Quantized/Xkwtdot", 0xf525366b99ad05c3),
+            ("depth2/Accelerated/Rv32im", 0x25f17c7521a34410),
+            ("depth2/Accelerated/Xkwtdot", 0x3679ea5848d3cc0a),
+            ("depth2/a8/tuned", 0x78b4f0aaf1d0b4e9),
+            ("depth2/a8/generic", 0xf519e6c52c47d6e8),
+            ("kwt1-depth1/a8/generic@1MiB", 0x0fceb8a44f7d8a6e),
+        ];
+        assert_eq!(got.len(), want.len());
+        for ((name, digest), (want_name, want_digest)) in got.iter().zip(want) {
+            assert_eq!(name, want_name);
+            assert_eq!(
+                *digest, want_digest,
+                "{name}: image changed (digest {digest:#018x})"
+            );
+        }
+    }
+
     #[test]
     fn truncated_luts_trap_and_recover() {
         use kwt_rv32::{FaultPlan, Trap};
