@@ -2,22 +2,27 @@
 //! them on the simulator.
 //!
 //! An [`InferenceImage`] is a fully linked program (code + weights +
-//! buffers) for one of three flavours:
+//! buffers) for one of four flavours, each built by
+//! [`InferenceImage::build`] from an [`ImageSpec`]:
 //!
-//! | Flavour                 | Paper model             | Table IX row |
-//! |-------------------------|-------------------------|--------------|
-//! | [`Flavor::Float`]       | KWT-Tiny (soft-float)   | 26 M cycles  |
-//! | [`Flavor::Quantized`]   | KWT-Tiny-Q              | 13 M cycles  |
-//! | [`Flavor::Accelerated`] | KWT-Tiny-Q (+Hardware)  | 5.5 M cycles |
+//! | Flavour                 | Spec                               | Paper model            | Table IX row |
+//! |-------------------------|------------------------------------|------------------------|--------------|
+//! | [`Flavor::Float`]       | [`ImageSpec::Float`]               | KWT-Tiny (soft-float)  | 26 M cycles  |
+//! | [`Flavor::Quantized`]   | [`ImageSpec::Quant`]               | KWT-Tiny-Q             | 13 M cycles  |
+//! | [`Flavor::Accelerated`] | [`ImageSpec::Quant`] (LUT model)   | KWT-Tiny-Q (+Hardware) | 5.5 M cycles |
+//! | [`Flavor::A8`]          | [`ImageSpec::A8`]                  | beyond the paper: INT8 activations over `kdot4.i8` | — |
 //!
-//! Activations live in the paper's two static banks (§V), sized
-//! `SEQLEN x MLP_DIM` and `SEQLEN x DIM_HEAD x 3` elements; the builder's
-//! bump allocators prove at build time that no stage overflows them.
+//! One emitter writes the KWT forward graph for all of them; a flavour
+//! supplies only its weight storage format, its kernel library and the
+//! per-op argument blocks. Activations live in the paper's two static
+//! banks (§V), sized `SEQLEN x MLP_DIM` and `SEQLEN x DIM_HEAD x 3`
+//! elements; the builder's bump allocators prove at build time that no
+//! stage overflows them.
 
 use crate::banks::Bank;
 use crate::kernels::{
-    a8_attn_params, a8_ln_params, attn_params, gelu_params, ln_params, A8Kernels, KernelIsa,
-    Kernels,
+    a8_attn_params, a8_ln_params, attn_params, gelu_params, ln_params, pop_region, push_region,
+    A8Kernels, KernelIsa, Kernels,
 };
 use crate::mathlib::MathLib;
 use crate::regions;
@@ -25,9 +30,9 @@ use crate::softfloat::SoftFloat;
 use crate::specialise::{self, GemmGeom, TunedKernels};
 use crate::{BuildError, Result};
 use kwt_model::{KwtConfig, KwtParams};
-use kwt_quant::{A8Config, A8Kwt, Nonlinearity, QuantConfig, QuantizedKwt};
+use kwt_quant::{A8Config, A8Consts, A8Kwt, Nonlinearity, QuantConfig, QuantizedKwt};
 use kwt_rv32::{Machine, Platform, ProfileReport, RunResult};
-use kwt_rvasm::{Asm, Inst, Program, Reg, CSR_PROFILE_POP, CSR_PROFILE_PUSH};
+use kwt_rvasm::{Asm, Inst, Label, Program, Reg};
 use kwt_tensor::{qops, Mat};
 
 /// Which inference pipeline the image implements.
@@ -78,25 +83,217 @@ pub struct InferenceImage {
 const TEXT_BASE: u32 = 0x0;
 const DATA_BASE: u32 = 0x8000;
 
-fn push_region(asm: &mut Asm, region: u32) {
-    asm.li(Reg::T0, region as i32);
-    asm.emit(Inst::Csrrw {
-        rd: Reg::Zero,
-        rs1: Reg::T0,
-        csr: CSR_PROFILE_PUSH,
-    });
+/// What [`InferenceImage::build`] lowers: the model in one device
+/// flavour, carrying exactly the settings that flavour uses.
+#[derive(Debug, Clone, Copy)]
+pub enum ImageSpec<'a> {
+    /// Float weights over the soft-float kernels ([`Flavor::Float`]).
+    Float(&'a KwtParams),
+    /// The INT8-weight / INT16-activation pipeline over the chosen kernel
+    /// ISA: [`Flavor::Accelerated`] when the model uses the
+    /// custom-instruction non-linearities ([`Nonlinearity::FixedLut`]),
+    /// else [`Flavor::Quantized`]. Under [`KernelIsa::Xkwtdot`] every INT8
+    /// weight matrix is emitted **transposed** (word-aligned, `N×K`
+    /// row-major) so the packed GEMM walks contiguous memory; the logits
+    /// are bit-identical to the scalar image's.
+    Quant(&'a QuantizedKwt, KernelIsa),
+    /// The fully-INT8 A8W8 pipeline ([`Flavor::A8`], always
+    /// [`KernelIsa::Xkwtdot`]). With a tuned-factor table the builder
+    /// emits a specialised kernel for every distinct GEMM geometry and
+    /// the LayerNorm width (the table's factors when valid, defaults
+    /// otherwise) and points the call sites at it; the generic kernels
+    /// stay in the image as the runtime misalignment fallback. `None`
+    /// calls the generic kernels everywhere.
+    A8(&'a A8Kwt, Option<&'a TunedKernels>),
 }
 
-fn pop_region(asm: &mut Asm) {
-    asm.emit(Inst::Csrrw {
-        rd: Reg::Zero,
-        rs1: Reg::Zero,
-        csr: CSR_PROFILE_POP,
-    });
+/// One weight tensor in its device storage format.
+enum Tensor<'a> {
+    F32(&'a [f32]),
+    I32(&'a [i32]),
+    I16(&'a [i16]),
+    I8(&'a [i8]),
+    /// An INT8 matrix stored transposed (`N×K`, word-aligned) for the
+    /// packed GEMMs.
+    I8T(&'a Mat<i8>),
 }
 
-/// Loads up to 8 integer arguments into `a0..a7`.
-fn set_args(asm: &mut Asm, args: &[i32]) {
+impl Tensor<'_> {
+    fn emit(&self, asm: &mut Asm) -> u32 {
+        match *self {
+            Tensor::F32(v) => asm.data_words_f32(v),
+            Tensor::I32(v) => asm.data_words_i32(v),
+            Tensor::I16(v) => asm.data_halves_i16(v),
+            Tensor::I8(v) => asm.data_bytes_i8(v),
+            Tensor::I8T(m) => {
+                asm.data_align(4);
+                asm.data_bytes_i8(m.transpose().as_slice())
+            }
+        }
+    }
+}
+
+/// Weight tensors per encoder layer, in emission order.
+const LAYER_TENSORS: usize = 12;
+
+/// One quantised encoder layer's tensors, as `layer_tensors` borrows them.
+type IntLayer<'a> = (
+    &'a Mat<i8>,
+    &'a [i32],
+    &'a Mat<i8>,
+    &'a [i32],
+    &'a [f32],
+    &'a [f32],
+    &'a Mat<i8>,
+    &'a [i32],
+    &'a Mat<i8>,
+    &'a [i32],
+    &'a [f32],
+    &'a [f32],
+);
+
+/// The weight list of a quantised flavour: INT8 matrices in `mat`'s
+/// layout, `i32` biases, float LayerNorm parameters.
+fn int_weights<'a>(
+    mat: impl Fn(&'a Mat<i8>) -> Tensor<'a>,
+    [w_proj, w_head]: [&'a Mat<i8>; 2],
+    [b_proj, b_head]: [&'a [i32]; 2],
+    [pos, cls]: [Tensor<'a>; 2],
+    layers: impl Iterator<Item = IntLayer<'a>>,
+) -> Vec<Tensor<'a>> {
+    use Tensor::{F32, I32};
+    let mut out = vec![mat(w_proj), I32(b_proj), pos, cls];
+    for (wq, bq, wo, bo, g1, be1, w1, b1, w2, b2, g2, be2) in layers {
+        out.extend([
+            mat(wq),
+            I32(bq),
+            mat(wo),
+            I32(bo),
+            F32(g1),
+            F32(be1),
+            mat(w1),
+            I32(b1),
+            mat(w2),
+            I32(b2),
+            F32(g2),
+            F32(be2),
+        ]);
+    }
+    out.extend([mat(w_head), I32(b_head)]);
+    out
+}
+
+impl<'a> ImageSpec<'a> {
+    /// Every weight tensor in emission order: patch projection (weights,
+    /// bias), positional embeddings, class token; per layer QKV, output
+    /// projection, LN1 γ/β, MLP hidden, MLP out, LN2 γ/β (weights before
+    /// biases); then the head.
+    fn weights(&self) -> Vec<Tensor<'a>> {
+        use Tensor::{F32, I16, I8, I8T};
+        match *self {
+            ImageSpec::Float(p) => {
+                let m = |w: &'a Mat<f32>| F32(w.as_slice());
+                let mut out = vec![
+                    m(&p.w_proj),
+                    F32(&p.b_proj),
+                    m(&p.pos_emb),
+                    F32(&p.class_token),
+                ];
+                for l in &p.layers {
+                    out.extend([
+                        m(&l.w_qkv),
+                        F32(&l.b_qkv),
+                        m(&l.w_out),
+                        F32(&l.b_out),
+                        F32(&l.ln1_gamma),
+                        F32(&l.ln1_beta),
+                        m(&l.w_mlp1),
+                        F32(&l.b_mlp1),
+                        m(&l.w_mlp2),
+                        F32(&l.b_mlp2),
+                        F32(&l.ln2_gamma),
+                        F32(&l.ln2_beta),
+                    ]);
+                }
+                out.extend([m(&p.w_head), F32(&p.b_head)]);
+                out
+            }
+            ImageSpec::Quant(qm, isa) => {
+                let (wp, bp, pe, ct, wh, bh) = qm.tensors();
+                let mat = move |w: &'a Mat<i8>| match isa {
+                    KernelIsa::Rv32im => I8(w.as_slice()),
+                    KernelIsa::Xkwtdot => I8T(w),
+                };
+                let layers = (0..qm.config.depth).map(|i| qm.layer_tensors(i));
+                int_weights(
+                    mat,
+                    [wp, wh],
+                    [bp, bh],
+                    [I16(pe.as_slice()), I16(ct)],
+                    layers,
+                )
+            }
+            ImageSpec::A8(qm, _) => {
+                let (wp, bp, pe, ct, wh, bh) = qm.tensors();
+                let layers = (0..qm.config.depth).map(|i| qm.layer_tensors(i));
+                int_weights(I8T, [wp, wh], [bp, bh], [I8(pe.as_slice()), I8(ct)], layers)
+            }
+        }
+    }
+}
+
+/// Which GEMM of the forward graph a call is.
+#[derive(Clone, Copy)]
+enum Gemm {
+    Proj,
+    Qkv,
+    Out,
+    Mlp1,
+    Mlp2,
+    Head,
+}
+
+/// A flavour's kernel library as the graph emitter calls it: the entry
+/// points shared by every flavour plus the per-op arguments that differ.
+struct Lowering {
+    copy_bytes: Label,
+    copy_strided: Label,
+    /// Element-wise (saturating) add: positions and residuals.
+    add: Label,
+    /// Bytes of the attention kernel's score-row scratch.
+    row_bytes: usize,
+    lib: Library,
+}
+
+enum Library {
+    Float {
+        k: Kernels,
+        inv_sqrt_dh: i32,
+        inv_dim: i32,
+        eps: i32,
+    },
+    Quant {
+        k: Kernels,
+        yw: i32,
+        attn_p: u32,
+        ln_p: u32,
+        gelu_p: u32,
+    },
+    A8 {
+        k: A8Kernels,
+        consts: A8Consts,
+        /// Specialised GEMM kernels by geometry (the rest call
+        /// `matmul_a8`).
+        gemm: Vec<(GemmGeom, Label)>,
+        ln: Label,
+        attn_p: u32,
+        ln_p0: u32,
+        ln_p: u32,
+    },
+}
+
+/// Loads up to 8 integer arguments into `a0..a7` and calls `label`.
+fn call(asm: &mut Asm, label: Label, args: &[i32]) {
     const ARGS: [Reg; 8] = [
         Reg::A0,
         Reg::A1,
@@ -111,777 +308,351 @@ fn set_args(asm: &mut Asm, args: &[i32]) {
     for (reg, &v) in ARGS.iter().zip(args) {
         asm.li(*reg, v);
     }
+    asm.call(label);
+}
+
+/// Emits `body` inside the profiler region `tag`.
+fn in_region(asm: &mut Asm, tag: u32, body: impl FnOnce(&mut Asm)) {
+    push_region(asm, tag);
+    body(asm);
+    pop_region(asm);
+}
+
+impl Lowering {
+    /// Reserves the flavour's scratch rows and parameter blocks (pushing
+    /// the run-time-written ones onto `mutable`), then emits its kernel
+    /// library into the text section.
+    fn emit(
+        spec: &ImageSpec<'_>,
+        c: &KwtConfig,
+        asm: &mut Asm,
+        mutable: &mut Vec<(u32, u32)>,
+    ) -> Self {
+        let (s, dim, mlp, dh) = (c.seqlen(), c.dim, c.mlp_dim, c.dim_head);
+        let kp = (s + 3) & !3;
+        let inv_sqrt_dh = (1.0 / (dh as f32).sqrt()).to_bits() as i32;
+        let inv_dim = (1.0 / dim as f32).to_bits() as i32;
+        let eps = c.ln_eps.to_bits() as i32;
+        let soft_kernels = |asm: &mut Asm, isa| {
+            let sf = SoftFloat::emit_with_isa(asm, isa);
+            let math = MathLib::emit(asm, &sf);
+            Kernels::emit_with_isa(asm, &sf, &math, isa)
+        };
+        match *spec {
+            ImageSpec::Float(_) => {
+                let k = soft_kernels(asm, KernelIsa::Rv32im);
+                Lowering {
+                    copy_bytes: k.copy_bytes,
+                    copy_strided: k.copy_strided,
+                    add: k.add_f32,
+                    row_bytes: s * 4,
+                    lib: Library::Float {
+                        k,
+                        inv_sqrt_dh,
+                        inv_dim,
+                        eps,
+                    },
+                }
+            }
+            ImageSpec::Quant(qm, isa) => {
+                let ya = qm.qconfig.input_bits;
+                let deq = (1.0f32 / (1u32 << ya) as f32).to_bits() as i32;
+                let req = ((1u32 << ya) as f32).to_bits() as i32;
+                let nl = i32::from(qm.nonlinearity == Nonlinearity::FixedLut);
+                // shared float scratch row: max(S, mlp, dim) floats
+                let scratch_len = s.max(mlp).max(dim) * 4;
+                let scratch = asm.data_reserve(scratch_len, 4);
+                mutable.push((scratch, scratch_len as u32));
+                // an unused copy of the attention block (never read)
+                asm.data_words_i32(&[ya as i32, inv_sqrt_dh, deq, req, 0, nl, 0, 0]);
+                // padded score length and (Xkwtdot only) the V-transpose scratch
+                let vt = match isa {
+                    KernelIsa::Rv32im => 0u32,
+                    KernelIsa::Xkwtdot => {
+                        let vt = asm.data_reserve(dh * kp * 2, 4);
+                        mutable.push((vt, (dh * kp * 2) as u32));
+                        vt
+                    }
+                };
+                let attn_p = asm.data_words_i32(&[
+                    ya as i32,
+                    inv_sqrt_dh,
+                    deq,
+                    req,
+                    scratch as i32,
+                    nl,
+                    vt as i32,
+                    kp as i32,
+                ]);
+                debug_assert_eq!(attn_params::SIZE, 32);
+                let ln_p = asm.data_words_i32(&[deq, req, inv_dim, eps, scratch as i32]);
+                debug_assert_eq!(ln_params::SIZE, 20);
+                let gelu_p = asm.data_words_i32(&[deq, req, scratch as i32, nl]);
+                debug_assert_eq!(gelu_params::SIZE, 16);
+                let k = soft_kernels(asm, isa);
+                Lowering {
+                    copy_bytes: k.copy_bytes,
+                    copy_strided: k.copy_strided,
+                    add: k.add_sat_i16,
+                    // padded to KP entries so the packed N==1 GEMM can walk
+                    // it in word-sized lanes (the tail stays zero on both ISAs)
+                    row_bytes: kp * 2,
+                    lib: Library::Quant {
+                        k,
+                        yw: qm.qconfig.weight_bits as i32,
+                        attn_p,
+                        ln_p,
+                        gelu_p,
+                    },
+                }
+            }
+            ImageSpec::A8(qm, tuned) => {
+                let consts = qm.consts;
+                // shared float/Q8.24 scratch row: the fused attention
+                // pipeline needs `s` words, the LayerNorm row cache `dim`
+                let rowf = asm.data_reserve(s.max(dim) * 4, 4);
+                let vt = asm.data_reserve(dh * kp, 4);
+                mutable.extend([(rowf, (s.max(dim) * 4) as u32), (vt, (dh * kp) as u32)]);
+                let attn_p = asm.data_words_i32(&[
+                    consts.shift_scores as i32,
+                    consts.score_deq_bits as i32,
+                    consts.prob_req_bits as i32,
+                    consts.shift_ctx as i32,
+                    rowf as i32,
+                    vt as i32,
+                ]);
+                debug_assert_eq!(a8_attn_params::SIZE, 24);
+                // LayerNorm parameter blocks: layer 0's LN1 dequantises the
+                // coarse stream0 exponent, every other LN the stream
+                // exponent. Both reuse the attention row scratch as their
+                // float row cache (the kernels never run concurrently).
+                let ln_block = |asm: &mut Asm, deq: u32| {
+                    asm.data_words_i32(&[
+                        deq as i32,
+                        consts.ln_req_bits as i32,
+                        consts.inv_n_bits as i32,
+                        consts.eps_bits as i32,
+                        rowf as i32,
+                    ])
+                };
+                let ln_p0 = ln_block(asm, consts.ln_deq0_bits);
+                let ln_p = ln_block(asm, consts.ln_deq_bits);
+                debug_assert_eq!(a8_ln_params::SIZE, 20);
+                let k = A8Kernels::emit(asm, s, dh);
+                // specialised kernels for every distinct GEMM geometry and
+                // the LayerNorm width, with the generic kernels as fallback
+                let mut gemm = Vec::new();
+                let mut ln = k.ln_a8;
+                if let Some(table) = tuned {
+                    for geom in specialise::gemm_sites(c) {
+                        let factors = table.gemm_factors(&geom);
+                        if factors.validate(&geom).is_ok() {
+                            let label =
+                                specialise::emit_gemm_a8_spec(asm, &geom, &factors, k.matmul_a8);
+                            gemm.push((geom, label));
+                        }
+                    }
+                    let lf = table.ln_factors(dim);
+                    if lf.validate(dim).is_ok() {
+                        ln = specialise::emit_ln_a8_spec(asm, dim, &lf);
+                    }
+                }
+                Lowering {
+                    copy_bytes: k.copy_bytes,
+                    copy_strided: k.copy_strided,
+                    add: k.add_sat_i8,
+                    row_bytes: kp,
+                    lib: Library::A8 {
+                        k,
+                        consts,
+                        gemm,
+                        ln,
+                        attn_p,
+                        ln_p0,
+                        ln_p,
+                    },
+                }
+            }
+        }
+    }
+
+    /// `out = a @ w + b` for an `m×kd` by `kd×n` product: GEMM `site` of
+    /// encoder layer `layer`.
+    fn gemm(
+        &self,
+        asm: &mut Asm,
+        site: Gemm,
+        layer: usize,
+        ptrs: [u32; 4],
+        geom: (usize, usize, usize),
+    ) {
+        let (m, kd, n) = geom;
+        let mut args: Vec<i32> = ptrs.iter().map(|&p| p as i32).collect();
+        args.extend([m as i32, kd as i32, n as i32]);
+        let label = match &self.lib {
+            Library::Float { k, .. } => k.matmul_f32,
+            Library::Quant { k, yw, .. } => {
+                args.push(*yw);
+                k.matmul_q
+            }
+            Library::A8 {
+                k, consts, gemm, ..
+            } => {
+                args.push(match site {
+                    Gemm::Proj => consts.shift_proj,
+                    Gemm::Qkv if layer == 0 => consts.shift_qkv0,
+                    Gemm::Qkv => consts.shift_qkv,
+                    Gemm::Out if layer == 0 => consts.shift_out0,
+                    Gemm::Out => consts.shift_out,
+                    Gemm::Mlp1 => consts.shift_mlp1,
+                    Gemm::Mlp2 => consts.shift_mlp2,
+                    Gemm::Head => consts.shift_head,
+                } as i32);
+                gemm.iter()
+                    .find(|(g, _)| (g.m, g.k, g.n) == geom)
+                    .map_or(k.matmul_a8, |(_, l)| *l)
+            }
+        };
+        let block = match site {
+            Gemm::Proj | Gemm::Head => regions::BLOCK_TOP,
+            Gemm::Qkv | Gemm::Out => regions::BLOCK_ATTENTION,
+            Gemm::Mlp1 | Gemm::Mlp2 => regions::BLOCK_MLP,
+        };
+        in_region(asm, block | regions::OP_MATMUL, |asm| {
+            call(asm, label, &args)
+        });
+    }
+
+    /// Single-head attention of `q`, `kk`, `v` into `sa`, with the score
+    /// row in `row` (the kernels tag their own profiler regions).
+    fn attention(&self, asm: &mut Asm, ptrs: [u32; 5], s: usize, dh: usize) {
+        let [q, kk, v, sa, row] = ptrs.map(|p| p as i32);
+        let (s, dh) = (s as i32, dh as i32);
+        match &self.lib {
+            Library::Float { k, inv_sqrt_dh, .. } => call(
+                asm,
+                k.attention_f32,
+                &[q, kk, v, sa, s, dh, row, *inv_sqrt_dh],
+            ),
+            Library::Quant { k, attn_p, .. } => call(
+                asm,
+                k.attention_q,
+                &[q, kk, v, sa, s, dh, row, *attn_p as i32],
+            ),
+            Library::A8 { k, attn_p, .. } => {
+                call(asm, k.attention_a8, &[q, kk, v, sa, row, *attn_p as i32])
+            }
+        }
+    }
+
+    /// In-place LayerNorm of the `s×dim` stream `x`; `stream0` marks the
+    /// first layer's LN1, whose input is still at the coarse embedding
+    /// exponent on the A8 path.
+    fn layer_norm(&self, asm: &mut Asm, [x, g, b]: [u32; 3], s: usize, dim: usize, stream0: bool) {
+        let mut args = vec![x as i32, g as i32, b as i32, s as i32, dim as i32];
+        let label = match &self.lib {
+            Library::Float {
+                k, inv_dim, eps, ..
+            } => {
+                args.extend([*inv_dim, *eps]);
+                k.layer_norm_f32
+            }
+            Library::Quant { k, ln_p, .. } => {
+                args.push(*ln_p as i32);
+                k.ln_q
+            }
+            Library::A8 {
+                ln, ln_p0, ln_p, ..
+            } => {
+                args.push(if stream0 { *ln_p0 } else { *ln_p } as i32);
+                *ln
+            }
+        };
+        in_region(asm, regions::BLOCK_TOP | regions::OP_LAYERNORM, |asm| {
+            call(asm, label, &args)
+        });
+    }
+
+    /// In-place GELU of the `s×mlp` hidden activations.
+    fn gelu(&self, asm: &mut Asm, hidden: u32, s: usize, mlp: usize) {
+        let h = hidden as i32;
+        let (label, args) = match &self.lib {
+            Library::Float { k, .. } => (k.gelu_f32, vec![h, (s * mlp) as i32]),
+            Library::Quant { k, gelu_p, .. } => {
+                (k.gelu_q, vec![h, s as i32, mlp as i32, *gelu_p as i32])
+            }
+            Library::A8 { k, consts, .. } => (
+                k.gelu_a8,
+                vec![
+                    h,
+                    (s * mlp) as i32,
+                    consts.gelu_deq_bits as i32,
+                    consts.gelu_req_bits as i32,
+                ],
+            ),
+        };
+        in_region(asm, regions::BLOCK_MLP | regions::OP_GELU, |asm| {
+            call(asm, label, &args)
+        });
+    }
+
+    /// `x += src` over `n` elements.
+    fn residual(&self, asm: &mut Asm, x: u32, src: u32, n: usize) {
+        in_region(asm, regions::BLOCK_TOP | regions::OP_OTHER, |asm| {
+            call(asm, self.add, &[x as i32, src as i32, n as i32])
+        });
+    }
 }
 
 impl InferenceImage {
-    /// Builds the float-flavour image from trained float parameters.
+    /// Builds the image `spec` describes, linked against `platform` —
+    /// [`Platform::ibex`] for the paper's 64 kB part,
+    /// [`Platform::ibex_with_ram`] for KWT-1-scale weight sets (same
+    /// timing model, so simulated cycles stay comparable).
+    ///
+    /// Every flavour lowers the same KWT forward graph: patch projection,
+    /// class token and positions, then per layer QKV → split → attention
+    /// → output projection → residual → LN → MLP → GELU → MLP → residual
+    /// → LN, then the classifier head on the class-token row. Only the
+    /// storage formats and the kernels behind each op differ.
+    /// Activations live in the paper's two static banks, sized
+    /// `SEQLEN x MLP_DIM` and `SEQLEN x DIM_HEAD x 3` elements.
     ///
     /// # Errors
     ///
     /// Returns [`BuildError::Model`] for unsupported configurations
-    /// (`heads != 1`), [`BuildError::BankOverflow`] if an activation does
-    /// not fit the paper's banks, or [`BuildError::RamBudget`] if the
-    /// image exceeds the 64 kB platform.
-    pub fn build_float(params: &KwtParams) -> Result<Self> {
-        Self::build_float_on(params, Platform::ibex())
-    }
-
-    /// [`Self::build_float`] linked against an explicit [`Platform`] —
-    /// [`Platform::ibex_with_ram`] admits KWT-1-scale images whose
-    /// weights exceed the paper's 64 kB part (the timing model is
-    /// unchanged, so simulated cycles stay comparable).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::build_float`], with the RAM budget
-    /// checked against `platform`.
-    pub fn build_float_on(params: &KwtParams, platform: Platform) -> Result<Self> {
-        let c = params.config;
-        if c.heads != 1 {
-            return Err(BuildError::Model(format!(
-                "bare-metal images support heads = 1 (both paper configs), got {}",
-                c.heads
-            )));
-        }
-        let (s, dim, mlp, dh, f, t, classes) = (
-            c.seqlen(),
-            c.dim,
-            c.mlp_dim,
-            c.dim_head,
-            c.input_freq,
-            c.input_time,
-            c.num_classes,
-        );
-        let mut asm = Asm::new(TEXT_BASE, DATA_BASE);
-
-        // ---- data: weights ----
-        let w_proj = asm.data_words_f32(params.w_proj.as_slice());
-        let b_proj = asm.data_words_f32(&params.b_proj);
-        let pos = asm.data_words_f32(params.pos_emb.as_slice());
-        let cls = asm.data_words_f32(&params.class_token);
-        let layer = &params.layers[0];
-        let mut layers_data = Vec::new();
-        for l in &params.layers {
-            layers_data.push((
-                asm.data_words_f32(l.w_qkv.as_slice()),
-                asm.data_words_f32(&l.b_qkv),
-                asm.data_words_f32(l.w_out.as_slice()),
-                asm.data_words_f32(&l.b_out),
-                asm.data_words_f32(&l.ln1_gamma),
-                asm.data_words_f32(&l.ln1_beta),
-                asm.data_words_f32(l.w_mlp1.as_slice()),
-                asm.data_words_f32(&l.b_mlp1),
-                asm.data_words_f32(l.w_mlp2.as_slice()),
-                asm.data_words_f32(&l.b_mlp2),
-                asm.data_words_f32(&l.ln2_gamma),
-                asm.data_words_f32(&l.ln2_beta),
-            ));
-        }
-        let _ = layer;
-        let w_head = asm.data_words_f32(params.w_head.as_slice());
-        let b_head = asm.data_words_f32(&params.b_head);
-
-        // ---- data: buffers ----
-        let input = asm.data_reserve(t * f * 4, 4);
-        let x = asm.data_reserve(s * dim * 4, 4);
-        let logits = asm.data_reserve(classes * 4, 4);
-        // the paper's two banks (float element size)
-        let bank1_base = asm.data_reserve(s * mlp * 4, 4);
-        let bank2_base = asm.data_reserve(s * dh * 3 * 4, 4);
-        let mut bank1 = Bank::new("bank1", bank1_base, s * mlp * 4);
-        let mut bank2 = Bank::new("bank2", bank2_base, s * dh * 3 * 4);
-        // every run-time-written region; the rest of the image is static
-        let mutable_ranges = vec![
-            (input, (t * f * 4) as u32),
-            (x, (s * dim * 4) as u32),
-            (logits, (classes * 4) as u32),
-            (bank1_base, (s * mlp * 4) as u32),
-            (bank2_base, (s * dh * 3 * 4) as u32),
-        ];
-
-        // ---- code ----
-        let over = asm.new_label();
-        asm.jump_to(over);
-        let sf = SoftFloat::emit(&mut asm);
-        let math = MathLib::emit(&mut asm, &sf);
-        let k = Kernels::emit(&mut asm, &sf, &math);
-        asm.bind(over)?;
-        asm.here("entry");
-
-        // tokens = input @ Wp + bp, written into x rows 1..
-        push_region(&mut asm, regions::BLOCK_TOP | regions::OP_MATMUL);
-        set_args(
-            &mut asm,
-            &[
-                input as i32,
-                w_proj as i32,
-                b_proj as i32,
-                (x + dim as u32 * 4) as i32,
-                t as i32,
-                f as i32,
-                dim as i32,
-            ],
-        );
-        asm.call(k.matmul_f32);
-        pop_region(&mut asm);
-        // class token + positional embeddings
-        push_region(&mut asm, regions::BLOCK_TOP | regions::OP_OTHER);
-        set_args(&mut asm, &[x as i32, cls as i32, (dim * 4) as i32]);
-        asm.call(k.copy_bytes);
-        set_args(&mut asm, &[x as i32, pos as i32, (s * dim) as i32]);
-        asm.call(k.add_f32);
-        pop_region(&mut asm);
-
-        let inv_sqrt_dh = (1.0 / (dh as f32).sqrt()).to_bits() as i32;
-        let inv_dim = (1.0 / dim as f32).to_bits() as i32;
-        let eps = c.ln_eps.to_bits() as i32;
-
-        for ld in &layers_data {
-            let (w_qkv, b_qkv, w_out, b_out, g1, be1, w1, b1, w2, b2, g2, be2) = *ld;
-            bank1.reset();
-            bank2.reset();
-            // qkv projection: S x 3dh into bank1
-            let qkv = bank1.alloc(s * 3 * dh * 4, 4)?;
-            push_region(&mut asm, regions::BLOCK_ATTENTION | regions::OP_MATMUL);
-            set_args(
-                &mut asm,
-                &[
-                    x as i32,
-                    w_qkv as i32,
-                    b_qkv as i32,
-                    qkv as i32,
-                    s as i32,
-                    dim as i32,
-                    (3 * dh) as i32,
-                ],
-            );
-            asm.call(k.matmul_f32);
-            pop_region(&mut asm);
-            // split into contiguous Q, K, V (bank2 = S x dh x 3 exactly)
-            let q = bank2.alloc(s * dh * 4, 4)?;
-            let kk = bank2.alloc(s * dh * 4, 4)?;
-            let v = bank2.alloc(s * dh * 4, 4)?;
-            push_region(&mut asm, regions::BLOCK_ATTENTION | regions::OP_OTHER);
-            for (dst, off) in [(q, 0u32), (kk, dh as u32 * 4), (v, 2 * dh as u32 * 4)] {
-                set_args(
-                    &mut asm,
-                    &[
-                        dst as i32,
-                        (qkv + off) as i32,
-                        s as i32,
-                        (3 * dh * 4) as i32,
-                        (dh * 4) as i32,
-                    ],
-                );
-                asm.call(k.copy_strided);
+    /// (`heads != 1`; for A8 also `dim_head % 4 != 0`),
+    /// [`BuildError::BankOverflow`] if an activation does not fit the
+    /// banks, or [`BuildError::RamBudget`] if the image exceeds
+    /// `platform`.
+    pub fn build(spec: ImageSpec<'_>, platform: Platform) -> Result<Self> {
+        // element bytes and the image header each flavour carries
+        let (c, e, flavor, isa, qconfig, a8config) = match spec {
+            ImageSpec::Float(p) => (p.config, 4, Flavor::Float, KernelIsa::Rv32im, None, None),
+            ImageSpec::Quant(qm, isa) => {
+                let flavor = if qm.nonlinearity == Nonlinearity::FixedLut {
+                    Flavor::Accelerated
+                } else {
+                    Flavor::Quantized
+                };
+                (qm.config, 2, flavor, isa, Some(qm.qconfig), None)
             }
-            pop_region(&mut asm);
-            // qkv buffer is dead: reuse bank1 for attention scratch
-            bank1.reset();
-            let sa = bank1.alloc(s * dh * 4, 4)?;
-            let row = bank1.alloc(s * 4, 4)?;
-            let attn_out = bank1.alloc(s * dim * 4, 4)?;
-            set_args(
-                &mut asm,
-                &[
-                    q as i32,
-                    kk as i32,
-                    v as i32,
-                    sa as i32,
-                    s as i32,
-                    dh as i32,
-                    row as i32,
-                    inv_sqrt_dh,
-                ],
-            );
-            asm.call(k.attention_f32);
-            // output projection + residual + LN1
-            push_region(&mut asm, regions::BLOCK_ATTENTION | regions::OP_MATMUL);
-            set_args(
-                &mut asm,
-                &[
-                    sa as i32,
-                    w_out as i32,
-                    b_out as i32,
-                    attn_out as i32,
-                    s as i32,
-                    dh as i32,
-                    dim as i32,
-                ],
-            );
-            asm.call(k.matmul_f32);
-            pop_region(&mut asm);
-            push_region(&mut asm, regions::BLOCK_TOP | regions::OP_OTHER);
-            set_args(&mut asm, &[x as i32, attn_out as i32, (s * dim) as i32]);
-            asm.call(k.add_f32);
-            pop_region(&mut asm);
-            push_region(&mut asm, regions::BLOCK_TOP | regions::OP_LAYERNORM);
-            set_args(
-                &mut asm,
-                &[
-                    x as i32, g1 as i32, be1 as i32, s as i32, dim as i32, inv_dim, eps,
-                ],
-            );
-            asm.call(k.layer_norm_f32);
-            pop_region(&mut asm);
-            // MLP
-            bank1.reset();
-            bank2.reset();
-            let hidden = bank1.alloc(s * mlp * 4, 4)?;
-            let mlp_out = bank2.alloc(s * dim * 4, 4)?;
-            push_region(&mut asm, regions::BLOCK_MLP | regions::OP_MATMUL);
-            set_args(
-                &mut asm,
-                &[
-                    x as i32,
-                    w1 as i32,
-                    b1 as i32,
-                    hidden as i32,
-                    s as i32,
-                    dim as i32,
-                    mlp as i32,
-                ],
-            );
-            asm.call(k.matmul_f32);
-            pop_region(&mut asm);
-            push_region(&mut asm, regions::BLOCK_MLP | regions::OP_GELU);
-            set_args(&mut asm, &[hidden as i32, (s * mlp) as i32]);
-            asm.call(k.gelu_f32);
-            pop_region(&mut asm);
-            push_region(&mut asm, regions::BLOCK_MLP | regions::OP_MATMUL);
-            set_args(
-                &mut asm,
-                &[
-                    hidden as i32,
-                    w2 as i32,
-                    b2 as i32,
-                    mlp_out as i32,
-                    s as i32,
-                    mlp as i32,
-                    dim as i32,
-                ],
-            );
-            asm.call(k.matmul_f32);
-            pop_region(&mut asm);
-            push_region(&mut asm, regions::BLOCK_TOP | regions::OP_OTHER);
-            set_args(&mut asm, &[x as i32, mlp_out as i32, (s * dim) as i32]);
-            asm.call(k.add_f32);
-            pop_region(&mut asm);
-            push_region(&mut asm, regions::BLOCK_TOP | regions::OP_LAYERNORM);
-            set_args(
-                &mut asm,
-                &[
-                    x as i32, g2 as i32, be2 as i32, s as i32, dim as i32, inv_dim, eps,
-                ],
-            );
-            asm.call(k.layer_norm_f32);
-            pop_region(&mut asm);
-        }
-
-        // classification head on the class-token row
-        push_region(&mut asm, regions::BLOCK_TOP | regions::OP_MATMUL);
-        set_args(
-            &mut asm,
-            &[
-                x as i32,
-                w_head as i32,
-                b_head as i32,
-                logits as i32,
+            ImageSpec::A8(qm, _) => (
+                qm.config,
                 1,
-                dim as i32,
-                classes as i32,
-            ],
-        );
-        asm.call(k.matmul_f32);
-        pop_region(&mut asm);
-        asm.li(Reg::A0, logits as i32);
-        asm.emit(Inst::Ebreak);
-
-        let program = asm.finish()?;
-        check_ram(&program, &platform)?;
-        Ok(InferenceImage {
-            flavor: Flavor::Float,
-            isa: KernelIsa::Rv32im,
-            program,
-            config: c,
-            qconfig: None,
-            a8config: None,
-            input_addr: input,
-            logits_addr: logits,
-            bank_usage: [
-                (bank1.high_water(), bank1.size()),
-                (bank2.high_water(), bank2.size()),
-            ],
-            mutable_ranges,
-            platform,
-        })
-    }
-
-    /// Builds a quantised image (`Flavor::Quantized` or
-    /// `Flavor::Accelerated` according to the model's
-    /// [`Nonlinearity`]) over the scalar [`KernelIsa::Rv32im`] kernels.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`InferenceImage::build_float`].
-    pub fn build_quant(qm: &QuantizedKwt) -> Result<Self> {
-        Self::build_quant_with_isa(qm, KernelIsa::Rv32im)
-    }
-
-    /// Builds a quantised image over the chosen kernel ISA. Under
-    /// [`KernelIsa::Xkwtdot`] every INT8 weight matrix is emitted
-    /// **transposed** (word-aligned, `N×K` row-major) so the packed GEMM
-    /// walks contiguous memory; the generated logits are bit-identical
-    /// to the scalar image's (proven by differential tests).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`InferenceImage::build_float`].
-    pub fn build_quant_with_isa(qm: &QuantizedKwt, isa: KernelIsa) -> Result<Self> {
-        Self::build_quant_with_isa_on(qm, isa, Platform::ibex())
-    }
-
-    /// [`Self::build_quant_with_isa`] linked against an explicit
-    /// [`Platform`] (see [`Self::build_float_on`]) — the path that fits
-    /// a KWT-1-sized weight set on a roomier simulated part.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`InferenceImage::build_float`], with the RAM
-    /// budget checked against `platform`.
-    pub fn build_quant_with_isa_on(
-        qm: &QuantizedKwt,
-        isa: KernelIsa,
-        platform: Platform,
-    ) -> Result<Self> {
-        let c = qm.config;
+                Flavor::A8,
+                KernelIsa::Xkwtdot,
+                None,
+                Some(qm.a8),
+            ),
+        };
         if c.heads != 1 {
             return Err(BuildError::Model(format!(
                 "bare-metal images support heads = 1 (both paper configs), got {}",
                 c.heads
             )));
         }
-        let (s, dim, mlp, dh, f, t, classes) = (
-            c.seqlen(),
-            c.dim,
-            c.mlp_dim,
-            c.dim_head,
-            c.input_freq,
-            c.input_time,
-            c.num_classes,
-        );
-        let ya = qm.qconfig.input_bits;
-        let yw = qm.qconfig.weight_bits;
-        let accel = qm.nonlinearity == Nonlinearity::FixedLut;
-        let mut asm = Asm::new(TEXT_BASE, DATA_BASE);
-
-        // ---- data: weights ----
-        // Under Xkwtdot every i8 weight matrix is emitted transposed
-        // (N×K row-major, word-aligned) so the packed GEMM loads walk
-        // contiguous memory.
-        let emit_w = |asm: &mut Asm, w: &kwt_tensor::Mat<i8>| -> u32 {
-            match isa {
-                KernelIsa::Rv32im => asm.data_bytes_i8(w.as_slice()),
-                KernelIsa::Xkwtdot => {
-                    asm.data_align(4);
-                    asm.data_bytes_i8(w.transpose().as_slice())
-                }
-            }
-        };
-        let (wp, bp, pe, ct, wh, bh) = qm.tensors();
-        let w_proj = emit_w(&mut asm, wp);
-        let b_proj = asm.data_words_i32(bp);
-        let pos = asm.data_halves_i16(pe.as_slice());
-        let cls = asm.data_halves_i16(ct);
-        let mut layers_data = Vec::new();
-        for idx in 0..c.depth {
-            let (w_qkv, b_qkv, w_out, b_out, g1, be1, w1, b1, w2, b2, g2, be2) =
-                qm.layer_tensors(idx);
-            layers_data.push((
-                emit_w(&mut asm, w_qkv),
-                asm.data_words_i32(b_qkv),
-                emit_w(&mut asm, w_out),
-                asm.data_words_i32(b_out),
-                asm.data_words_f32(g1),
-                asm.data_words_f32(be1),
-                emit_w(&mut asm, w1),
-                asm.data_words_i32(b1),
-                emit_w(&mut asm, w2),
-                asm.data_words_i32(b2),
-                asm.data_words_f32(g2),
-                asm.data_words_f32(be2),
-            ));
-        }
-        let w_head = emit_w(&mut asm, wh);
-        let b_head = asm.data_words_i32(bh);
-
-        // parameter blocks
-        let deq = (1.0f32 / (1u32 << ya) as f32).to_bits() as i32;
-        let req = ((1u32 << ya) as f32).to_bits() as i32;
-        let inv_sqrt_dh = (1.0 / (dh as f32).sqrt()).to_bits() as i32;
-        let inv_dim = (1.0 / dim as f32).to_bits() as i32;
-        let eps = c.ln_eps.to_bits() as i32;
-        let nl = if accel { 1i32 } else { 0 };
-
-        // ---- data: buffers ----
-        let input = asm.data_reserve(t * f * 2, 4);
-        let x = asm.data_reserve(s * dim * 2, 4);
-        let logits = asm.data_reserve(classes * 2, 4);
-        // shared float scratch row: max(S, mlp, dim) floats
-        let scratch_len = s.max(mlp).max(dim);
-        let scratch = asm.data_reserve(scratch_len * 4, 4);
-        // parameter blocks (values known now; emitted as data words)
-        let attn_p = asm.data_words_i32(&[
-            ya as i32,
-            inv_sqrt_dh,
-            deq,
-            req,
-            0, // ROWF patched below via a second block — instead store scratch addr now
-            nl,
-            0,
-            0,
-        ]);
-        // fix ROWF in place: rebuild with the known scratch address
-        // (data_words_i32 already wrote zeros; overwrite through a second
-        // reservation is not possible, so write the real block here)
-        let _ = attn_p;
-        // padded score length and (Xkwtdot only) the V-transpose scratch
-        let kp = (s + 3) & !3;
-        let vt = match isa {
-            KernelIsa::Rv32im => 0u32,
-            KernelIsa::Xkwtdot => asm.data_reserve(dh * kp * 2, 4),
-        };
-        let attn_params_addr = asm.data_words_i32(&[
-            ya as i32,
-            inv_sqrt_dh,
-            deq,
-            req,
-            scratch as i32,
-            nl,
-            vt as i32,
-            kp as i32,
-        ]);
-        debug_assert_eq!(attn_params::SIZE, 32);
-        let ln_params_addr = asm.data_words_i32(&[deq, req, inv_dim, eps, scratch as i32]);
-        debug_assert_eq!(ln_params::SIZE, 20);
-        let gelu_params_addr = asm.data_words_i32(&[deq, req, scratch as i32, nl]);
-        debug_assert_eq!(gelu_params::SIZE, 16);
-
-        // the paper's two banks (i16 element size)
-        let bank1_base = asm.data_reserve(s * mlp * 2, 4);
-        let bank2_base = asm.data_reserve(s * dh * 3 * 2, 4);
-        let mut bank1 = Bank::new("bank1", bank1_base, s * mlp * 2);
-        let mut bank2 = Bank::new("bank2", bank2_base, s * dh * 3 * 2);
-        // every run-time-written region; the rest of the image is static
-        let mut mutable_ranges = vec![
-            (input, (t * f * 2) as u32),
-            (x, (s * dim * 2) as u32),
-            (logits, (classes * 2) as u32),
-            (scratch, (scratch_len * 4) as u32),
-            (bank1_base, (s * mlp * 2) as u32),
-            (bank2_base, (s * dh * 3 * 2) as u32),
-        ];
-        if isa == KernelIsa::Xkwtdot {
-            mutable_ranges.push((vt, (dh * kp * 2) as u32));
-        }
-
-        // ---- code ----
-        let over = asm.new_label();
-        asm.jump_to(over);
-        let sf = SoftFloat::emit_with_isa(&mut asm, isa);
-        let math = MathLib::emit(&mut asm, &sf);
-        let k = Kernels::emit_with_isa(&mut asm, &sf, &math, isa);
-        asm.bind(over)?;
-        asm.here("entry");
-
-        // projection into x rows 1..
-        push_region(&mut asm, regions::BLOCK_TOP | regions::OP_MATMUL);
-        set_args(
-            &mut asm,
-            &[
-                input as i32,
-                w_proj as i32,
-                b_proj as i32,
-                (x + dim as u32 * 2) as i32,
-                t as i32,
-                f as i32,
-                dim as i32,
-                yw as i32,
-            ],
-        );
-        asm.call(k.matmul_q);
-        pop_region(&mut asm);
-        push_region(&mut asm, regions::BLOCK_TOP | regions::OP_OTHER);
-        set_args(&mut asm, &[x as i32, cls as i32, (dim * 2) as i32]);
-        asm.call(k.copy_bytes);
-        set_args(&mut asm, &[x as i32, pos as i32, (s * dim) as i32]);
-        asm.call(k.add_sat_i16);
-        pop_region(&mut asm);
-
-        for ld in &layers_data {
-            let (w_qkv, b_qkv, w_out, b_out, g1, be1, w1, b1, w2, b2, g2, be2) = *ld;
-            bank1.reset();
-            bank2.reset();
-            let qkv = bank1.alloc(s * 3 * dh * 2, 4)?;
-            push_region(&mut asm, regions::BLOCK_ATTENTION | regions::OP_MATMUL);
-            set_args(
-                &mut asm,
-                &[
-                    x as i32,
-                    w_qkv as i32,
-                    b_qkv as i32,
-                    qkv as i32,
-                    s as i32,
-                    dim as i32,
-                    (3 * dh) as i32,
-                    yw as i32,
-                ],
-            );
-            asm.call(k.matmul_q);
-            pop_region(&mut asm);
-            let q = bank2.alloc(s * dh * 2, 4)?;
-            let kk = bank2.alloc(s * dh * 2, 4)?;
-            let v = bank2.alloc(s * dh * 2, 4)?;
-            push_region(&mut asm, regions::BLOCK_ATTENTION | regions::OP_OTHER);
-            for (dst, off) in [(q, 0u32), (kk, dh as u32 * 2), (v, 2 * dh as u32 * 2)] {
-                set_args(
-                    &mut asm,
-                    &[
-                        dst as i32,
-                        (qkv + off) as i32,
-                        s as i32,
-                        (3 * dh * 2) as i32,
-                        (dh * 2) as i32,
-                    ],
-                );
-                asm.call(k.copy_strided);
-            }
-            pop_region(&mut asm);
-            bank1.reset();
-            let sa = bank1.alloc(s * dh * 2, 4)?;
-            // padded to KP entries so the packed N==1 GEMM can walk it
-            // in word-sized lanes (the tail stays zero on both ISAs)
-            let row16 = bank1.alloc(kp * 2, 4)?;
-            let attn_out = bank1.alloc(s * dim * 2, 4)?;
-            set_args(
-                &mut asm,
-                &[
-                    q as i32,
-                    kk as i32,
-                    v as i32,
-                    sa as i32,
-                    s as i32,
-                    dh as i32,
-                    row16 as i32,
-                    attn_params_addr as i32,
-                ],
-            );
-            asm.call(k.attention_q);
-            push_region(&mut asm, regions::BLOCK_ATTENTION | regions::OP_MATMUL);
-            set_args(
-                &mut asm,
-                &[
-                    sa as i32,
-                    w_out as i32,
-                    b_out as i32,
-                    attn_out as i32,
-                    s as i32,
-                    dh as i32,
-                    dim as i32,
-                    yw as i32,
-                ],
-            );
-            asm.call(k.matmul_q);
-            pop_region(&mut asm);
-            push_region(&mut asm, regions::BLOCK_TOP | regions::OP_OTHER);
-            set_args(&mut asm, &[x as i32, attn_out as i32, (s * dim) as i32]);
-            asm.call(k.add_sat_i16);
-            pop_region(&mut asm);
-            push_region(&mut asm, regions::BLOCK_TOP | regions::OP_LAYERNORM);
-            set_args(
-                &mut asm,
-                &[
-                    x as i32,
-                    g1 as i32,
-                    be1 as i32,
-                    s as i32,
-                    dim as i32,
-                    ln_params_addr as i32,
-                ],
-            );
-            asm.call(k.ln_q);
-            pop_region(&mut asm);
-            // MLP
-            bank1.reset();
-            bank2.reset();
-            let hidden = bank1.alloc(s * mlp * 2, 4)?;
-            let mlp_out = bank2.alloc(s * dim * 2, 4)?;
-            push_region(&mut asm, regions::BLOCK_MLP | regions::OP_MATMUL);
-            set_args(
-                &mut asm,
-                &[
-                    x as i32,
-                    w1 as i32,
-                    b1 as i32,
-                    hidden as i32,
-                    s as i32,
-                    dim as i32,
-                    mlp as i32,
-                    yw as i32,
-                ],
-            );
-            asm.call(k.matmul_q);
-            pop_region(&mut asm);
-            push_region(&mut asm, regions::BLOCK_MLP | regions::OP_GELU);
-            set_args(
-                &mut asm,
-                &[hidden as i32, s as i32, mlp as i32, gelu_params_addr as i32],
-            );
-            asm.call(k.gelu_q);
-            pop_region(&mut asm);
-            push_region(&mut asm, regions::BLOCK_MLP | regions::OP_MATMUL);
-            set_args(
-                &mut asm,
-                &[
-                    hidden as i32,
-                    w2 as i32,
-                    b2 as i32,
-                    mlp_out as i32,
-                    s as i32,
-                    mlp as i32,
-                    dim as i32,
-                    yw as i32,
-                ],
-            );
-            asm.call(k.matmul_q);
-            pop_region(&mut asm);
-            push_region(&mut asm, regions::BLOCK_TOP | regions::OP_OTHER);
-            set_args(&mut asm, &[x as i32, mlp_out as i32, (s * dim) as i32]);
-            asm.call(k.add_sat_i16);
-            pop_region(&mut asm);
-            push_region(&mut asm, regions::BLOCK_TOP | regions::OP_LAYERNORM);
-            set_args(
-                &mut asm,
-                &[
-                    x as i32,
-                    g2 as i32,
-                    be2 as i32,
-                    s as i32,
-                    dim as i32,
-                    ln_params_addr as i32,
-                ],
-            );
-            asm.call(k.ln_q);
-            pop_region(&mut asm);
-        }
-
-        push_region(&mut asm, regions::BLOCK_TOP | regions::OP_MATMUL);
-        set_args(
-            &mut asm,
-            &[
-                x as i32,
-                w_head as i32,
-                b_head as i32,
-                logits as i32,
-                1,
-                dim as i32,
-                classes as i32,
-                yw as i32,
-            ],
-        );
-        asm.call(k.matmul_q);
-        pop_region(&mut asm);
-        asm.li(Reg::A0, logits as i32);
-        asm.emit(Inst::Ebreak);
-
-        let program = asm.finish()?;
-        check_ram(&program, &platform)?;
-        Ok(InferenceImage {
-            flavor: if accel {
-                Flavor::Accelerated
-            } else {
-                Flavor::Quantized
-            },
-            isa,
-            program,
-            config: c,
-            qconfig: Some(qm.qconfig),
-            a8config: None,
-            input_addr: input,
-            logits_addr: logits,
-            bank_usage: [
-                (bank1.high_water(), bank1.size()),
-                (bank2.high_water(), bank2.size()),
-            ],
-            mutable_ranges,
-            platform,
-        })
-    }
-
-    /// Builds the fully-INT8 A8W8 image ([`Flavor::A8`], always
-    /// [`KernelIsa::Xkwtdot`]): i8 activations end to end over
-    /// `kdot4.i8` GEMM inner loops, the fused scores→softmax→context
-    /// attention row pipeline, fused LayerNorm/GELU boundaries and LUT
-    /// non-linearities. Weights are emitted transposed (`N×K`,
-    /// word-aligned) like the i16 Xkwtdot image.
-    ///
-    /// Device logits are bit-identical to the host golden model
-    /// [`A8Kwt::forward_a8_into`] (proven by differential tests).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError::Model`] for unsupported configurations
-    /// (`heads != 1`, `dim_head % 4 != 0`), [`BuildError::BankOverflow`]
-    /// or [`BuildError::RamBudget`] like the other builders.
-    pub fn build_a8(qm: &A8Kwt) -> Result<Self> {
-        Self::build_a8_with(qm, Some(&TunedKernels::embedded()))
-    }
-
-    /// [`Self::build_a8`] without the kernel specialiser: every GEMM and
-    /// LayerNorm call site uses the generic kernels. The cycle-count
-    /// comparison baseline for the tuner gate and the benches.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::build_a8`].
-    pub fn build_a8_generic(qm: &A8Kwt) -> Result<Self> {
-        Self::build_a8_with(qm, None)
-    }
-
-    /// [`Self::build_a8`] with an explicit tuned-factor table (`None`
-    /// disables specialisation entirely). For every distinct GEMM
-    /// geometry and the LayerNorm width the builder emits a specialised
-    /// kernel with the table's factors (validated, defaults otherwise)
-    /// and points the call sites at it; the generic kernels stay in the
-    /// image as the runtime misalignment fallback.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::build_a8`].
-    pub fn build_a8_with(qm: &A8Kwt, tuned: Option<&TunedKernels>) -> Result<Self> {
-        Self::build_a8_with_on(qm, tuned, Platform::ibex())
-    }
-
-    /// [`Self::build_a8_with`] linked against an explicit [`Platform`]
-    /// (see [`Self::build_float_on`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::build_a8`], with the RAM budget
-    /// checked against `platform`.
-    pub fn build_a8_with_on(
-        qm: &A8Kwt,
-        tuned: Option<&TunedKernels>,
-        platform: Platform,
-    ) -> Result<Self> {
-        let c = qm.config;
-        if c.heads != 1 {
-            return Err(BuildError::Model(format!(
-                "bare-metal images support heads = 1 (both paper configs), got {}",
-                c.heads
-            )));
-        }
-        if !c.dim_head.is_multiple_of(4) {
+        if flavor == Flavor::A8 && !c.dim_head.is_multiple_of(4) {
             return Err(BuildError::Model(format!(
                 "the A8 fused attention kernel needs dim_head % 4 == 0, got {}",
                 c.dim_head
@@ -896,359 +667,152 @@ impl InferenceImage {
             c.input_time,
             c.num_classes,
         );
-        let k = qm.consts;
         let mut asm = Asm::new(TEXT_BASE, DATA_BASE);
 
-        // ---- data: weights (transposed, word-aligned) ----
-        let emit_w = |asm: &mut Asm, w: &kwt_tensor::Mat<i8>| -> u32 {
-            asm.data_align(4);
-            asm.data_bytes_i8(w.transpose().as_slice())
-        };
-        let (wp, bp, pe, ct, wh, bh) = qm.tensors();
-        let w_proj = emit_w(&mut asm, wp);
-        let b_proj = asm.data_words_i32(bp);
-        let pos = asm.data_bytes_i8(pe.as_slice());
-        let cls = asm.data_bytes_i8(ct);
-        let mut layers_data = Vec::new();
-        for idx in 0..c.depth {
-            let (w_qkv, b_qkv, w_out, b_out, g1, be1, w1, b1, w2, b2, g2, be2) =
-                qm.layer_tensors(idx);
-            layers_data.push((
-                emit_w(&mut asm, w_qkv),
-                asm.data_words_i32(b_qkv),
-                emit_w(&mut asm, w_out),
-                asm.data_words_i32(b_out),
-                asm.data_words_f32(g1),
-                asm.data_words_f32(be1),
-                emit_w(&mut asm, w1),
-                asm.data_words_i32(b1),
-                emit_w(&mut asm, w2),
-                asm.data_words_i32(b2),
-                asm.data_words_f32(g2),
-                asm.data_words_f32(be2),
-            ));
-        }
-        let w_head = emit_w(&mut asm, wh);
-        let b_head = asm.data_words_i32(bh);
-
-        // ---- data: buffers and parameter blocks ----
-        let input = asm.data_reserve(t * f, 4);
-        let x = asm.data_reserve(s * dim, 4);
-        let logits = asm.data_reserve(classes, 4);
-        // shared float/Q8.24 scratch row: the fused attention pipeline
-        // needs `s` words, the LayerNorm row cache `dim` words
-        let rowf = asm.data_reserve(s.max(dim) * 4, 4);
-        let kp = (s + 3) & !3;
-        let vt = asm.data_reserve(dh * kp, 4);
-        let attn_params_addr = asm.data_words_i32(&[
-            k.shift_scores as i32,
-            k.score_deq_bits as i32,
-            k.prob_req_bits as i32,
-            k.shift_ctx as i32,
-            rowf as i32,
-            vt as i32,
-        ]);
-        debug_assert_eq!(a8_attn_params::SIZE, 24);
-        // LayerNorm parameter blocks: layer 0's LN1 dequantises the
-        // coarse stream0 exponent, every other LN the stream exponent.
-        // Both reuse the attention row scratch as their float row cache
-        // (sized max(S, dim) above; the kernels never run concurrently).
-        let ln_p0 = asm.data_words_i32(&[
-            k.ln_deq0_bits as i32,
-            k.ln_req_bits as i32,
-            k.inv_n_bits as i32,
-            k.eps_bits as i32,
-            rowf as i32,
-        ]);
-        let ln_p = asm.data_words_i32(&[
-            k.ln_deq_bits as i32,
-            k.ln_req_bits as i32,
-            k.inv_n_bits as i32,
-            k.eps_bits as i32,
-            rowf as i32,
-        ]);
-        debug_assert_eq!(a8_ln_params::SIZE, 20);
-
-        // the paper's two banks (i8 element size)
-        let bank1_base = asm.data_reserve(s * mlp, 4);
-        let bank2_base = asm.data_reserve(s * dh * 3, 4);
-        let mut bank1 = Bank::new("bank1", bank1_base, s * mlp);
-        let mut bank2 = Bank::new("bank2", bank2_base, s * dh * 3);
+        // ---- data: weights, then the mailboxes ----
+        let weights: Vec<u32> = spec.weights().iter().map(|w| w.emit(&mut asm)).collect();
+        let input = asm.data_reserve(t * f * e, 4);
+        let x = asm.data_reserve(s * dim * e, 4);
+        let logits = asm.data_reserve(classes * e, 4);
         // every run-time-written region; the rest of the image is static
-        let mutable_ranges = vec![
-            (input, (t * f) as u32),
-            (x, (s * dim) as u32),
-            (logits, classes as u32),
-            (rowf, (s.max(dim) * 4) as u32),
-            (vt, (dh * kp) as u32),
-            (bank1_base, (s * mlp) as u32),
-            (bank2_base, (s * dh * 3) as u32),
+        let mut mutable_ranges = vec![
+            (input, (t * f * e) as u32),
+            (x, (s * dim * e) as u32),
+            (logits, (classes * e) as u32),
         ];
 
-        // ---- code ----
+        // ---- code: the kernel library (and its scratch), jumped over ----
         let over = asm.new_label();
         asm.jump_to(over);
-        let k8 = A8Kernels::emit(&mut asm, s, dh);
-        // specialised kernels for every distinct GEMM geometry and the
-        // LayerNorm width, with the generic kernels as their fallback
-        let gemm_sites = [
-            (t, f, dim),       // patch projection
-            (s, dim, 3 * dh),  // qkv projection
-            (s, dh, dim),      // attention out projection
-            (s, dim, mlp),     // mlp hidden
-            (s, mlp, dim),     // mlp out
-            (1, dim, classes), // classifier head
-        ];
-        let mut spec_gemm: Vec<(GemmGeom, kwt_rvasm::Label)> = Vec::new();
-        let mut spec_ln = None;
-        if let Some(table) = tuned {
-            for (m, kd, n) in gemm_sites {
-                let geom = GemmGeom {
-                    m,
-                    k: kd,
-                    n,
-                    has_bias: true,
-                };
-                if spec_gemm.iter().any(|(g, _)| *g == geom) {
-                    continue;
-                }
-                let factors = table.gemm_factors(&geom);
-                if factors.validate(&geom).is_err() {
-                    continue; // unemittable geometry: generic call site
-                }
-                let label = specialise::emit_gemm_a8_spec(&mut asm, &geom, &factors, k8.matmul_a8);
-                spec_gemm.push((geom, label));
-            }
-            let lf = table.ln_factors(dim);
-            if lf.validate(dim).is_ok() {
-                spec_ln = Some(specialise::emit_ln_a8_spec(&mut asm, dim, &lf));
-            }
-        }
-        let gemm_at = |m: usize, kd: usize, n: usize| {
-            spec_gemm
-                .iter()
-                .find(|(g, _)| g.m == m && g.k == kd && g.n == n)
-                .map_or(k8.matmul_a8, |(_, l)| *l)
-        };
-        let ln_at = spec_ln.unwrap_or(k8.ln_a8);
+        let ops = Lowering::emit(&spec, &c, &mut asm, &mut mutable_ranges);
         asm.bind(over)?;
+        // the paper's two banks
+        let mut bank1 = Bank::new("bank1", asm.data_reserve(s * mlp * e, 4), s * mlp * e);
+        let mut bank2 = Bank::new("bank2", asm.data_reserve(s * dh * 3 * e, 4), s * dh * 3 * e);
+        for bank in [&bank1, &bank2] {
+            mutable_ranges.push((bank.base(), bank.size() as u32));
+        }
         asm.here("entry");
 
-        // projection into x rows 1..
-        push_region(&mut asm, regions::BLOCK_TOP | regions::OP_MATMUL);
-        set_args(
+        let &[w_proj, b_proj, pos, cls, ref layers @ .., w_head, b_head] = weights.as_slice()
+        else {
+            unreachable!("every weight list holds the projection and the head");
+        };
+        // tokens = input @ Wp + bp, written into x rows 1..
+        let tokens = x + (dim * e) as u32;
+        ops.gemm(
             &mut asm,
-            &[
-                input as i32,
-                w_proj as i32,
-                b_proj as i32,
-                (x + dim as u32) as i32,
-                t as i32,
-                f as i32,
-                dim as i32,
-                k.shift_proj as i32,
-            ],
+            Gemm::Proj,
+            0,
+            [input, w_proj, b_proj, tokens],
+            (t, f, dim),
         );
-        asm.call(gemm_at(t, f, dim));
-        pop_region(&mut asm);
-        push_region(&mut asm, regions::BLOCK_TOP | regions::OP_OTHER);
-        set_args(&mut asm, &[x as i32, cls as i32, dim as i32]);
-        asm.call(k8.copy_bytes);
-        set_args(&mut asm, &[x as i32, pos as i32, (s * dim) as i32]);
-        asm.call(k8.add_sat_i8);
-        pop_region(&mut asm);
+        // class token + positional embeddings
+        in_region(&mut asm, regions::BLOCK_TOP | regions::OP_OTHER, |asm| {
+            call(
+                asm,
+                ops.copy_bytes,
+                &[x as i32, cls as i32, (dim * e) as i32],
+            );
+            call(asm, ops.add, &[x as i32, pos as i32, (s * dim) as i32]);
+        });
 
-        for (idx, ld) in layers_data.iter().enumerate() {
-            let (w_qkv, b_qkv, w_out, b_out, g1, be1, w1, b1, w2, b2, g2, be2) = *ld;
-            let (shift_qkv, shift_out, ln1_params) = if idx == 0 {
-                (k.shift_qkv0, k.shift_out0, ln_p0)
-            } else {
-                (k.shift_qkv, k.shift_out, ln_p)
+        for (idx, layer) in layers.chunks_exact(LAYER_TENSORS).enumerate() {
+            let &[w_qkv, b_qkv, w_out, b_out, g1, be1, w1, b1, w2, b2, g2, be2] = layer else {
+                unreachable!("chunks_exact yields {LAYER_TENSORS} tensors");
             };
             bank1.reset();
             bank2.reset();
-            let qkv = bank1.alloc(s * 3 * dh, 4)?;
-            push_region(&mut asm, regions::BLOCK_ATTENTION | regions::OP_MATMUL);
-            set_args(
+            let qkv = bank1.alloc(s * 3 * dh * e, 4)?;
+            ops.gemm(
                 &mut asm,
-                &[
-                    x as i32,
-                    w_qkv as i32,
-                    b_qkv as i32,
-                    qkv as i32,
-                    s as i32,
-                    dim as i32,
-                    (3 * dh) as i32,
-                    shift_qkv as i32,
-                ],
+                Gemm::Qkv,
+                idx,
+                [x, w_qkv, b_qkv, qkv],
+                (s, dim, 3 * dh),
             );
-            asm.call(gemm_at(s, dim, 3 * dh));
-            pop_region(&mut asm);
-            let q = bank2.alloc(s * dh, 4)?;
-            let kk = bank2.alloc(s * dh, 4)?;
-            let v = bank2.alloc(s * dh, 4)?;
-            push_region(&mut asm, regions::BLOCK_ATTENTION | regions::OP_OTHER);
-            for (dst, off) in [(q, 0u32), (kk, dh as u32), (v, 2 * dh as u32)] {
-                set_args(
-                    &mut asm,
-                    &[
-                        dst as i32,
-                        (qkv + off) as i32,
-                        s as i32,
-                        (3 * dh) as i32,
-                        dh as i32,
-                    ],
-                );
-                asm.call(k8.copy_strided);
-            }
-            pop_region(&mut asm);
+            // split into contiguous Q, K, V (bank2 = S x dh x 3 exactly)
+            let q = bank2.alloc(s * dh * e, 4)?;
+            let kk = bank2.alloc(s * dh * e, 4)?;
+            let v = bank2.alloc(s * dh * e, 4)?;
+            let row_stride = (3 * dh * e) as i32;
+            in_region(
+                &mut asm,
+                regions::BLOCK_ATTENTION | regions::OP_OTHER,
+                |asm| {
+                    for (dst, part) in [(q, 0), (kk, 1), (v, 2)] {
+                        let src = qkv + (part * dh * e) as u32;
+                        let args = [
+                            dst as i32,
+                            src as i32,
+                            s as i32,
+                            row_stride,
+                            (dh * e) as i32,
+                        ];
+                        call(asm, ops.copy_strided, &args);
+                    }
+                },
+            );
+            // qkv buffer is dead: reuse bank1 for attention scratch
             bank1.reset();
-            let sa = bank1.alloc(s * dh, 4)?;
-            let row8 = bank1.alloc(kp, 4)?;
-            let attn_out = bank1.alloc(s * dim, 4)?;
-            set_args(
+            let sa = bank1.alloc(s * dh * e, 4)?;
+            let row = bank1.alloc(ops.row_bytes, 4)?;
+            let attn_out = bank1.alloc(s * dim * e, 4)?;
+            ops.attention(&mut asm, [q, kk, v, sa, row], s, dh);
+            // output projection + residual + LN1
+            ops.gemm(
                 &mut asm,
-                &[
-                    q as i32,
-                    kk as i32,
-                    v as i32,
-                    sa as i32,
-                    row8 as i32,
-                    attn_params_addr as i32,
-                ],
+                Gemm::Out,
+                idx,
+                [sa, w_out, b_out, attn_out],
+                (s, dh, dim),
             );
-            asm.call(k8.attention_a8);
-            push_region(&mut asm, regions::BLOCK_ATTENTION | regions::OP_MATMUL);
-            set_args(
-                &mut asm,
-                &[
-                    sa as i32,
-                    w_out as i32,
-                    b_out as i32,
-                    attn_out as i32,
-                    s as i32,
-                    dh as i32,
-                    dim as i32,
-                    shift_out as i32,
-                ],
-            );
-            asm.call(gemm_at(s, dh, dim));
-            pop_region(&mut asm);
-            push_region(&mut asm, regions::BLOCK_TOP | regions::OP_OTHER);
-            set_args(&mut asm, &[x as i32, attn_out as i32, (s * dim) as i32]);
-            asm.call(k8.add_sat_i8);
-            pop_region(&mut asm);
-            push_region(&mut asm, regions::BLOCK_TOP | regions::OP_LAYERNORM);
-            set_args(
-                &mut asm,
-                &[
-                    x as i32,
-                    g1 as i32,
-                    be1 as i32,
-                    s as i32,
-                    dim as i32,
-                    ln1_params as i32,
-                ],
-            );
-            asm.call(ln_at);
-            pop_region(&mut asm);
-            // MLP with the fused LUT-GELU boundary
+            ops.residual(&mut asm, x, attn_out, s * dim);
+            ops.layer_norm(&mut asm, [x, g1, be1], s, dim, idx == 0);
+            // MLP
             bank1.reset();
             bank2.reset();
-            let hidden = bank1.alloc(s * mlp, 4)?;
-            let mlp_out = bank2.alloc(s * dim, 4)?;
-            push_region(&mut asm, regions::BLOCK_MLP | regions::OP_MATMUL);
-            set_args(
+            let hidden = bank1.alloc(s * mlp * e, 4)?;
+            let mlp_out = bank2.alloc(s * dim * e, 4)?;
+            ops.gemm(
                 &mut asm,
-                &[
-                    x as i32,
-                    w1 as i32,
-                    b1 as i32,
-                    hidden as i32,
-                    s as i32,
-                    dim as i32,
-                    mlp as i32,
-                    k.shift_mlp1 as i32,
-                ],
+                Gemm::Mlp1,
+                idx,
+                [x, w1, b1, hidden],
+                (s, dim, mlp),
             );
-            asm.call(gemm_at(s, dim, mlp));
-            pop_region(&mut asm);
-            push_region(&mut asm, regions::BLOCK_MLP | regions::OP_GELU);
-            set_args(
+            ops.gelu(&mut asm, hidden, s, mlp);
+            ops.gemm(
                 &mut asm,
-                &[
-                    hidden as i32,
-                    (s * mlp) as i32,
-                    k.gelu_deq_bits as i32,
-                    k.gelu_req_bits as i32,
-                ],
+                Gemm::Mlp2,
+                idx,
+                [hidden, w2, b2, mlp_out],
+                (s, mlp, dim),
             );
-            asm.call(k8.gelu_a8);
-            pop_region(&mut asm);
-            push_region(&mut asm, regions::BLOCK_MLP | regions::OP_MATMUL);
-            set_args(
-                &mut asm,
-                &[
-                    hidden as i32,
-                    w2 as i32,
-                    b2 as i32,
-                    mlp_out as i32,
-                    s as i32,
-                    mlp as i32,
-                    dim as i32,
-                    k.shift_mlp2 as i32,
-                ],
-            );
-            asm.call(gemm_at(s, mlp, dim));
-            pop_region(&mut asm);
-            push_region(&mut asm, regions::BLOCK_TOP | regions::OP_OTHER);
-            set_args(&mut asm, &[x as i32, mlp_out as i32, (s * dim) as i32]);
-            asm.call(k8.add_sat_i8);
-            pop_region(&mut asm);
-            push_region(&mut asm, regions::BLOCK_TOP | regions::OP_LAYERNORM);
-            set_args(
-                &mut asm,
-                &[
-                    x as i32,
-                    g2 as i32,
-                    be2 as i32,
-                    s as i32,
-                    dim as i32,
-                    ln_p as i32,
-                ],
-            );
-            asm.call(ln_at);
-            pop_region(&mut asm);
+            ops.residual(&mut asm, x, mlp_out, s * dim);
+            ops.layer_norm(&mut asm, [x, g2, be2], s, dim, false);
         }
 
-        push_region(&mut asm, regions::BLOCK_TOP | regions::OP_MATMUL);
-        set_args(
+        // classification head on the class-token row
+        ops.gemm(
             &mut asm,
-            &[
-                x as i32,
-                w_head as i32,
-                b_head as i32,
-                logits as i32,
-                1,
-                dim as i32,
-                classes as i32,
-                k.shift_head as i32,
-            ],
+            Gemm::Head,
+            0,
+            [x, w_head, b_head, logits],
+            (1, dim, classes),
         );
-        asm.call(gemm_at(1, dim, classes));
-        pop_region(&mut asm);
         asm.li(Reg::A0, logits as i32);
         asm.emit(Inst::Ebreak);
 
         let program = asm.finish()?;
         check_ram(&program, &platform)?;
         Ok(InferenceImage {
-            flavor: Flavor::A8,
-            isa: KernelIsa::Xkwtdot,
+            flavor,
+            isa,
             program,
             config: c,
-            qconfig: None,
-            a8config: Some(qm.a8),
+            qconfig,
+            a8config,
             input_addr: input,
             logits_addr: logits,
             bank_usage: [
@@ -1260,6 +824,42 @@ impl InferenceImage {
         })
     }
 
+    /// The paper's float image ([`ImageSpec::Float`]) on the 64 kB Ibex.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Self::build`].
+    pub fn build_float(params: &KwtParams) -> Result<Self> {
+        Self::build(ImageSpec::Float(params), Platform::ibex())
+    }
+
+    /// The paper's quantised image ([`ImageSpec::Quant`]) over the scalar
+    /// [`KernelIsa::Rv32im`] kernels on the 64 kB Ibex.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Self::build`].
+    pub fn build_quant(qm: &QuantizedKwt) -> Result<Self> {
+        Self::build(ImageSpec::Quant(qm, KernelIsa::Rv32im), Platform::ibex())
+    }
+
+    /// The A8 image ([`ImageSpec::A8`]) with the committed tuning table
+    /// ([`TunedKernels::embedded`]) on the 64 kB Ibex: i8 activations end
+    /// to end over `kdot4.i8` GEMMs, the fused scores→softmax→context
+    /// attention row pipeline, fused LayerNorm/GELU boundaries and LUT
+    /// non-linearities. Device logits are bit-identical to the host
+    /// golden model [`A8Kwt::forward_a8_into`].
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Self::build`].
+    pub fn build_a8(qm: &A8Kwt) -> Result<Self> {
+        Self::build(
+            ImageSpec::A8(qm, Some(&TunedKernels::embedded())),
+            Platform::ibex(),
+        )
+    }
+
     /// Total image footprint in bytes (the paper's "Program Size").
     pub fn program_bytes(&self) -> usize {
         self.program.total_bytes()
@@ -1267,7 +867,7 @@ impl InferenceImage {
 
     /// The simulated platform this image was linked against — the 64 kB
     /// Ibex for every paper flavour, a [`Platform::ibex_with_ram`]
-    /// variant for KWT-1-scale builds (`*_on` constructors).
+    /// variant for KWT-1-scale builds (see [`Self::build`]).
     pub fn platform(&self) -> Platform {
         self.platform
     }
@@ -1969,7 +1569,11 @@ mod tests {
         let accel = qm.clone().with_nonlinearity(Nonlinearity::FixedLut);
         for model in [&qm, &accel] {
             let scalar = InferenceImage::build_quant(model).unwrap();
-            let packed = InferenceImage::build_quant_with_isa(model, KernelIsa::Xkwtdot).unwrap();
+            let packed = InferenceImage::build(
+                ImageSpec::Quant(model, KernelIsa::Xkwtdot),
+                Platform::ibex(),
+            )
+            .unwrap();
             assert_eq!(scalar.isa, KernelIsa::Rv32im);
             assert_eq!(packed.isa, KernelIsa::Xkwtdot);
             assert_eq!(scalar.flavor, packed.flavor);
@@ -2002,7 +1606,9 @@ mod tests {
         let params = trained_ish();
         let qm = QuantizedKwt::quantize(&params, QuantConfig::paper_best())
             .with_nonlinearity(Nonlinearity::FixedLut);
-        let image = InferenceImage::build_quant_with_isa(&qm, KernelIsa::Xkwtdot).unwrap();
+        let image =
+            InferenceImage::build(ImageSpec::Quant(&qm, KernelIsa::Xkwtdot), Platform::ibex())
+                .unwrap();
         let mut session = image.session().unwrap();
         session.set_class_histogram_enabled(true);
         session.run(&test_input(9)).unwrap();
@@ -2132,7 +1738,9 @@ mod tests {
         let params = trained_ish();
         let qm = QuantizedKwt::quantize(&params, QuantConfig::paper_best())
             .with_nonlinearity(Nonlinearity::FixedLut);
-        let ximage = InferenceImage::build_quant_with_isa(&qm, KernelIsa::Xkwtdot).unwrap();
+        let ximage =
+            InferenceImage::build(ImageSpec::Quant(&qm, KernelIsa::Xkwtdot), Platform::ibex())
+                .unwrap();
         let a8 = A8Kwt::quantize(&params, A8Config::paper_a8()).unwrap();
         let a8image = InferenceImage::build_a8(&a8).unwrap();
         let x = mfcc_like_input(42);
@@ -2396,13 +2004,14 @@ mod tests {
         )];
         for model in [&qm, &accel] {
             for isa in [KernelIsa::Rv32im, KernelIsa::Xkwtdot] {
-                let img = InferenceImage::build_quant_with_isa(model, isa).unwrap();
+                let img =
+                    InferenceImage::build(ImageSpec::Quant(model, isa), Platform::ibex()).unwrap();
                 out.push((format!("{:?}/{isa:?}", img.flavor), img));
             }
         }
         let tuned = TunedKernels::embedded();
         for (name, table) in [("a8/tuned", Some(&tuned)), ("a8/generic", None)] {
-            let img = InferenceImage::build_a8_with(&a8, table).unwrap();
+            let img = InferenceImage::build(ImageSpec::A8(&a8, table), Platform::ibex()).unwrap();
             out.push((name.to_string(), img));
         }
         out
@@ -2435,11 +2044,11 @@ mod tests {
             kwt_quant::A8Kwt::quantize(&scaled_params(verifier), kwt_quant::A8Config::paper_a8())
                 .unwrap();
         assert!(matches!(
-            InferenceImage::build_a8_with(&a8, None),
+            InferenceImage::build(ImageSpec::A8(&a8, None), Platform::ibex()),
             Err(BuildError::RamBudget { .. })
         ));
         let big = Platform::ibex_with_ram(1 << 20);
-        let img = InferenceImage::build_a8_with_on(&a8, None, big).unwrap();
+        let img = InferenceImage::build(ImageSpec::A8(&a8, None), big).unwrap();
         got.push((
             "kwt1-depth1/a8/generic@1MiB".to_string(),
             image_digest(&img),
@@ -2469,6 +2078,50 @@ mod tests {
                 "{name}: image changed (digest {digest:#018x})"
             );
         }
+    }
+
+    #[test]
+    fn unsupported_shapes_are_rejected_by_every_flavour() {
+        use kwt_quant::{A8Config, A8Kwt};
+        let tiny = KwtConfig::kwt_tiny();
+        let specs_for = |params: &KwtParams, check: &dyn Fn(&str, Result<InferenceImage>)| {
+            let qm = QuantizedKwt::quantize(params, QuantConfig::paper_best());
+            let a8 = A8Kwt::quantize(params, A8Config::paper_a8()).unwrap();
+            let tuned = TunedKernels::embedded();
+            for (name, spec) in [
+                ("float", ImageSpec::Float(params)),
+                ("quant", ImageSpec::Quant(&qm, KernelIsa::Rv32im)),
+                ("quant/xkwtdot", ImageSpec::Quant(&qm, KernelIsa::Xkwtdot)),
+                ("a8", ImageSpec::A8(&a8, Some(&tuned))),
+                ("a8/generic", ImageSpec::A8(&a8, None)),
+            ] {
+                check(name, InferenceImage::build(spec, Platform::ibex()));
+            }
+        };
+        let two_heads = scaled_params(KwtConfig { heads: 2, ..tiny });
+        specs_for(&two_heads, &|name, built| {
+            assert!(
+                matches!(&built, Err(BuildError::Model(m)) if m.contains("heads = 1")),
+                "{name}: heads = 2 must be rejected, got {:?}",
+                built.map(|i| i.flavor)
+            );
+        });
+        // only the A8 fused attention kernel needs dim_head % 4 == 0
+        let odd_head = scaled_params(KwtConfig {
+            dim_head: 6,
+            ..tiny
+        });
+        specs_for(&odd_head, &|name, built| {
+            if name.starts_with("a8") {
+                assert!(
+                    matches!(&built, Err(BuildError::Model(m)) if m.contains("dim_head % 4")),
+                    "{name}: dim_head = 6 must be rejected, got {:?}",
+                    built.map(|i| i.flavor)
+                );
+            } else {
+                assert!(built.is_ok(), "{name}: dim_head = 6 builds");
+            }
+        });
     }
 
     #[test]

@@ -169,7 +169,8 @@ pub mod attn_params {
     pub const SIZE: usize = 32;
 }
 
-fn push_region(asm: &mut Asm, region: u32) {
+/// Opens profiler region `region` (see [`crate::regions`]).
+pub(crate) fn push_region(asm: &mut Asm, region: u32) {
     asm.li(T0, region as i32);
     asm.emit(Inst::Csrrw {
         rd: Zero,
@@ -178,7 +179,8 @@ fn push_region(asm: &mut Asm, region: u32) {
     });
 }
 
-fn pop_region(asm: &mut Asm) {
+/// Closes the innermost profiler region.
+pub(crate) fn pop_region(asm: &mut Asm) {
     asm.emit(Inst::Csrrw {
         rd: Zero,
         rs1: Zero,

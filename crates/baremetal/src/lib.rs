@@ -24,9 +24,13 @@
 //!   ([`specialise::TunedKernels`]) that records cycle-counter-selected
 //!   unroll/blocking factors per model geometry.
 //! * [`image`] — complete inference programs (float / quantised /
-//!   quantised+HW) with the paper's two static memory banks (§V),
+//!   quantised+HW / A8) with the paper's two static memory banks (§V),
 //!   profiling region markers (Figs. 3–5) and a host harness to run them
-//!   on the [`kwt_rv32`] simulator. The A8 image emits a tuned
+//!   on the [`kwt_rv32`] simulator. One builder,
+//!   [`InferenceImage::build`], lowers a single KWT forward-graph
+//!   emitter onto the kernel library an [`ImageSpec`] selects; the
+//!   `build_float` / `build_quant` / `build_a8` shorthands are its
+//!   paper-default specs on the 64 kB Ibex. The A8 image emits a tuned
 //!   specialised kernel for every GEMM/LayerNorm call site, keeping the
 //!   generic kernels as the misalignment fallback and differential
 //!   oracle.
@@ -52,7 +56,7 @@ pub mod specialise;
 pub use banks::Bank;
 pub use cluster::{ClusterSession, ClusterWave};
 pub use error::{BuildError, DeviceError};
-pub use image::{DeviceSession, Flavor, InferenceImage, RecoveryReport};
+pub use image::{DeviceSession, Flavor, ImageSpec, InferenceImage, RecoveryReport};
 pub use kernels::{A8Kernels, KernelIsa};
 
 /// Convenience alias for results returned by this crate.

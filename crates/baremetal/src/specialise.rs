@@ -37,6 +37,7 @@
 
 use crate::mathlib::{epilogue, li_f32, prologue};
 use crate::BuildError;
+use kwt_model::KwtConfig;
 use kwt_rvasm::{emit, Asm, Inst, Label, PackedOp, Reg};
 
 use Reg::{Zero, A0, A1, A2, A3, A4, A5, A6, A7, T0, T1, T2, T3, T4, T5, T6};
@@ -223,6 +224,34 @@ impl GemmFactors {
         v.reverse();
         v
     }
+}
+
+/// The GEMM geometries of a KWT forward pass over `c`, deduplicated, in
+/// call order: patch projection, QKV projection, attention output
+/// projection, MLP hidden, MLP out, classifier head. The A8 image
+/// specialises one kernel per entry and `paper tune-kernels` tunes them.
+pub fn gemm_sites(c: &KwtConfig) -> Vec<GemmGeom> {
+    let s = c.seqlen();
+    let mut out: Vec<GemmGeom> = Vec::new();
+    for (m, k, n) in [
+        (c.input_time, c.input_freq, c.dim),
+        (s, c.dim, 3 * c.dim_head),
+        (s, c.dim_head, c.dim),
+        (s, c.dim, c.mlp_dim),
+        (s, c.mlp_dim, c.dim),
+        (1, c.dim, c.num_classes),
+    ] {
+        let geom = GemmGeom {
+            m,
+            k,
+            n,
+            has_bias: true,
+        };
+        if !out.contains(&geom) {
+            out.push(geom);
+        }
+    }
+    out
 }
 
 /// The untuned defaults for a geometry: full unrolling and row caching

@@ -10,8 +10,8 @@
 //! benchmark exactly once (CI smoke mode).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use kwt_baremetal::specialise::TunedKernels;
-use kwt_bench::tune::{gemm_micro, gemm_sites, ln_micro};
+use kwt_baremetal::specialise::{gemm_sites, TunedKernels};
+use kwt_bench::tune::{gemm_micro, ln_micro};
 use kwt_model::KwtConfig;
 use std::hint::black_box;
 

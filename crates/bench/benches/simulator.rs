@@ -45,7 +45,7 @@ fn bench_program(c: &mut Criterion, name: &str, program: &kwt_rvasm::Program) {
 /// per iteration on a persistent session (warm decode cache), so the
 /// measured ratio is the packed-MAC extension's end-to-end win.
 fn bench_isa_variants(c: &mut Criterion) {
-    use kwt_baremetal::{InferenceImage, KernelIsa};
+    use kwt_baremetal::{ImageSpec, InferenceImage, KernelIsa};
     use kwt_quant::{Nonlinearity, QuantConfig, QuantizedKwt};
     use kwt_tensor::Mat;
     let params = kwt_bench::enginebench::bench_params();
@@ -60,7 +60,7 @@ fn bench_isa_variants(c: &mut Criterion) {
         ("rv32im", KernelIsa::Rv32im),
         ("xkwtdot", KernelIsa::Xkwtdot),
     ] {
-        let image = InferenceImage::build_quant_with_isa(&qm, isa).unwrap();
+        let image = InferenceImage::build(ImageSpec::Quant(&qm, isa), Platform::ibex()).unwrap();
         let mut session = image.session().unwrap();
         let mut logits = Vec::new();
         g.bench_function(name, |b| {

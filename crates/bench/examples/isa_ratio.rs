@@ -4,9 +4,10 @@
 //!
 //! Run with `cargo run --release -p kwt-bench --example isa_ratio`.
 
-use kwt_baremetal::{InferenceImage, KernelIsa};
+use kwt_baremetal::{ImageSpec, InferenceImage, KernelIsa};
 use kwt_model::{KwtConfig, KwtParams};
 use kwt_quant::{Nonlinearity, QuantConfig, QuantizedKwt};
+use kwt_rv32::Platform;
 use kwt_tensor::Mat;
 
 fn main() {
@@ -29,7 +30,7 @@ fn main() {
         ("scalar", KernelIsa::Rv32im),
         ("xkwtdot", KernelIsa::Xkwtdot),
     ] {
-        let img = InferenceImage::build_quant_with_isa(&accel, isa).unwrap();
+        let img = InferenceImage::build(ImageSpec::Quant(&accel, isa), Platform::ibex()).unwrap();
         let mut sess = img.session().unwrap();
         sess.set_class_histogram_enabled(true);
         let (_, r) = sess.run(&x).unwrap();

@@ -43,7 +43,7 @@
 //! back to seeded-init verifier weights under `--smoke`.
 
 use kwt_audio::{kwt1_frontend, kwt_tiny_frontend, MfccExtractor};
-use kwt_baremetal::InferenceImage;
+use kwt_baremetal::{ImageSpec, InferenceImage};
 use kwt_dataset::{AugmentConfig, Augmenter, KeywordVoice, SynthParams, GSC_KEYWORDS};
 use kwt_engine::{CascadeConfig, CascadeEngine, Engine};
 use kwt_model::{KwtConfig, KwtParams};
@@ -344,9 +344,11 @@ fn measure_gate() -> CascadeGate {
     let det_a8 = A8Kwt::quantize(&det_params, A8Config::paper_a8()).expect("detector a8");
     let ver_a8 = A8Kwt::quantize(&ver_params, A8Config::paper_a8()).expect("verifier a8");
     let det_image = InferenceImage::build_a8(&det_a8).expect("detector image");
-    let ver_image =
-        InferenceImage::build_a8_with_on(&ver_a8, None, Platform::ibex_with_ram(VERIFIER_RAM))
-            .expect("verifier image");
+    let ver_image = InferenceImage::build(
+        ImageSpec::A8(&ver_a8, None),
+        Platform::ibex_with_ram(VERIFIER_RAM),
+    )
+    .expect("verifier image");
     let det_fe = kwt_tiny_frontend().expect("preset");
     let ver_fe = kwt1_frontend().expect("preset");
 

@@ -19,10 +19,11 @@
 
 use crate::timing::{smoke, time_ns};
 use kwt_audio::kwt_tiny_frontend;
-use kwt_baremetal::{InferenceImage, KernelIsa};
+use kwt_baremetal::{ImageSpec, InferenceImage, KernelIsa};
 use kwt_engine::{Engine, Prediction};
 use kwt_model::{KwtConfig, KwtParams};
 use kwt_quant::{A8Config, A8Kwt, Nonlinearity, QuantConfig, QuantizedKwt};
+use kwt_rv32::Platform;
 use serde::Serialize;
 use std::hint::black_box;
 
@@ -301,8 +302,11 @@ pub fn collect() -> EngineBenchSummary {
     let qm = QuantizedKwt::quantize(&params, QuantConfig::paper_best());
     let accel = qm.clone().with_nonlinearity(Nonlinearity::FixedLut);
     let image = InferenceImage::build_quant(&accel).expect("image builds");
-    let ximage = InferenceImage::build_quant_with_isa(&accel, KernelIsa::Xkwtdot)
-        .expect("xkwtdot image builds");
+    let ximage = InferenceImage::build(
+        ImageSpec::Quant(&accel, KernelIsa::Xkwtdot),
+        Platform::ibex(),
+    )
+    .expect("xkwtdot image builds");
     let a8 = A8Kwt::quantize(&params, A8Config::paper_a8()).expect("a8 exponents valid");
     let a8image = InferenceImage::build_a8(&a8).expect("a8 image builds");
     let fe = kwt_tiny_frontend().expect("preset is valid");

@@ -26,11 +26,11 @@
 
 use crate::ExpContext;
 use kwt_audio::{MfccExtractor, MfccScratch};
-use kwt_baremetal::{BuildError, InferenceImage, KernelIsa};
+use kwt_baremetal::{BuildError, ImageSpec, InferenceImage, KernelIsa};
 use kwt_dataset::{GscConfig, Split, SyntheticGsc};
 use kwt_engine::{Backend, Engine, HostFloatBackend, ResilientConfig, Rv32SimBackend};
 use kwt_quant::{A8Config, A8Kwt, Nonlinearity, QuantConfig, QuantizedKwt};
-use kwt_rv32::{FaultPlan, Trap};
+use kwt_rv32::{FaultPlan, Platform, Trap};
 use kwt_tensor::Mat;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -354,8 +354,11 @@ pub fn run(ctx: &ExpContext, smoke: bool) -> String {
         ),
         (
             "accel_xkwtdot",
-            InferenceImage::build_quant_with_isa(&accel, KernelIsa::Xkwtdot)
-                .expect("xkwtdot image"),
+            InferenceImage::build(
+                ImageSpec::Quant(&accel, KernelIsa::Xkwtdot),
+                Platform::ibex(),
+            )
+            .expect("xkwtdot image"),
         ),
         ("a8", InferenceImage::build_a8(&a8).expect("a8 image")),
     ];

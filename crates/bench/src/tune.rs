@@ -2,8 +2,8 @@
 //! autotuning for the A8 kernel specialiser.
 //!
 //! For every GEMM geometry and LayerNorm width the A8 image emits
-//! (derived from the committed model configuration, exactly as
-//! `InferenceImage::build_a8` derives them), the tuner enumerates the
+//! (`kwt_baremetal::specialise::gemm_sites` of the committed model
+//! configuration, the list the image builder uses), the tuner enumerates the
 //! valid unroll/blocking factor grid, times each candidate kernel on
 //! the deterministic cycle counter in an isolated micro-program, checks
 //! the candidate's output bit-identical against the generic kernel, and
@@ -19,8 +19,8 @@
 //! it replaces.
 
 use kwt_baremetal::specialise::{
-    default_ln_factors, emit_gemm_a8_spec, emit_ln_a8_spec, GemmFactors, GemmGeom, LnFactors,
-    TunedKernels,
+    default_ln_factors, emit_gemm_a8_spec, emit_ln_a8_spec, gemm_sites, GemmFactors, GemmGeom,
+    LnFactors, TunedKernels,
 };
 use kwt_baremetal::A8Kernels;
 use kwt_model::KwtConfig;
@@ -35,33 +35,6 @@ const BIAS: u32 = 0xB000;
 const OUT: u32 = 0xB400;
 const PARAMS: u32 = 0xB800;
 const FROW: u32 = 0xBC00;
-
-/// The GEMM geometries the A8 image instantiates for `c` — the same
-/// site list (and order) as `InferenceImage::build_a8`, deduplicated.
-pub fn gemm_sites(c: &KwtConfig) -> Vec<GemmGeom> {
-    let s = c.seqlen();
-    let sites = [
-        (c.input_time, c.input_freq, c.dim), // patch projection
-        (s, c.dim, 3 * c.dim_head),          // qkv projection
-        (s, c.dim_head, c.dim),              // attention out projection
-        (s, c.dim, c.mlp_dim),               // mlp hidden
-        (s, c.mlp_dim, c.dim),               // mlp out
-        (1, c.dim, c.num_classes),           // classifier head
-    ];
-    let mut out: Vec<GemmGeom> = Vec::new();
-    for (m, k, n) in sites {
-        let geom = GemmGeom {
-            m,
-            k,
-            n,
-            has_bias: true,
-        };
-        if !out.contains(&geom) {
-            out.push(geom);
-        }
-    }
-    out
-}
 
 /// The candidate factor grid for one geometry, in deterministic order:
 /// every divisor of `N` for the column block, `{1, 2, full}` for the

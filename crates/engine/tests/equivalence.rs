@@ -3,10 +3,11 @@
 //! classification equals per-clip classification on all three backends.
 
 use kwt_audio::kwt_tiny_frontend;
-use kwt_baremetal::InferenceImage;
+use kwt_baremetal::{ImageSpec, InferenceImage};
 use kwt_engine::{BackendKind, Engine, EngineError, Prediction};
 use kwt_model::{KwtConfig, KwtParams};
 use kwt_quant::{Nonlinearity, QuantConfig, QuantizedKwt};
+use kwt_rv32::Platform;
 
 fn trained_ish() -> KwtParams {
     let mut p = KwtParams::init(KwtConfig::kwt_tiny(), 77).unwrap();
@@ -109,7 +110,8 @@ fn rv32_engine_isa_toggle_is_bit_identical_and_faster() {
     use kwt_baremetal::KernelIsa;
     let qm = quantized().with_nonlinearity(Nonlinearity::FixedLut);
     let scalar_img = InferenceImage::build_quant(&qm).unwrap();
-    let packed_img = InferenceImage::build_quant_with_isa(&qm, KernelIsa::Xkwtdot).unwrap();
+    let packed_img =
+        InferenceImage::build(ImageSpec::Quant(&qm, KernelIsa::Xkwtdot), Platform::ibex()).unwrap();
     let fe = kwt_tiny_frontend().unwrap();
     let mut scalar = Engine::rv32_sim(&scalar_img, fe.clone()).unwrap();
     let mut packed = Engine::rv32_sim(&packed_img, fe).unwrap();
@@ -221,8 +223,11 @@ fn parallel_batch_identical_to_serial_on_rv32() {
     // order, for any thread count — each worker owns its own
     // DeviceSession clone and sessions are stateless across inputs.
     let qm = quantized().with_nonlinearity(Nonlinearity::FixedLut);
-    let image =
-        InferenceImage::build_quant_with_isa(&qm, kwt_baremetal::KernelIsa::Xkwtdot).unwrap();
+    let image = InferenceImage::build(
+        ImageSpec::Quant(&qm, kwt_baremetal::KernelIsa::Xkwtdot),
+        Platform::ibex(),
+    )
+    .unwrap();
     let fe = kwt_tiny_frontend().unwrap();
     let mut engine = Engine::rv32_sim(&image, fe).unwrap();
     let clips: Vec<Vec<f32>> = (0..7).map(clip).collect();
