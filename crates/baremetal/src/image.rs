@@ -363,8 +363,6 @@ impl Lowering {
                 let scratch_len = s.max(mlp).max(dim) * 4;
                 let scratch = asm.data_reserve(scratch_len, 4);
                 mutable.push((scratch, scratch_len as u32));
-                // an unused copy of the attention block (never read)
-                asm.data_words_i32(&[ya as i32, inv_sqrt_dh, deq, req, 0, nl, 0, 0]);
                 // padded score length and (Xkwtdot only) the V-transpose scratch
                 let vt = match isa {
                     KernelIsa::Rv32im => 0u32,
@@ -2024,7 +2022,8 @@ mod tests {
         // the builders must keep every image byte-identical. Depth 2
         // reaches the A8 layer >= 1 shifts and LayerNorm block, which
         // KWT-Tiny (depth 1) never emits. Re-record only for a
-        // deliberate image change.
+        // deliberate image change (the i16 digests were re-recorded once,
+        // when an unused 32-byte parameter block left those images).
         let tiny = KwtConfig::kwt_tiny();
         let deep = KwtConfig { depth: 2, ..tiny };
         let mut got = Vec::new();
@@ -2055,29 +2054,30 @@ mod tests {
         ));
         let want = [
             ("depth1/float", 0xec6b04d0e146ede8),
-            ("depth1/Quantized/Rv32im", 0xc0321fe5222eacae),
-            ("depth1/Quantized/Xkwtdot", 0x9579eab6c2668d59),
-            ("depth1/Accelerated/Rv32im", 0xe36e353a212d2099),
-            ("depth1/Accelerated/Xkwtdot", 0x1e75fff74688f88c),
+            ("depth1/Quantized/Rv32im", 0x13bab0fea7463412),
+            ("depth1/Quantized/Xkwtdot", 0x45aa3de33b1a5ac9),
+            ("depth1/Accelerated/Rv32im", 0x064ae9166b8c2628),
+            ("depth1/Accelerated/Xkwtdot", 0x30c025524e4c82ff),
             ("depth1/a8/tuned", 0x3d47424d67f7f295),
             ("depth1/a8/generic", 0xb1f46a2b0c5fef75),
             ("depth2/float", 0xdbe0e9845d1e4ed7),
-            ("depth2/Quantized/Rv32im", 0x19b74c851c43d0a3),
-            ("depth2/Quantized/Xkwtdot", 0xf525366b99ad05c3),
-            ("depth2/Accelerated/Rv32im", 0x25f17c7521a34410),
-            ("depth2/Accelerated/Xkwtdot", 0x3679ea5848d3cc0a),
+            ("depth2/Quantized/Rv32im", 0x2aad0a96ecc2e4f3),
+            ("depth2/Quantized/Xkwtdot", 0xd1636e2247035fcf),
+            ("depth2/Accelerated/Rv32im", 0x46fd8478448c8c61),
+            ("depth2/Accelerated/Xkwtdot", 0x4e143a2ea046aa5d),
             ("depth2/a8/tuned", 0x78b4f0aaf1d0b4e9),
             ("depth2/a8/generic", 0xf519e6c52c47d6e8),
             ("kwt1-depth1/a8/generic@1MiB", 0x0fceb8a44f7d8a6e),
         ];
-        assert_eq!(got.len(), want.len());
-        for ((name, digest), (want_name, want_digest)) in got.iter().zip(want) {
-            assert_eq!(name, want_name);
-            assert_eq!(
-                *digest, want_digest,
-                "{name}: image changed (digest {digest:#018x})"
-            );
-        }
+        let names: Vec<&str> = got.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, want.map(|(n, _)| n));
+        let changed: Vec<String> = got
+            .iter()
+            .zip(want)
+            .filter(|((_, digest), (_, pinned))| digest != pinned)
+            .map(|((name, digest), _)| format!("(\"{name}\", {digest:#018x}),"))
+            .collect();
+        assert!(changed.is_empty(), "images changed: {changed:#?}");
     }
 
     #[test]
