@@ -25,9 +25,11 @@ use crate::kernels::{
     A8Kernels, KernelIsa, Kernels,
 };
 use crate::mathlib::MathLib;
-use crate::regions;
+use crate::regions::{
+    self, BLOCK_ATTENTION, BLOCK_MLP, BLOCK_TOP, OP_GELU, OP_LAYERNORM, OP_MATMUL, OP_OTHER,
+};
 use crate::softfloat::SoftFloat;
-use crate::specialise::{self, GemmGeom, TunedKernels};
+use crate::specialise::{self, GemmGeom, GemmSite, TunedKernels};
 use crate::{BuildError, Result};
 use kwt_model::{KwtConfig, KwtParams};
 use kwt_quant::{A8Config, A8Consts, A8Kwt, Nonlinearity, QuantConfig, QuantizedKwt};
@@ -242,20 +244,10 @@ impl<'a> ImageSpec<'a> {
     }
 }
 
-/// Which GEMM of the forward graph a call is.
-#[derive(Clone, Copy)]
-enum Gemm {
-    Proj,
-    Qkv,
-    Out,
-    Mlp1,
-    Mlp2,
-    Head,
-}
-
 /// A flavour's kernel library as the graph emitter calls it: the entry
 /// points shared by every flavour plus the per-op arguments that differ.
 struct Lowering {
+    config: KwtConfig,
     copy_bytes: Label,
     copy_strided: Label,
     /// Element-wise (saturating) add: positions and residuals.
@@ -268,13 +260,13 @@ struct Lowering {
 enum Library {
     Float {
         k: Kernels,
-        inv_sqrt_dh: i32,
-        inv_dim: i32,
-        eps: i32,
+        inv_sqrt_dh: u32,
+        inv_dim: u32,
+        eps: u32,
     },
     Quant {
         k: Kernels,
-        yw: i32,
+        yw: u32,
         attn_p: u32,
         ln_p: u32,
         gelu_p: u32,
@@ -292,8 +284,8 @@ enum Library {
     },
 }
 
-/// Loads up to 8 integer arguments into `a0..a7` and calls `label`.
-fn call(asm: &mut Asm, label: Label, args: &[i32]) {
+/// Loads up to 8 arguments into `a0..a7` and calls `label`.
+fn call(asm: &mut Asm, label: Label, args: &[u32]) {
     const ARGS: [Reg; 8] = [
         Reg::A0,
         Reg::A1,
@@ -306,7 +298,7 @@ fn call(asm: &mut Asm, label: Label, args: &[i32]) {
     ];
     assert!(args.len() <= 8, "at most 8 register arguments");
     for (reg, &v) in ARGS.iter().zip(args) {
-        asm.li(*reg, v);
+        asm.li(*reg, v as i32);
     }
     asm.call(label);
 }
@@ -318,91 +310,82 @@ fn in_region(asm: &mut Asm, tag: u32, body: impl FnOnce(&mut Asm)) {
     pop_region(asm);
 }
 
+/// Emits a parameter block of 32-bit words, returning its address.
+fn param_block(asm: &mut Asm, words: &[u32]) -> u32 {
+    let words: Vec<i32> = words.iter().map(|&w| w as i32).collect();
+    asm.data_words_i32(&words)
+}
+
 impl Lowering {
     /// Reserves the flavour's scratch rows and parameter blocks (pushing
     /// the run-time-written ones onto `mutable`), then emits its kernel
     /// library into the text section.
     fn emit(
         spec: &ImageSpec<'_>,
-        c: &KwtConfig,
+        config: KwtConfig,
         asm: &mut Asm,
         mutable: &mut Vec<(u32, u32)>,
     ) -> Self {
+        let c = &config;
         let (s, dim, mlp, dh) = (c.seqlen(), c.dim, c.mlp_dim, c.dim_head);
         let kp = (s + 3) & !3;
-        let inv_sqrt_dh = (1.0 / (dh as f32).sqrt()).to_bits() as i32;
-        let inv_dim = (1.0 / dim as f32).to_bits() as i32;
-        let eps = c.ln_eps.to_bits() as i32;
+        let inv_sqrt_dh = (1.0 / (dh as f32).sqrt()).to_bits();
+        let inv_dim = (1.0 / dim as f32).to_bits();
+        let eps = c.ln_eps.to_bits();
         let soft_kernels = |asm: &mut Asm, isa| {
             let sf = SoftFloat::emit_with_isa(asm, isa);
             let math = MathLib::emit(asm, &sf);
             Kernels::emit_with_isa(asm, &sf, &math, isa)
         };
-        match *spec {
+        let (copy_bytes, copy_strided, add, row_bytes, lib) = match *spec {
             ImageSpec::Float(_) => {
                 let k = soft_kernels(asm, KernelIsa::Rv32im);
-                Lowering {
-                    copy_bytes: k.copy_bytes,
-                    copy_strided: k.copy_strided,
-                    add: k.add_f32,
-                    row_bytes: s * 4,
-                    lib: Library::Float {
-                        k,
-                        inv_sqrt_dh,
-                        inv_dim,
-                        eps,
-                    },
-                }
+                let lib = Library::Float {
+                    k,
+                    inv_sqrt_dh,
+                    inv_dim,
+                    eps,
+                };
+                (k.copy_bytes, k.copy_strided, k.add_f32, s * 4, lib)
             }
             ImageSpec::Quant(qm, isa) => {
                 let ya = qm.qconfig.input_bits;
-                let deq = (1.0f32 / (1u32 << ya) as f32).to_bits() as i32;
-                let req = ((1u32 << ya) as f32).to_bits() as i32;
-                let nl = i32::from(qm.nonlinearity == Nonlinearity::FixedLut);
+                let deq = (1.0f32 / (1u32 << ya) as f32).to_bits();
+                let req = ((1u32 << ya) as f32).to_bits();
+                let nl = u32::from(qm.nonlinearity == Nonlinearity::FixedLut);
                 // shared float scratch row: max(S, mlp, dim) floats
                 let scratch_len = s.max(mlp).max(dim) * 4;
                 let scratch = asm.data_reserve(scratch_len, 4);
                 mutable.push((scratch, scratch_len as u32));
-                // padded score length and (Xkwtdot only) the V-transpose scratch
+                // (Xkwtdot only) the V-transpose scratch
                 let vt = match isa {
-                    KernelIsa::Rv32im => 0u32,
+                    KernelIsa::Rv32im => 0,
                     KernelIsa::Xkwtdot => {
                         let vt = asm.data_reserve(dh * kp * 2, 4);
                         mutable.push((vt, (dh * kp * 2) as u32));
                         vt
                     }
                 };
-                let attn_p = asm.data_words_i32(&[
-                    ya as i32,
-                    inv_sqrt_dh,
-                    deq,
-                    req,
-                    scratch as i32,
-                    nl,
-                    vt as i32,
-                    kp as i32,
-                ]);
+                let attn_p = param_block(
+                    asm,
+                    &[ya, inv_sqrt_dh, deq, req, scratch, nl, vt, kp as u32],
+                );
                 debug_assert_eq!(attn_params::SIZE, 32);
-                let ln_p = asm.data_words_i32(&[deq, req, inv_dim, eps, scratch as i32]);
+                let ln_p = param_block(asm, &[deq, req, inv_dim, eps, scratch]);
                 debug_assert_eq!(ln_params::SIZE, 20);
-                let gelu_p = asm.data_words_i32(&[deq, req, scratch as i32, nl]);
+                let gelu_p = param_block(asm, &[deq, req, scratch, nl]);
                 debug_assert_eq!(gelu_params::SIZE, 16);
                 let k = soft_kernels(asm, isa);
-                Lowering {
-                    copy_bytes: k.copy_bytes,
-                    copy_strided: k.copy_strided,
-                    add: k.add_sat_i16,
-                    // padded to KP entries so the packed N==1 GEMM can walk
-                    // it in word-sized lanes (the tail stays zero on both ISAs)
-                    row_bytes: kp * 2,
-                    lib: Library::Quant {
-                        k,
-                        yw: qm.qconfig.weight_bits as i32,
-                        attn_p,
-                        ln_p,
-                        gelu_p,
-                    },
-                }
+                let lib = Library::Quant {
+                    k,
+                    yw: qm.qconfig.weight_bits,
+                    attn_p,
+                    ln_p,
+                    gelu_p,
+                };
+                // the score row is padded to KP entries so the packed N==1
+                // GEMM can walk it in word-sized lanes (the tail stays zero)
+                (k.copy_bytes, k.copy_strided, k.add_sat_i16, kp * 2, lib)
             }
             ImageSpec::A8(qm, tuned) => {
                 let consts = qm.consts;
@@ -411,27 +394,31 @@ impl Lowering {
                 let rowf = asm.data_reserve(s.max(dim) * 4, 4);
                 let vt = asm.data_reserve(dh * kp, 4);
                 mutable.extend([(rowf, (s.max(dim) * 4) as u32), (vt, (dh * kp) as u32)]);
-                let attn_p = asm.data_words_i32(&[
-                    consts.shift_scores as i32,
-                    consts.score_deq_bits as i32,
-                    consts.prob_req_bits as i32,
-                    consts.shift_ctx as i32,
-                    rowf as i32,
-                    vt as i32,
-                ]);
+                let attn_p = param_block(
+                    asm,
+                    &[
+                        consts.shift_scores,
+                        consts.score_deq_bits,
+                        consts.prob_req_bits,
+                        consts.shift_ctx,
+                        rowf,
+                        vt,
+                    ],
+                );
                 debug_assert_eq!(a8_attn_params::SIZE, 24);
                 // LayerNorm parameter blocks: layer 0's LN1 dequantises the
                 // coarse stream0 exponent, every other LN the stream
                 // exponent. Both reuse the attention row scratch as their
                 // float row cache (the kernels never run concurrently).
-                let ln_block = |asm: &mut Asm, deq: u32| {
-                    asm.data_words_i32(&[
-                        deq as i32,
-                        consts.ln_req_bits as i32,
-                        consts.inv_n_bits as i32,
-                        consts.eps_bits as i32,
-                        rowf as i32,
-                    ])
+                let ln_block = |asm: &mut Asm, deq| {
+                    let words = [
+                        deq,
+                        consts.ln_req_bits,
+                        consts.inv_n_bits,
+                        consts.eps_bits,
+                        rowf,
+                    ];
+                    param_block(asm, &words)
                 };
                 let ln_p0 = ln_block(asm, consts.ln_deq0_bits);
                 let ln_p = ln_block(asm, consts.ln_deq_bits);
@@ -455,38 +442,32 @@ impl Lowering {
                         ln = specialise::emit_ln_a8_spec(asm, dim, &lf);
                     }
                 }
-                Lowering {
-                    copy_bytes: k.copy_bytes,
-                    copy_strided: k.copy_strided,
-                    add: k.add_sat_i8,
-                    row_bytes: kp,
-                    lib: Library::A8 {
-                        k,
-                        consts,
-                        gemm,
-                        ln,
-                        attn_p,
-                        ln_p0,
-                        ln_p,
-                    },
-                }
+                let lib = Library::A8 {
+                    k,
+                    consts,
+                    gemm,
+                    ln,
+                    attn_p,
+                    ln_p0,
+                    ln_p,
+                };
+                (k.copy_bytes, k.copy_strided, k.add_sat_i8, kp, lib)
             }
+        };
+        Lowering {
+            config,
+            copy_bytes,
+            copy_strided,
+            add,
+            row_bytes,
+            lib,
         }
     }
 
-    /// `out = a @ w + b` for an `m×kd` by `kd×n` product: GEMM `site` of
-    /// encoder layer `layer`.
-    fn gemm(
-        &self,
-        asm: &mut Asm,
-        site: Gemm,
-        layer: usize,
-        ptrs: [u32; 4],
-        geom: (usize, usize, usize),
-    ) {
-        let (m, kd, n) = geom;
-        let mut args: Vec<i32> = ptrs.iter().map(|&p| p as i32).collect();
-        args.extend([m as i32, kd as i32, n as i32]);
+    /// `out = a @ w + b` at GEMM `site` of encoder layer `layer`.
+    fn gemm(&self, asm: &mut Asm, site: GemmSite, layer: usize, [a, w, b, out]: [u32; 4]) {
+        let geom = site.geom(&self.config);
+        let mut args = vec![a, w, b, out, geom.m as u32, geom.k as u32, geom.n as u32];
         let label = match &self.lib {
             Library::Float { k, .. } => k.matmul_f32,
             Library::Quant { k, yw, .. } => {
@@ -497,57 +478,53 @@ impl Lowering {
                 k, consts, gemm, ..
             } => {
                 args.push(match site {
-                    Gemm::Proj => consts.shift_proj,
-                    Gemm::Qkv if layer == 0 => consts.shift_qkv0,
-                    Gemm::Qkv => consts.shift_qkv,
-                    Gemm::Out if layer == 0 => consts.shift_out0,
-                    Gemm::Out => consts.shift_out,
-                    Gemm::Mlp1 => consts.shift_mlp1,
-                    Gemm::Mlp2 => consts.shift_mlp2,
-                    Gemm::Head => consts.shift_head,
-                } as i32);
+                    GemmSite::Proj => consts.shift_proj,
+                    GemmSite::Qkv if layer == 0 => consts.shift_qkv0,
+                    GemmSite::Qkv => consts.shift_qkv,
+                    GemmSite::Out if layer == 0 => consts.shift_out0,
+                    GemmSite::Out => consts.shift_out,
+                    GemmSite::Mlp1 => consts.shift_mlp1,
+                    GemmSite::Mlp2 => consts.shift_mlp2,
+                    GemmSite::Head => consts.shift_head,
+                });
                 gemm.iter()
-                    .find(|(g, _)| (g.m, g.k, g.n) == geom)
+                    .find(|(g, _)| *g == geom)
                     .map_or(k.matmul_a8, |(_, l)| *l)
             }
         };
         let block = match site {
-            Gemm::Proj | Gemm::Head => regions::BLOCK_TOP,
-            Gemm::Qkv | Gemm::Out => regions::BLOCK_ATTENTION,
-            Gemm::Mlp1 | Gemm::Mlp2 => regions::BLOCK_MLP,
+            GemmSite::Proj | GemmSite::Head => BLOCK_TOP,
+            GemmSite::Qkv | GemmSite::Out => BLOCK_ATTENTION,
+            GemmSite::Mlp1 | GemmSite::Mlp2 => BLOCK_MLP,
         };
-        in_region(asm, block | regions::OP_MATMUL, |asm| {
-            call(asm, label, &args)
-        });
+        in_region(asm, block | OP_MATMUL, |asm| call(asm, label, &args));
     }
 
     /// Single-head attention of `q`, `kk`, `v` into `sa`, with the score
     /// row in `row` (the kernels tag their own profiler regions).
-    fn attention(&self, asm: &mut Asm, ptrs: [u32; 5], s: usize, dh: usize) {
-        let [q, kk, v, sa, row] = ptrs.map(|p| p as i32);
-        let (s, dh) = (s as i32, dh as i32);
+    fn attention(&self, asm: &mut Asm, [q, kk, v, sa, row]: [u32; 5]) {
+        let (s, dh) = (self.config.seqlen() as u32, self.config.dim_head as u32);
         match &self.lib {
             Library::Float { k, inv_sqrt_dh, .. } => call(
                 asm,
                 k.attention_f32,
                 &[q, kk, v, sa, s, dh, row, *inv_sqrt_dh],
             ),
-            Library::Quant { k, attn_p, .. } => call(
-                asm,
-                k.attention_q,
-                &[q, kk, v, sa, s, dh, row, *attn_p as i32],
-            ),
+            Library::Quant { k, attn_p, .. } => {
+                call(asm, k.attention_q, &[q, kk, v, sa, s, dh, row, *attn_p])
+            }
             Library::A8 { k, attn_p, .. } => {
-                call(asm, k.attention_a8, &[q, kk, v, sa, row, *attn_p as i32])
+                call(asm, k.attention_a8, &[q, kk, v, sa, row, *attn_p])
             }
         }
     }
 
-    /// In-place LayerNorm of the `s×dim` stream `x`; `stream0` marks the
+    /// In-place LayerNorm of the residual stream `x`; `stream0` marks the
     /// first layer's LN1, whose input is still at the coarse embedding
     /// exponent on the A8 path.
-    fn layer_norm(&self, asm: &mut Asm, [x, g, b]: [u32; 3], s: usize, dim: usize, stream0: bool) {
-        let mut args = vec![x as i32, g as i32, b as i32, s as i32, dim as i32];
+    fn layer_norm(&self, asm: &mut Asm, [x, g, b]: [u32; 3], stream0: bool) {
+        let c = &self.config;
+        let mut args = vec![x, g, b, c.seqlen() as u32, c.dim as u32];
         let label = match &self.lib {
             Library::Float {
                 k, inv_dim, eps, ..
@@ -556,48 +533,38 @@ impl Lowering {
                 k.layer_norm_f32
             }
             Library::Quant { k, ln_p, .. } => {
-                args.push(*ln_p as i32);
+                args.push(*ln_p);
                 k.ln_q
             }
             Library::A8 {
                 ln, ln_p0, ln_p, ..
             } => {
-                args.push(if stream0 { *ln_p0 } else { *ln_p } as i32);
+                args.push(if stream0 { *ln_p0 } else { *ln_p });
                 *ln
             }
         };
-        in_region(asm, regions::BLOCK_TOP | regions::OP_LAYERNORM, |asm| {
-            call(asm, label, &args)
-        });
+        in_region(asm, BLOCK_TOP | OP_LAYERNORM, |asm| call(asm, label, &args));
     }
 
-    /// In-place GELU of the `s×mlp` hidden activations.
-    fn gelu(&self, asm: &mut Asm, hidden: u32, s: usize, mlp: usize) {
-        let h = hidden as i32;
+    /// In-place GELU of the MLP hidden activations.
+    fn gelu(&self, asm: &mut Asm, hidden: u32) {
+        let (s, mlp) = (self.config.seqlen() as u32, self.config.mlp_dim as u32);
         let (label, args) = match &self.lib {
-            Library::Float { k, .. } => (k.gelu_f32, vec![h, (s * mlp) as i32]),
-            Library::Quant { k, gelu_p, .. } => {
-                (k.gelu_q, vec![h, s as i32, mlp as i32, *gelu_p as i32])
-            }
+            Library::Float { k, .. } => (k.gelu_f32, vec![hidden, s * mlp]),
+            Library::Quant { k, gelu_p, .. } => (k.gelu_q, vec![hidden, s, mlp, *gelu_p]),
             Library::A8 { k, consts, .. } => (
                 k.gelu_a8,
-                vec![
-                    h,
-                    (s * mlp) as i32,
-                    consts.gelu_deq_bits as i32,
-                    consts.gelu_req_bits as i32,
-                ],
+                vec![hidden, s * mlp, consts.gelu_deq_bits, consts.gelu_req_bits],
             ),
         };
-        in_region(asm, regions::BLOCK_MLP | regions::OP_GELU, |asm| {
-            call(asm, label, &args)
-        });
+        in_region(asm, BLOCK_MLP | OP_GELU, |asm| call(asm, label, &args));
     }
 
-    /// `x += src` over `n` elements.
-    fn residual(&self, asm: &mut Asm, x: u32, src: u32, n: usize) {
-        in_region(asm, regions::BLOCK_TOP | regions::OP_OTHER, |asm| {
-            call(asm, self.add, &[x as i32, src as i32, n as i32])
+    /// `x += src` over the whole `S x dim` residual stream.
+    fn residual(&self, asm: &mut Asm, x: u32, src: u32) {
+        let n = (self.config.seqlen() * self.config.dim) as u32;
+        in_region(asm, BLOCK_TOP | OP_OTHER, |asm| {
+            call(asm, self.add, &[x, src, n])
         });
     }
 }
@@ -635,14 +602,10 @@ impl InferenceImage {
                 };
                 (qm.config, 2, flavor, isa, Some(qm.qconfig), None)
             }
-            ImageSpec::A8(qm, _) => (
-                qm.config,
-                1,
-                Flavor::A8,
-                KernelIsa::Xkwtdot,
-                None,
-                Some(qm.a8),
-            ),
+            ImageSpec::A8(qm, _) => {
+                let isa = KernelIsa::Xkwtdot;
+                (qm.config, 1, Flavor::A8, isa, None, Some(qm.a8))
+            }
         };
         if c.heads != 1 {
             return Err(BuildError::Model(format!(
@@ -656,33 +619,26 @@ impl InferenceImage {
                 c.dim_head
             )));
         }
-        let (s, dim, mlp, dh, f, t, classes) = (
-            c.seqlen(),
-            c.dim,
-            c.mlp_dim,
-            c.dim_head,
-            c.input_freq,
-            c.input_time,
-            c.num_classes,
-        );
+        let (s, dim, mlp, dh) = (c.seqlen(), c.dim, c.mlp_dim, c.dim_head);
         let mut asm = Asm::new(TEXT_BASE, DATA_BASE);
 
         // ---- data: weights, then the mailboxes ----
         let weights: Vec<u32> = spec.weights().iter().map(|w| w.emit(&mut asm)).collect();
-        let input = asm.data_reserve(t * f * e, 4);
-        let x = asm.data_reserve(s * dim * e, 4);
-        let logits = asm.data_reserve(classes * e, 4);
         // every run-time-written region; the rest of the image is static
-        let mut mutable_ranges = vec![
-            (input, (t * f * e) as u32),
-            (x, (s * dim * e) as u32),
-            (logits, (classes * e) as u32),
-        ];
+        let mut mutable_ranges = Vec::new();
+        let mut mailbox = |asm: &mut Asm, len: usize| {
+            let addr = asm.data_reserve(len, 4);
+            mutable_ranges.push((addr, len as u32));
+            addr
+        };
+        let input = mailbox(&mut asm, c.input_time * c.input_freq * e);
+        let x = mailbox(&mut asm, s * dim * e);
+        let logits = mailbox(&mut asm, c.num_classes * e);
 
         // ---- code: the kernel library (and its scratch), jumped over ----
         let over = asm.new_label();
         asm.jump_to(over);
-        let ops = Lowering::emit(&spec, &c, &mut asm, &mut mutable_ranges);
+        let ops = Lowering::emit(&spec, c, &mut asm, &mut mutable_ranges);
         asm.bind(over)?;
         // the paper's two banks
         let mut bank1 = Bank::new("bank1", asm.data_reserve(s * mlp * e, 4), s * mlp * e);
@@ -698,21 +654,11 @@ impl InferenceImage {
         };
         // tokens = input @ Wp + bp, written into x rows 1..
         let tokens = x + (dim * e) as u32;
-        ops.gemm(
-            &mut asm,
-            Gemm::Proj,
-            0,
-            [input, w_proj, b_proj, tokens],
-            (t, f, dim),
-        );
+        ops.gemm(&mut asm, GemmSite::Proj, 0, [input, w_proj, b_proj, tokens]);
         // class token + positional embeddings
-        in_region(&mut asm, regions::BLOCK_TOP | regions::OP_OTHER, |asm| {
-            call(
-                asm,
-                ops.copy_bytes,
-                &[x as i32, cls as i32, (dim * e) as i32],
-            );
-            call(asm, ops.add, &[x as i32, pos as i32, (s * dim) as i32]);
+        in_region(&mut asm, BLOCK_TOP | OP_OTHER, |asm| {
+            call(asm, ops.copy_bytes, &[x, cls, (dim * e) as u32]);
+            call(asm, ops.add, &[x, pos, (s * dim) as u32]);
         });
 
         for (idx, layer) in layers.chunks_exact(LAYER_TENSORS).enumerate() {
@@ -722,83 +668,43 @@ impl InferenceImage {
             bank1.reset();
             bank2.reset();
             let qkv = bank1.alloc(s * 3 * dh * e, 4)?;
-            ops.gemm(
-                &mut asm,
-                Gemm::Qkv,
-                idx,
-                [x, w_qkv, b_qkv, qkv],
-                (s, dim, 3 * dh),
-            );
+            ops.gemm(&mut asm, GemmSite::Qkv, idx, [x, w_qkv, b_qkv, qkv]);
             // split into contiguous Q, K, V (bank2 = S x dh x 3 exactly)
             let q = bank2.alloc(s * dh * e, 4)?;
             let kk = bank2.alloc(s * dh * e, 4)?;
             let v = bank2.alloc(s * dh * e, 4)?;
-            let row_stride = (3 * dh * e) as i32;
-            in_region(
-                &mut asm,
-                regions::BLOCK_ATTENTION | regions::OP_OTHER,
-                |asm| {
-                    for (dst, part) in [(q, 0), (kk, 1), (v, 2)] {
-                        let src = qkv + (part * dh * e) as u32;
-                        let args = [
-                            dst as i32,
-                            src as i32,
-                            s as i32,
-                            row_stride,
-                            (dh * e) as i32,
-                        ];
-                        call(asm, ops.copy_strided, &args);
-                    }
-                },
-            );
+            let head_bytes = (dh * e) as u32;
+            in_region(&mut asm, BLOCK_ATTENTION | OP_OTHER, |asm| {
+                for (part, dst) in (0..).zip([q, kk, v]) {
+                    let src = qkv + part * head_bytes;
+                    let args = [dst, src, s as u32, 3 * head_bytes, head_bytes];
+                    call(asm, ops.copy_strided, &args);
+                }
+            });
             // qkv buffer is dead: reuse bank1 for attention scratch
             bank1.reset();
             let sa = bank1.alloc(s * dh * e, 4)?;
             let row = bank1.alloc(ops.row_bytes, 4)?;
             let attn_out = bank1.alloc(s * dim * e, 4)?;
-            ops.attention(&mut asm, [q, kk, v, sa, row], s, dh);
+            ops.attention(&mut asm, [q, kk, v, sa, row]);
             // output projection + residual + LN1
-            ops.gemm(
-                &mut asm,
-                Gemm::Out,
-                idx,
-                [sa, w_out, b_out, attn_out],
-                (s, dh, dim),
-            );
-            ops.residual(&mut asm, x, attn_out, s * dim);
-            ops.layer_norm(&mut asm, [x, g1, be1], s, dim, idx == 0);
+            ops.gemm(&mut asm, GemmSite::Out, idx, [sa, w_out, b_out, attn_out]);
+            ops.residual(&mut asm, x, attn_out);
+            ops.layer_norm(&mut asm, [x, g1, be1], idx == 0);
             // MLP
             bank1.reset();
             bank2.reset();
             let hidden = bank1.alloc(s * mlp * e, 4)?;
             let mlp_out = bank2.alloc(s * dim * e, 4)?;
-            ops.gemm(
-                &mut asm,
-                Gemm::Mlp1,
-                idx,
-                [x, w1, b1, hidden],
-                (s, dim, mlp),
-            );
-            ops.gelu(&mut asm, hidden, s, mlp);
-            ops.gemm(
-                &mut asm,
-                Gemm::Mlp2,
-                idx,
-                [hidden, w2, b2, mlp_out],
-                (s, mlp, dim),
-            );
-            ops.residual(&mut asm, x, mlp_out, s * dim);
-            ops.layer_norm(&mut asm, [x, g2, be2], s, dim, false);
+            ops.gemm(&mut asm, GemmSite::Mlp1, idx, [x, w1, b1, hidden]);
+            ops.gelu(&mut asm, hidden);
+            ops.gemm(&mut asm, GemmSite::Mlp2, idx, [hidden, w2, b2, mlp_out]);
+            ops.residual(&mut asm, x, mlp_out);
+            ops.layer_norm(&mut asm, [x, g2, be2], false);
         }
 
         // classification head on the class-token row
-        ops.gemm(
-            &mut asm,
-            Gemm::Head,
-            0,
-            [x, w_head, b_head, logits],
-            (1, dim, classes),
-        );
+        ops.gemm(&mut asm, GemmSite::Head, 0, [x, w_head, b_head, logits]);
         asm.li(Reg::A0, logits as i32);
         asm.emit(Inst::Ebreak);
 

@@ -226,27 +226,59 @@ impl GemmFactors {
     }
 }
 
-/// The GEMM geometries of a KWT forward pass over `c`, deduplicated, in
-/// call order: patch projection, QKV projection, attention output
-/// projection, MLP hidden, MLP out, classifier head. The A8 image
-/// specialises one kernel per entry and `paper tune-kernels` tunes them.
-pub fn gemm_sites(c: &KwtConfig) -> Vec<GemmGeom> {
-    let s = c.seqlen();
-    let mut out: Vec<GemmGeom> = Vec::new();
-    for (m, k, n) in [
-        (c.input_time, c.input_freq, c.dim),
-        (s, c.dim, 3 * c.dim_head),
-        (s, c.dim_head, c.dim),
-        (s, c.dim, c.mlp_dim),
-        (s, c.mlp_dim, c.dim),
-        (1, c.dim, c.num_classes),
-    ] {
-        let geom = GemmGeom {
+/// The GEMM call sites of a KWT forward pass, in call order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum GemmSite {
+    /// Patch projection of the input frames.
+    Proj,
+    /// Per layer: QKV projection.
+    Qkv,
+    /// Per layer: attention output projection.
+    Out,
+    /// Per layer: MLP hidden.
+    Mlp1,
+    /// Per layer: MLP out.
+    Mlp2,
+    /// Classifier head on the class-token row.
+    Head,
+}
+
+impl GemmSite {
+    const ALL: [GemmSite; 6] = [
+        GemmSite::Proj,
+        GemmSite::Qkv,
+        GemmSite::Out,
+        GemmSite::Mlp1,
+        GemmSite::Mlp2,
+        GemmSite::Head,
+    ];
+
+    /// This site's geometry in a forward pass over `c`.
+    pub(crate) fn geom(self, c: &KwtConfig) -> GemmGeom {
+        let s = c.seqlen();
+        let (m, k, n) = match self {
+            GemmSite::Proj => (c.input_time, c.input_freq, c.dim),
+            GemmSite::Qkv => (s, c.dim, 3 * c.dim_head),
+            GemmSite::Out => (s, c.dim_head, c.dim),
+            GemmSite::Mlp1 => (s, c.dim, c.mlp_dim),
+            GemmSite::Mlp2 => (s, c.mlp_dim, c.dim),
+            GemmSite::Head => (1, c.dim, c.num_classes),
+        };
+        GemmGeom {
             m,
             k,
             n,
             has_bias: true,
-        };
+        }
+    }
+}
+
+/// The distinct GEMM geometries of a KWT forward pass over `c`, in call
+/// order. The A8 image specialises one kernel per entry and
+/// `paper tune-kernels` tunes them.
+pub fn gemm_sites(c: &KwtConfig) -> Vec<GemmGeom> {
+    let mut out: Vec<GemmGeom> = Vec::new();
+    for geom in GemmSite::ALL.map(|site| site.geom(c)) {
         if !out.contains(&geom) {
             out.push(geom);
         }
