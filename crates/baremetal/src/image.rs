@@ -1372,12 +1372,12 @@ mod tests {
     use kwt_quant::QuantConfig;
 
     fn trained_ish() -> KwtParams {
-        let mut p = KwtParams::init(KwtConfig::kwt_tiny(), 77).unwrap();
-        p.visit_mut(|s| {
-            for v in s {
-                *v *= 0.6;
-            }
-        });
+        scaled_params(KwtConfig::kwt_tiny())
+    }
+
+    fn scaled_params(config: KwtConfig) -> KwtParams {
+        let mut p = KwtParams::init(config, 77).unwrap();
+        p.visit_mut(|s| s.iter_mut().for_each(|v| *v *= 0.6));
         p
     }
 
@@ -1888,12 +1888,6 @@ mod tests {
             h = fnv1a64_update(h, &w.to_le_bytes());
         }
         fnv1a64_update(h, format!("{:?}/{:?}", img.flavor, img.isa).as_bytes())
-    }
-
-    fn scaled_params(config: KwtConfig) -> KwtParams {
-        let mut p = KwtParams::init(config, 77).unwrap();
-        p.visit_mut(|s| s.iter_mut().for_each(|v| *v *= 0.6));
-        p
     }
 
     /// Every image flavour built from `params`, labelled for the pins.
