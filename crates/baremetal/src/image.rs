@@ -22,7 +22,7 @@
 use crate::banks::Bank;
 use crate::kernels::{
     a8_attn_params, a8_ln_params, attn_params, gelu_params, ln_params, pop_region, push_region,
-    A8Kernels, KernelIsa, Kernels,
+    A8Kernels, Kernels,
 };
 use crate::mathlib::MathLib;
 use crate::regions::{
@@ -47,8 +47,8 @@ pub enum Flavor {
     /// Quantised pipeline + custom-instruction SoftMax/GELU.
     Accelerated,
     /// Fully-INT8 (A8W8) pipeline over `kdot4.i8`, LUT non-linearities
-    /// and the fused attention row pipeline — always
-    /// [`KernelIsa::Xkwtdot`].
+    /// and the fused attention row pipeline — the only flavour that uses
+    /// the custom-2 packed-MAC extension.
     A8,
 }
 
@@ -57,8 +57,6 @@ pub enum Flavor {
 pub struct InferenceImage {
     /// The pipeline flavour.
     pub flavor: Flavor,
-    /// Which kernel ISA the image was generated for.
-    pub isa: KernelIsa,
     /// The linked program (text + data).
     pub program: Program,
     /// Model architecture.
@@ -91,16 +89,14 @@ const DATA_BASE: u32 = 0x8000;
 pub enum ImageSpec<'a> {
     /// Float weights over the soft-float kernels ([`Flavor::Float`]).
     Float(&'a KwtParams),
-    /// The INT8-weight / INT16-activation pipeline over the chosen kernel
-    /// ISA: [`Flavor::Accelerated`] when the model uses the
+    /// The INT8-weight / INT16-activation pipeline over the scalar RV32IM
+    /// integer kernels: [`Flavor::Accelerated`] when the model uses the
     /// custom-instruction non-linearities ([`Nonlinearity::FixedLut`]),
-    /// else [`Flavor::Quantized`]. Under [`KernelIsa::Xkwtdot`] every INT8
-    /// weight matrix is emitted **transposed** (word-aligned, `N×K`
-    /// row-major) so the packed GEMM walks contiguous memory; the logits
-    /// are bit-identical to the scalar image's.
-    Quant(&'a QuantizedKwt, KernelIsa),
-    /// The fully-INT8 A8W8 pipeline ([`Flavor::A8`], always
-    /// [`KernelIsa::Xkwtdot`]). With a tuned-factor table the builder
+    /// else [`Flavor::Quantized`].
+    Quant(&'a QuantizedKwt),
+    /// The fully-INT8 A8W8 pipeline ([`Flavor::A8`], over the custom-2
+    /// packed-MAC extension; every INT8 weight matrix is stored
+    /// **transposed**, `N×K` row-major). With a tuned-factor table the builder
     /// emits a specialised kernel for every distinct GEMM geometry and
     /// the LayerNorm width (the table's factors when valid, defaults
     /// otherwise) and points the call sites at it; the generic kernels
@@ -116,7 +112,7 @@ enum Tensor<'a> {
     I16(&'a [i16]),
     I8(&'a [i8]),
     /// An INT8 matrix stored transposed (`N×K`, word-aligned) for the
-    /// packed GEMMs.
+    /// A8 GEMMs.
     I8T(&'a Mat<i8>),
 }
 
@@ -220,12 +216,9 @@ impl<'a> ImageSpec<'a> {
                 out.extend([m(&p.w_head), F32(&p.b_head)]);
                 out
             }
-            ImageSpec::Quant(qm, isa) => {
+            ImageSpec::Quant(qm) => {
                 let (wp, bp, pe, ct, wh, bh) = qm.tensors();
-                let mat = move |w: &'a Mat<i8>| match isa {
-                    KernelIsa::Rv32im => I8(w.as_slice()),
-                    KernelIsa::Xkwtdot => I8T(w),
-                };
+                let mat = |w: &'a Mat<i8>| I8(w.as_slice());
                 let layers = (0..qm.config.depth).map(|i| qm.layer_tensors(i));
                 int_weights(
                     mat,
@@ -332,14 +325,14 @@ impl Lowering {
         let inv_sqrt_dh = (1.0 / (dh as f32).sqrt()).to_bits();
         let inv_dim = (1.0 / dim as f32).to_bits();
         let eps = c.ln_eps.to_bits();
-        let soft_kernels = |asm: &mut Asm, isa| {
-            let sf = SoftFloat::emit_with_isa(asm, isa);
+        let soft_kernels = |asm: &mut Asm| {
+            let sf = SoftFloat::emit(asm);
             let math = MathLib::emit(asm, &sf);
-            Kernels::emit_with_isa(asm, &sf, &math, isa)
+            Kernels::emit(asm, &sf, &math)
         };
         let (copy_bytes, copy_strided, add, row_bytes, lib) = match *spec {
             ImageSpec::Float(_) => {
-                let k = soft_kernels(asm, KernelIsa::Rv32im);
+                let k = soft_kernels(asm);
                 let lib = Library::Float {
                     k,
                     inv_sqrt_dh,
@@ -348,7 +341,7 @@ impl Lowering {
                 };
                 (k.copy_bytes, k.copy_strided, k.add_f32, s * 4, lib)
             }
-            ImageSpec::Quant(qm, isa) => {
+            ImageSpec::Quant(qm) => {
                 let ya = qm.qconfig.input_bits;
                 let deq = (1.0f32 / (1u32 << ya) as f32).to_bits();
                 let req = ((1u32 << ya) as f32).to_bits();
@@ -357,25 +350,14 @@ impl Lowering {
                 let scratch_len = s.max(mlp).max(dim) * 4;
                 let scratch = asm.data_reserve(scratch_len, 4);
                 mutable.push((scratch, scratch_len as u32));
-                // (Xkwtdot only) the V-transpose scratch
-                let vt = match isa {
-                    KernelIsa::Rv32im => 0,
-                    KernelIsa::Xkwtdot => {
-                        let vt = asm.data_reserve(dh * kp * 2, 4);
-                        mutable.push((vt, (dh * kp * 2) as u32));
-                        vt
-                    }
-                };
-                let attn_p = param_block(
-                    asm,
-                    &[ya, inv_sqrt_dh, deq, req, scratch, nl, vt, kp as u32],
-                );
+                let attn_p =
+                    param_block(asm, &[ya, inv_sqrt_dh, deq, req, scratch, nl, 0, kp as u32]);
                 debug_assert_eq!(attn_params::SIZE, 32);
                 let ln_p = param_block(asm, &[deq, req, inv_dim, eps, scratch]);
                 debug_assert_eq!(ln_params::SIZE, 20);
                 let gelu_p = param_block(asm, &[deq, req, scratch, nl]);
                 debug_assert_eq!(gelu_params::SIZE, 16);
-                let k = soft_kernels(asm, isa);
+                let k = soft_kernels(asm);
                 let lib = Library::Quant {
                     k,
                     yw: qm.qconfig.weight_bits,
@@ -383,8 +365,8 @@ impl Lowering {
                     ln_p,
                     gelu_p,
                 };
-                // the score row is padded to KP entries so the packed N==1
-                // GEMM can walk it in word-sized lanes (the tail stays zero)
+                // the score-row scratch holds KP = S rounded up to a
+                // multiple of 4 entries; the scalar kernel uses the first S
                 (k.copy_bytes, k.copy_strided, k.add_sat_i16, kp * 2, lib)
             }
             ImageSpec::A8(qm, tuned) => {
@@ -592,20 +574,17 @@ impl InferenceImage {
     /// `platform`.
     pub fn build(spec: ImageSpec<'_>, platform: Platform) -> Result<Self> {
         // element bytes and the image header each flavour carries
-        let (c, e, flavor, isa, qconfig, a8config) = match spec {
-            ImageSpec::Float(p) => (p.config, 4, Flavor::Float, KernelIsa::Rv32im, None, None),
-            ImageSpec::Quant(qm, isa) => {
+        let (c, e, flavor, qconfig, a8config) = match spec {
+            ImageSpec::Float(p) => (p.config, 4, Flavor::Float, None, None),
+            ImageSpec::Quant(qm) => {
                 let flavor = if qm.nonlinearity == Nonlinearity::FixedLut {
                     Flavor::Accelerated
                 } else {
                     Flavor::Quantized
                 };
-                (qm.config, 2, flavor, isa, Some(qm.qconfig), None)
+                (qm.config, 2, flavor, Some(qm.qconfig), None)
             }
-            ImageSpec::A8(qm, _) => {
-                let isa = KernelIsa::Xkwtdot;
-                (qm.config, 1, Flavor::A8, isa, None, Some(qm.a8))
-            }
+            ImageSpec::A8(qm, _) => (qm.config, 1, Flavor::A8, None, Some(qm.a8)),
         };
         if c.heads != 1 {
             return Err(BuildError::Model(format!(
@@ -712,7 +691,6 @@ impl InferenceImage {
         check_ram(&program, &platform)?;
         Ok(InferenceImage {
             flavor,
-            isa,
             program,
             config: c,
             qconfig,
@@ -737,14 +715,14 @@ impl InferenceImage {
         Self::build(ImageSpec::Float(params), Platform::ibex())
     }
 
-    /// The paper's quantised image ([`ImageSpec::Quant`]) over the scalar
-    /// [`KernelIsa::Rv32im`] kernels on the 64 kB Ibex.
+    /// The paper's quantised image ([`ImageSpec::Quant`]) on the 64 kB
+    /// Ibex.
     ///
     /// # Errors
     ///
     /// Same contract as [`Self::build`].
     pub fn build_quant(qm: &QuantizedKwt) -> Result<Self> {
-        Self::build(ImageSpec::Quant(qm, KernelIsa::Rv32im), Platform::ibex())
+        Self::build(ImageSpec::Quant(qm), Platform::ibex())
     }
 
     /// The A8 image ([`ImageSpec::A8`]) with the committed tuning table
@@ -871,7 +849,6 @@ impl InferenceImage {
         Ok(DeviceSession {
             machine,
             flavor: self.flavor,
-            isa: self.isa,
             config: self.config,
             qconfig: self.qconfig,
             a8config: self.a8config,
@@ -895,7 +872,6 @@ impl InferenceImage {
 pub struct DeviceSession {
     machine: Machine,
     flavor: Flavor,
-    isa: KernelIsa,
     config: KwtConfig,
     qconfig: Option<QuantConfig>,
     a8config: Option<A8Config>,
@@ -909,11 +885,6 @@ impl DeviceSession {
     /// The image flavour this session runs.
     pub fn flavor(&self) -> Flavor {
         self.flavor
-    }
-
-    /// The kernel ISA of the loaded image.
-    pub fn isa(&self) -> KernelIsa {
-        self.isa
     }
 
     /// The model configuration this session runs.
@@ -1464,81 +1435,29 @@ mod tests {
     }
 
     #[test]
-    fn xkwtdot_image_bit_identical_to_scalar_and_faster() {
-        // The Xkwtdot image must produce bit-identical logits to the
-        // scalar-ISA image on every flavour/seed, with a large cycle
-        // reduction — the paper's 13 M -> 5.5 M trajectory continued.
-        let params = trained_ish();
-        let qm = QuantizedKwt::quantize(&params, QuantConfig::paper_best());
-        let accel = qm.clone().with_nonlinearity(Nonlinearity::FixedLut);
-        for model in [&qm, &accel] {
-            let scalar = InferenceImage::build_quant(model).unwrap();
-            let packed = InferenceImage::build(
-                ImageSpec::Quant(model, KernelIsa::Xkwtdot),
-                Platform::ibex(),
-            )
-            .unwrap();
-            assert_eq!(scalar.isa, KernelIsa::Rv32im);
-            assert_eq!(packed.isa, KernelIsa::Xkwtdot);
-            assert_eq!(scalar.flavor, packed.flavor);
-            for seed in [31u64, 32, 33] {
-                let x = test_input(seed);
-                let (sl, sr, _) = scalar.run(&x).unwrap();
-                let (pl, pr, _) = packed.run(&x).unwrap();
-                for (a, b) in sl.iter().zip(&pl) {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{:?} seed {seed}: scalar {a} vs xkwtdot {b}",
-                        scalar.flavor
-                    );
-                }
-                assert!(
-                    pr.cycles * 3 < sr.cycles * 2,
-                    "{:?} seed {seed}: expected >=1.5x cycle cut, got {} vs {}",
-                    scalar.flavor,
-                    pr.cycles,
-                    sr.cycles
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn xkwtdot_histogram_attributes_packed_classes() {
+    fn scalar_accel_image_retires_no_custom2_ops() {
+        // The paper's three images run on the plain Ibex: only the
+        // custom-1 LUT ops, never the custom-2 packed-MAC extension.
         use kwt_rv32::InstClass;
         let params = trained_ish();
         let qm = QuantizedKwt::quantize(&params, QuantConfig::paper_best())
             .with_nonlinearity(Nonlinearity::FixedLut);
-        let image =
-            InferenceImage::build(ImageSpec::Quant(&qm, KernelIsa::Xkwtdot), Platform::ibex())
-                .unwrap();
+        let image = InferenceImage::build_quant(&qm).unwrap();
         let mut session = image.session().unwrap();
         session.set_class_histogram_enabled(true);
         session.run(&test_input(9)).unwrap();
         let h = session.machine().class_histogram();
-        assert!(
-            h.count(InstClass::PackedDot) > 10_000,
-            "kdot2 in the hot loop"
-        );
-        assert!(
-            h.count(InstClass::PackedLoad) > 10_000,
-            "klw.b2h feeds the weights"
-        );
-        assert!(
-            h.count(InstClass::PackedCvt) > 1_000,
-            "kcvt quant boundaries"
-        );
-        assert!(h.count(InstClass::PackedAlu) > 100, "ksat epilogues");
+        assert!(h.count(InstClass::Lut) > 0, "the LUT ops still run");
+        for class in [
+            InstClass::PackedDot,
+            InstClass::PackedAlu,
+            InstClass::PackedLoad,
+            InstClass::PackedCvt,
+            InstClass::PackedFloat,
+        ] {
+            assert_eq!(h.count(class), 0, "{class:?}");
+        }
         assert_eq!(h.total_cycles(), session.machine().cpu.cycles);
-        // the scalar image must use none of them
-        let scalar = InferenceImage::build_quant(&qm).unwrap();
-        let mut s2 = scalar.session().unwrap();
-        s2.set_class_histogram_enabled(true);
-        s2.run(&test_input(9)).unwrap();
-        let hs = s2.machine().class_histogram();
-        assert_eq!(hs.count(InstClass::PackedDot), 0);
-        assert_eq!(hs.count(InstClass::PackedLoad), 0);
     }
 
     /// MFCC-shaped test inputs (large positive c0, decaying higher
@@ -1577,7 +1496,6 @@ mod tests {
             let qm = A8Kwt::quantize(&params, a8cfg).unwrap();
             let image = InferenceImage::build_a8(&qm).unwrap();
             assert_eq!(image.flavor, Flavor::A8);
-            assert_eq!(image.isa, KernelIsa::Xkwtdot);
             let mut session = image.session().unwrap();
             for seed in 0..6u64 {
                 let x = mfcc_like_input(seed * 31 + 7);
@@ -1636,23 +1554,21 @@ mod tests {
     #[test]
     fn a8_image_is_fastest_variant() {
         // The whole point: kdot4 + the fused attention pipeline must
-        // beat the i16 Xkwtdot image by a wide margin, and land under
-        // the 0.30 M-cycle acceptance bar.
+        // beat the scalar accelerated image (the paper's fastest) by a
+        // wide margin, and land under the 0.30 M-cycle acceptance bar.
         use kwt_quant::{A8Config, A8Kwt};
         let params = trained_ish();
         let qm = QuantizedKwt::quantize(&params, QuantConfig::paper_best())
             .with_nonlinearity(Nonlinearity::FixedLut);
-        let ximage =
-            InferenceImage::build(ImageSpec::Quant(&qm, KernelIsa::Xkwtdot), Platform::ibex())
-                .unwrap();
+        let ximage = InferenceImage::build_quant(&qm).unwrap();
         let a8 = A8Kwt::quantize(&params, A8Config::paper_a8()).unwrap();
         let a8image = InferenceImage::build_a8(&a8).unwrap();
         let x = mfcc_like_input(42);
         let (_, rx, _) = ximage.run(&x).unwrap();
         let (_, ra, _) = a8image.run(&x).unwrap();
         assert!(
-            ra.cycles * 5 < rx.cycles * 4,
-            "A8 should cut ≥20% off the i16 Xkwtdot image: {} vs {}",
+            ra.cycles * 5 < rx.cycles,
+            "A8 should run ≥5x faster than the scalar accelerated image: {} vs {}",
             ra.cycles,
             rx.cycles
         );
@@ -1887,7 +1803,15 @@ mod tests {
         for w in words {
             h = fnv1a64_update(h, &w.to_le_bytes());
         }
-        fnv1a64_update(h, format!("{:?}/{:?}", img.flavor, img.isa).as_bytes())
+        // the image header's flavour plus the ISA it implies (only A8
+        // uses the custom-2 extension), spelled as when images carried
+        // an ISA field so the recorded digests stay comparable
+        let isa = if img.flavor == Flavor::A8 {
+            "Xkwtdot"
+        } else {
+            "Rv32im"
+        };
+        fnv1a64_update(h, format!("{:?}/{isa}", img.flavor).as_bytes())
     }
 
     /// Every image flavour built from `params`, labelled for the pins.
@@ -1901,11 +1825,8 @@ mod tests {
             InferenceImage::build_float(params).unwrap(),
         )];
         for model in [&qm, &accel] {
-            for isa in [KernelIsa::Rv32im, KernelIsa::Xkwtdot] {
-                let img =
-                    InferenceImage::build(ImageSpec::Quant(model, isa), Platform::ibex()).unwrap();
-                out.push((format!("{:?}/{isa:?}", img.flavor), img));
-            }
+            let img = InferenceImage::build_quant(model).unwrap();
+            out.push((format!("{:?}/Rv32im", img.flavor), img));
         }
         let tuned = TunedKernels::embedded();
         for (name, table) in [("a8/tuned", Some(&tuned)), ("a8/generic", None)] {
@@ -1955,16 +1876,12 @@ mod tests {
         let want = [
             ("depth1/float", 0xec6b04d0e146ede8),
             ("depth1/Quantized/Rv32im", 0x13bab0fea7463412),
-            ("depth1/Quantized/Xkwtdot", 0x45aa3de33b1a5ac9),
             ("depth1/Accelerated/Rv32im", 0x064ae9166b8c2628),
-            ("depth1/Accelerated/Xkwtdot", 0x30c025524e4c82ff),
             ("depth1/a8/tuned", 0x3d47424d67f7f295),
             ("depth1/a8/generic", 0xb1f46a2b0c5fef75),
             ("depth2/float", 0xdbe0e9845d1e4ed7),
             ("depth2/Quantized/Rv32im", 0x2aad0a96ecc2e4f3),
-            ("depth2/Quantized/Xkwtdot", 0xd1636e2247035fcf),
             ("depth2/Accelerated/Rv32im", 0x46fd8478448c8c61),
-            ("depth2/Accelerated/Xkwtdot", 0x4e143a2ea046aa5d),
             ("depth2/a8/tuned", 0x78b4f0aaf1d0b4e9),
             ("depth2/a8/generic", 0xf519e6c52c47d6e8),
             ("kwt1-depth1/a8/generic@1MiB", 0x0fceb8a44f7d8a6e),
@@ -1990,8 +1907,7 @@ mod tests {
             let tuned = TunedKernels::embedded();
             for (name, spec) in [
                 ("float", ImageSpec::Float(params)),
-                ("quant", ImageSpec::Quant(&qm, KernelIsa::Rv32im)),
-                ("quant/xkwtdot", ImageSpec::Quant(&qm, KernelIsa::Xkwtdot)),
+                ("quant", ImageSpec::Quant(&qm)),
                 ("a8", ImageSpec::A8(&a8, Some(&tuned))),
                 ("a8/generic", ImageSpec::A8(&a8, None)),
             ] {

@@ -10,20 +10,11 @@
 //!   rewritten over the `custom-1` instructions (KWT-Tiny-Q +HW,
 //!   5.5 M cycles)
 //!
-//! Orthogonally, the integer kernels come in two ISA variants
-//! ([`KernelIsa`]):
-//!
-//! * [`KernelIsa::Rv32im`] — scalar `lh`/`lb`/`mul`/`add` inner loops;
-//!   kept bit-for-bit as the differential oracle
-//! * [`KernelIsa::Xkwtdot`] — the custom-2 packed-MAC extension:
-//!   `kdot2.i16` dot-product inner loops (fed by `lw`/`klw.b2h` packed
-//!   operand loads), `ksat.i16` saturating epilogues, and
-//!   `kcvt.h2f`/`kcvt.f2h` single-instruction quantisation boundaries.
-//!   The weight-matrix GEMM (`matmul_q`) takes its weights
-//!   **transposed** (`N×K` row-major) so the packed loads walk
-//!   contiguous memory; misaligned or non-multiple-of-4 `K` falls back
-//!   to a scalar loop over the same transposed layout, so results are
-//!   always bit-identical to the oracle.
+//! The integer kernels are scalar RV32IM loops (`lh`/`lb`/`mul`/`add`),
+//! the bit-for-bit oracle of the host quantised model. The custom-2
+//! packed-MAC extension (`kdot4.i8`, `ksat.i16`, `kclip`, `kcvt.*`,
+//! `kf{add,sub,mul}.t`) is used only by the fully-INT8 [`A8Kernels`]
+//! below.
 //!
 //! Calling conventions follow the RISC-V ILP32 ABI: arguments `a0..a7`,
 //! caller-saved `t*`, callee-saved `s*`.
@@ -37,38 +28,12 @@ use kwt_rvasm::{
 use Reg::{Ra, Zero, A0, A1, A2, A3, A4, A5, A6, A7, T0, T1, T2, T3, T4, T5, T6};
 use Reg::{S0, S1, S10, S11, S2, S3, S4, S5, S6, S7, S8, S9};
 
-/// Which instruction set the integer GEMM / quantisation kernels are
-/// emitted for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelIsa {
-    /// Scalar RV32IM inner loops — the differential oracle.
-    Rv32im,
-    /// Xkwtdot custom-2 packed-MAC inner loops. Under this ISA,
-    /// `matmul_q` expects its weight operand **transposed** (`N×K`
-    /// row-major) so packed loads are contiguous.
-    Xkwtdot,
-}
-
-impl KernelIsa {
-    /// Stable lowercase name (used by benchmark artefacts).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            KernelIsa::Rv32im => "rv32im",
-            KernelIsa::Xkwtdot => "xkwtdot",
-        }
-    }
-}
-
 /// Entry labels for every generated kernel.
 #[derive(Debug, Clone, Copy)]
 pub struct Kernels {
     /// `matmul_f32(A, B, bias|0, out, M, K, N)` — O(n³), soft-float MACs.
     pub matmul_f32: Label,
     /// `matmul_q(A:i16, W:i8, bias:i32|0, out:i16, M, K, N, shift)`.
-    ///
-    /// Under [`KernelIsa::Xkwtdot`] the weight operand is the
-    /// **transposed** matrix (`N×K` row-major) so the packed loads walk
-    /// contiguous memory; the image builder emits weights accordingly.
     pub matmul_q: Label,
     /// `matmul_qq(A:i16, B:i16, 0, out:i16, M, K, N, shift)`.
     pub matmul_qq: Label,
@@ -159,11 +124,9 @@ pub mod attn_params {
     pub const ROWF: i32 = 16;
     /// u32: 0 = float softmax, 1 = LUT softmax.
     pub const NONLINEARITY: i32 = 20;
-    /// u32: address of the padded V-transpose scratch (`dh × KP` i16,
-    /// Xkwtdot images only; 0 otherwise).
+    /// u32: unused (always 0).
     pub const VT: i32 = 24;
-    /// u32: padded score length `KP = S.next_multiple_of(4)` (the row16
-    /// buffer holds `KP` entries; entries past `S` stay zero).
+    /// u32: unused (the padded score length `S.next_multiple_of(4)`).
     pub const KP: i32 = 28;
     /// Total block size in bytes.
     pub const SIZE: usize = 32;
@@ -189,48 +152,17 @@ pub(crate) fn pop_region(asm: &mut Asm) {
 }
 
 impl Kernels {
-    /// Emits all kernels for the scalar [`KernelIsa::Rv32im`] ISA
-    /// (soft-float and math libraries must already be emitted into the
-    /// same `asm`).
+    /// Emits all kernels (soft-float and math libraries must already be
+    /// emitted into the same `asm`).
     pub fn emit(asm: &mut Asm, sf: &SoftFloat, math: &MathLib) -> Kernels {
-        Self::emit_with_isa(asm, sf, math, KernelIsa::Rv32im)
-    }
-
-    /// Emits all kernels for the chosen ISA. Under
-    /// [`KernelIsa::Xkwtdot`] the integer matmuls, the saturating
-    /// residual add and the quantisation boundaries are emitted over the
-    /// custom-2 packed instructions (and `matmul_q` expects transposed
-    /// weights); everything else is shared.
-    pub fn emit_with_isa(asm: &mut Asm, sf: &SoftFloat, math: &MathLib, isa: KernelIsa) -> Kernels {
         let matmul_f32 = emit_matmul_f32(asm, sf);
-        let (matmul_q, matmul_qq, add_sat_i16, dequant, requant) = match isa {
-            KernelIsa::Rv32im => (
-                emit_matmul_int(asm, "k_matmul_q", false),
-                emit_matmul_int(asm, "k_matmul_qq", true),
-                emit_add_sat_i16(asm),
-                emit_dequant(asm, sf),
-                emit_requant(asm, sf),
-            ),
-            KernelIsa::Xkwtdot => {
-                // the scalar i16×i16 loop stays resident as the
-                // tail-jump target for shapes the packed path skips
-                let qq_scalar = emit_matmul_int(asm, "k_matmul_qq_scalar", true);
-                (
-                    emit_matmul_qt_packed(asm),
-                    emit_matmul_qq_packed(asm, qq_scalar),
-                    emit_add_sat_i16_packed(asm),
-                    emit_dequant_packed(asm),
-                    emit_requant_packed(asm),
-                )
-            }
-        };
-        let (scale_f32, layer_norm_f32) = match isa {
-            KernelIsa::Rv32im => (emit_scale_f32(asm, sf), emit_layer_norm_f32(asm, sf, math)),
-            KernelIsa::Xkwtdot => (
-                emit_scale_f32_packed(asm),
-                emit_layer_norm_f32_packed(asm, math),
-            ),
-        };
+        let matmul_q = emit_matmul_int(asm, "k_matmul_q", false);
+        let matmul_qq = emit_matmul_int(asm, "k_matmul_qq", true);
+        let add_sat_i16 = emit_add_sat_i16(asm);
+        let dequant = emit_dequant(asm, sf);
+        let requant = emit_requant(asm, sf);
+        let scale_f32 = emit_scale_f32(asm, sf);
+        let layer_norm_f32 = emit_layer_norm_f32(asm, sf, math);
         let add_f32 = emit_add_f32(asm, sf);
         let copy_bytes = emit_copy_bytes(asm);
         let softmax_f32 = emit_softmax_f32(asm, sf, math);
@@ -238,26 +170,15 @@ impl Kernels {
         let gelu_f32 = emit_gelu_f32(asm, math);
         let gelu_accel = emit_gelu_accel(asm);
         let attention_f32 = emit_attention_f32(asm, matmul_f32, scale_f32, softmax_f32);
-        let attention_q = match isa {
-            KernelIsa::Rv32im => emit_attention_q(
-                asm,
-                matmul_qq,
-                dequant,
-                requant,
-                scale_f32,
-                softmax_f32,
-                softmax_accel,
-            ),
-            KernelIsa::Xkwtdot => emit_attention_q_packed(
-                asm,
-                matmul_qq,
-                dequant,
-                requant,
-                scale_f32,
-                softmax_f32,
-                softmax_accel,
-            ),
-        };
+        let attention_q = emit_attention_q(
+            asm,
+            matmul_qq,
+            dequant,
+            requant,
+            scale_f32,
+            softmax_f32,
+            softmax_accel,
+        );
         let copy_strided = emit_copy_strided(asm);
         let ln_q = emit_ln_q(asm, dequant, requant, layer_norm_f32);
         let gelu_q = emit_gelu_q(asm, dequant, requant, gelu_f32, gelu_accel);
@@ -925,876 +846,6 @@ fn emit_matmul_int(asm: &mut Asm, name: &str, wide_b: bool) -> Label {
         imm: -1,
     });
     asm.jump_to(outer);
-    asm.bind(done).expect("fresh");
-    asm.ret();
-    entry
-}
-
-/// Xkwtdot `matmul_q` over **transposed** weights, leaf:
-/// `a0=A(i16, M×K row-major), a1=Wt(i8, N×K row-major), a2=bias(i32)|0,
-/// a3=out(i16), a4=M, a5=K, a6=N, a7=arith-shift`.
-///
-/// Fast path (A 4-aligned, Wt 2-aligned, `K % 4 == 0`, `K > 0`): four
-/// MACs per iteration — two `lw` A-operand loads, two `klw.b2h` widening
-/// weight loads, two `kdot2.i16` accumulates — plus a `ksat.i16`
-/// epilogue. Anything else runs the scalar loop over the same transposed
-/// layout, so outputs are bit-identical either way (wrapping i32
-/// accumulation is associative).
-fn emit_matmul_qt_packed(asm: &mut Asm) -> Label {
-    let entry = asm.here("k_matmul_qt_packed");
-    let slow = asm.new_label();
-    let outer = asm.new_label();
-    let done = asm.new_label();
-    let jloop = asm.new_label();
-    let jdone = asm.new_label();
-    let zinit = asm.new_label();
-    let k0 = asm.new_label();
-    let kloop = asm.new_label();
-
-    // dispatch: fast path needs A % 4 == 0, Wt % 2 == 0, K % 4 == 0, K > 0
-    asm.emit(Inst::Andi {
-        rd: T0,
-        rs1: A0,
-        imm: 3,
-    });
-    asm.emit(Inst::Andi {
-        rd: T1,
-        rs1: A1,
-        imm: 1,
-    });
-    asm.emit(Inst::Or {
-        rd: T0,
-        rs1: T0,
-        rs2: T1,
-    });
-    asm.emit(Inst::Andi {
-        rd: T1,
-        rs1: A5,
-        imm: 3,
-    });
-    asm.emit(Inst::Or {
-        rd: T0,
-        rs1: T0,
-        rs2: T1,
-    });
-    asm.branch_to(
-        Inst::Bne {
-            rs1: T0,
-            rs2: Zero,
-            offset: 0,
-        },
-        slow,
-    );
-    asm.branch_to(
-        Inst::Beq {
-            rs1: A5,
-            rs2: Zero,
-            offset: 0,
-        },
-        slow,
-    );
-
-    asm.bind(outer).expect("fresh");
-    asm.branch_to(
-        Inst::Beq {
-            rs1: A4,
-            rs2: Zero,
-            offset: 0,
-        },
-        done,
-    );
-    asm.mv(T4, A1); // pw walks the whole Wt once per A row
-    asm.li(T0, 0); // j
-    asm.bind(jloop).expect("fresh");
-    asm.branch_to(
-        Inst::Bgeu {
-            rs1: T0,
-            rs2: A6,
-            offset: 0,
-        },
-        jdone,
-    );
-    // acc = bias ? bias[j] : 0
-    asm.branch_to(
-        Inst::Beq {
-            rs1: A2,
-            rs2: Zero,
-            offset: 0,
-        },
-        zinit,
-    );
-    asm.emit(Inst::Slli {
-        rd: T5,
-        rs1: T0,
-        shamt: 2,
-    });
-    asm.emit(Inst::Add {
-        rd: T5,
-        rs1: A2,
-        rs2: T5,
-    });
-    asm.emit(Inst::Lw {
-        rd: T2,
-        rs1: T5,
-        imm: 0,
-    });
-    asm.jump_to(k0);
-    asm.bind(zinit).expect("fresh");
-    asm.li(T2, 0);
-    asm.bind(k0).expect("fresh");
-    // k-loop: 8 MACs per iteration (counter pre-biased by -8 so the
-    // loop needs no spare register for the bound), then an optional
-    // 4-MAC tail for K % 8 == 4.
-    let ktail = asm.new_label();
-    let kdone = asm.new_label();
-    asm.emit(Inst::Addi {
-        rd: T1,
-        rs1: A5,
-        imm: -8,
-    });
-    asm.mv(T3, A0); // pa
-    asm.branch_to(
-        Inst::Blt {
-            rs1: T1,
-            rs2: Zero,
-            offset: 0,
-        },
-        ktail,
-    );
-    asm.bind(kloop).expect("fresh");
-    for blk in 0..4 {
-        asm.emit(Inst::KlwB2h {
-            rd: T5,
-            rs1: T4,
-            imm: 2 * blk,
-        });
-        asm.emit(Inst::Lw {
-            rd: T6,
-            rs1: T3,
-            imm: 4 * blk,
-        });
-        asm.emit(Inst::Packed {
-            op: PackedOp::Kdot2I16,
-            rd: T2,
-            rs1: T6,
-            rs2: T5,
-        });
-    }
-    asm.emit(Inst::Addi {
-        rd: T4,
-        rs1: T4,
-        imm: 8,
-    });
-    asm.emit(Inst::Addi {
-        rd: T3,
-        rs1: T3,
-        imm: 16,
-    });
-    asm.emit(Inst::Addi {
-        rd: T1,
-        rs1: T1,
-        imm: -8,
-    });
-    asm.branch_to(
-        Inst::Bge {
-            rs1: T1,
-            rs2: Zero,
-            offset: 0,
-        },
-        kloop,
-    );
-    asm.bind(ktail).expect("fresh");
-    asm.emit(Inst::Addi {
-        rd: T1,
-        rs1: T1,
-        imm: 8,
-    }); // remaining: 0 or 4
-    asm.branch_to(
-        Inst::Beq {
-            rs1: T1,
-            rs2: Zero,
-            offset: 0,
-        },
-        kdone,
-    );
-    for blk in 0..2 {
-        asm.emit(Inst::KlwB2h {
-            rd: T5,
-            rs1: T4,
-            imm: 2 * blk,
-        });
-        asm.emit(Inst::Lw {
-            rd: T6,
-            rs1: T3,
-            imm: 4 * blk,
-        });
-        asm.emit(Inst::Packed {
-            op: PackedOp::Kdot2I16,
-            rd: T2,
-            rs1: T6,
-            rs2: T5,
-        });
-    }
-    asm.emit(Inst::Addi {
-        rd: T4,
-        rs1: T4,
-        imm: 4,
-    });
-    asm.bind(kdone).expect("fresh");
-    // shift back to the activation scale, saturate, store
-    asm.emit(Inst::Packed {
-        op: PackedOp::KsatI16,
-        rd: T2,
-        rs1: T2,
-        rs2: A7,
-    });
-    asm.emit(Inst::Slli {
-        rd: T5,
-        rs1: T0,
-        shamt: 1,
-    });
-    asm.emit(Inst::Add {
-        rd: T5,
-        rs1: A3,
-        rs2: T5,
-    });
-    asm.emit(Inst::Sh {
-        rs2: T2,
-        rs1: T5,
-        imm: 0,
-    });
-    asm.emit(Inst::Addi {
-        rd: T0,
-        rs1: T0,
-        imm: 1,
-    });
-    asm.jump_to(jloop);
-    asm.bind(jdone).expect("fresh");
-    asm.emit(Inst::Slli {
-        rd: T5,
-        rs1: A5,
-        shamt: 1,
-    });
-    asm.emit(Inst::Add {
-        rd: A0,
-        rs1: A0,
-        rs2: T5,
-    });
-    asm.emit(Inst::Slli {
-        rd: T5,
-        rs1: A6,
-        shamt: 1,
-    });
-    asm.emit(Inst::Add {
-        rd: A3,
-        rs1: A3,
-        rs2: T5,
-    });
-    asm.emit(Inst::Addi {
-        rd: A4,
-        rs1: A4,
-        imm: -1,
-    });
-    asm.jump_to(outer);
-    asm.bind(done).expect("fresh");
-    asm.ret();
-
-    // scalar fallback over the same transposed layout (any K, any
-    // alignment) — contiguous weight walk, `ksat.i16` epilogue.
-    let souter = asm.new_label();
-    let sdone = asm.new_label();
-    let sjloop = asm.new_label();
-    let sjdone = asm.new_label();
-    let szinit = asm.new_label();
-    let sk0 = asm.new_label();
-    let skloop = asm.new_label();
-    let sepi = asm.new_label();
-    asm.bind(slow).expect("fresh");
-    asm.bind(souter).expect("fresh");
-    asm.branch_to(
-        Inst::Beq {
-            rs1: A4,
-            rs2: Zero,
-            offset: 0,
-        },
-        sdone,
-    );
-    asm.mv(T4, A1);
-    asm.li(T0, 0);
-    asm.bind(sjloop).expect("fresh");
-    asm.branch_to(
-        Inst::Bgeu {
-            rs1: T0,
-            rs2: A6,
-            offset: 0,
-        },
-        sjdone,
-    );
-    asm.branch_to(
-        Inst::Beq {
-            rs1: A2,
-            rs2: Zero,
-            offset: 0,
-        },
-        szinit,
-    );
-    asm.emit(Inst::Slli {
-        rd: T5,
-        rs1: T0,
-        shamt: 2,
-    });
-    asm.emit(Inst::Add {
-        rd: T5,
-        rs1: A2,
-        rs2: T5,
-    });
-    asm.emit(Inst::Lw {
-        rd: T2,
-        rs1: T5,
-        imm: 0,
-    });
-    asm.jump_to(sk0);
-    asm.bind(szinit).expect("fresh");
-    asm.li(T2, 0);
-    asm.bind(sk0).expect("fresh");
-    asm.mv(T1, A5);
-    asm.mv(T3, A0);
-    asm.branch_to(
-        Inst::Beq {
-            rs1: T1,
-            rs2: Zero,
-            offset: 0,
-        },
-        sepi,
-    );
-    asm.bind(skloop).expect("fresh");
-    asm.emit(Inst::Lh {
-        rd: T5,
-        rs1: T3,
-        imm: 0,
-    });
-    asm.emit(Inst::Lb {
-        rd: T6,
-        rs1: T4,
-        imm: 0,
-    });
-    asm.emit(Inst::Mul {
-        rd: T5,
-        rs1: T5,
-        rs2: T6,
-    });
-    asm.emit(Inst::Add {
-        rd: T2,
-        rs1: T2,
-        rs2: T5,
-    });
-    asm.emit(Inst::Addi {
-        rd: T3,
-        rs1: T3,
-        imm: 2,
-    });
-    asm.emit(Inst::Addi {
-        rd: T4,
-        rs1: T4,
-        imm: 1,
-    });
-    asm.emit(Inst::Addi {
-        rd: T1,
-        rs1: T1,
-        imm: -1,
-    });
-    asm.branch_to(
-        Inst::Bne {
-            rs1: T1,
-            rs2: Zero,
-            offset: 0,
-        },
-        skloop,
-    );
-    asm.bind(sepi).expect("fresh");
-    asm.emit(Inst::Packed {
-        op: PackedOp::KsatI16,
-        rd: T2,
-        rs1: T2,
-        rs2: A7,
-    });
-    asm.emit(Inst::Slli {
-        rd: T5,
-        rs1: T0,
-        shamt: 1,
-    });
-    asm.emit(Inst::Add {
-        rd: T5,
-        rs1: A3,
-        rs2: T5,
-    });
-    asm.emit(Inst::Sh {
-        rs2: T2,
-        rs1: T5,
-        imm: 0,
-    });
-    asm.emit(Inst::Addi {
-        rd: T0,
-        rs1: T0,
-        imm: 1,
-    });
-    asm.jump_to(sjloop);
-    asm.bind(sjdone).expect("fresh");
-    asm.emit(Inst::Slli {
-        rd: T5,
-        rs1: A5,
-        shamt: 1,
-    });
-    asm.emit(Inst::Add {
-        rd: A0,
-        rs1: A0,
-        rs2: T5,
-    });
-    asm.emit(Inst::Slli {
-        rd: T5,
-        rs1: A6,
-        shamt: 1,
-    });
-    asm.emit(Inst::Add {
-        rd: A3,
-        rs1: A3,
-        rs2: T5,
-    });
-    asm.emit(Inst::Addi {
-        rd: A4,
-        rs1: A4,
-        imm: -1,
-    });
-    asm.jump_to(souter);
-    asm.bind(sdone).expect("fresh");
-    asm.ret();
-    entry
-}
-
-/// Xkwtdot `matmul_qq`, leaf: same contract and layout as the scalar
-/// i16×i16 matmul (`a1 = B, K×N row-major`). The attention score rows
-/// (`N == 1`, aligned, `K % 4 == 0`) take a `kdot2.i16` fast path —
-/// there both operands are contiguous i16 vectors; every other shape
-/// tail-jumps to the resident scalar loop with the arguments untouched.
-fn emit_matmul_qq_packed(asm: &mut Asm, qq_scalar: Label) -> Label {
-    let entry = asm.here("k_matmul_qq_packed");
-    let slow = asm.new_label();
-    let outer = asm.new_label();
-    let done = asm.new_label();
-    let zinit = asm.new_label();
-    let k0 = asm.new_label();
-    let kloop = asm.new_label();
-
-    asm.li(T0, 1);
-    asm.branch_to(
-        Inst::Bne {
-            rs1: A6,
-            rs2: T0,
-            offset: 0,
-        },
-        slow,
-    );
-    asm.emit(Inst::Or {
-        rd: T0,
-        rs1: A0,
-        rs2: A1,
-    });
-    asm.emit(Inst::Andi {
-        rd: T0,
-        rs1: T0,
-        imm: 3,
-    });
-    asm.emit(Inst::Andi {
-        rd: T1,
-        rs1: A5,
-        imm: 3,
-    });
-    asm.emit(Inst::Or {
-        rd: T0,
-        rs1: T0,
-        rs2: T1,
-    });
-    asm.branch_to(
-        Inst::Bne {
-            rs1: T0,
-            rs2: Zero,
-            offset: 0,
-        },
-        slow,
-    );
-    asm.branch_to(
-        Inst::Beq {
-            rs1: A5,
-            rs2: Zero,
-            offset: 0,
-        },
-        slow,
-    );
-
-    asm.bind(outer).expect("fresh");
-    asm.branch_to(
-        Inst::Beq {
-            rs1: A4,
-            rs2: Zero,
-            offset: 0,
-        },
-        done,
-    );
-    asm.branch_to(
-        Inst::Beq {
-            rs1: A2,
-            rs2: Zero,
-            offset: 0,
-        },
-        zinit,
-    );
-    asm.emit(Inst::Lw {
-        rd: T2,
-        rs1: A2,
-        imm: 0,
-    });
-    asm.jump_to(k0);
-    asm.bind(zinit).expect("fresh");
-    asm.li(T2, 0);
-    asm.bind(k0).expect("fresh");
-    let ktail = asm.new_label();
-    let kdone = asm.new_label();
-    asm.emit(Inst::Addi {
-        rd: T1,
-        rs1: A5,
-        imm: -8,
-    });
-    asm.mv(T3, A0); // pa
-    asm.mv(T4, A1); // pb (contiguous: N == 1)
-    asm.branch_to(
-        Inst::Blt {
-            rs1: T1,
-            rs2: Zero,
-            offset: 0,
-        },
-        ktail,
-    );
-    asm.bind(kloop).expect("fresh");
-    for blk in 0..4 {
-        asm.emit(Inst::Lw {
-            rd: T5,
-            rs1: T3,
-            imm: 4 * blk,
-        });
-        asm.emit(Inst::Lw {
-            rd: T6,
-            rs1: T4,
-            imm: 4 * blk,
-        });
-        asm.emit(Inst::Packed {
-            op: PackedOp::Kdot2I16,
-            rd: T2,
-            rs1: T5,
-            rs2: T6,
-        });
-    }
-    asm.emit(Inst::Addi {
-        rd: T3,
-        rs1: T3,
-        imm: 16,
-    });
-    asm.emit(Inst::Addi {
-        rd: T4,
-        rs1: T4,
-        imm: 16,
-    });
-    asm.emit(Inst::Addi {
-        rd: T1,
-        rs1: T1,
-        imm: -8,
-    });
-    asm.branch_to(
-        Inst::Bge {
-            rs1: T1,
-            rs2: Zero,
-            offset: 0,
-        },
-        kloop,
-    );
-    asm.bind(ktail).expect("fresh");
-    asm.emit(Inst::Addi {
-        rd: T1,
-        rs1: T1,
-        imm: 8,
-    }); // remaining: 0 or 4
-    asm.branch_to(
-        Inst::Beq {
-            rs1: T1,
-            rs2: Zero,
-            offset: 0,
-        },
-        kdone,
-    );
-    for blk in 0..2 {
-        asm.emit(Inst::Lw {
-            rd: T5,
-            rs1: T3,
-            imm: 4 * blk,
-        });
-        asm.emit(Inst::Lw {
-            rd: T6,
-            rs1: T4,
-            imm: 4 * blk,
-        });
-        asm.emit(Inst::Packed {
-            op: PackedOp::Kdot2I16,
-            rd: T2,
-            rs1: T5,
-            rs2: T6,
-        });
-    }
-    asm.bind(kdone).expect("fresh");
-    asm.emit(Inst::Packed {
-        op: PackedOp::KsatI16,
-        rd: T2,
-        rs1: T2,
-        rs2: A7,
-    });
-    asm.emit(Inst::Sh {
-        rs2: T2,
-        rs1: A3,
-        imm: 0,
-    });
-    asm.emit(Inst::Addi {
-        rd: A3,
-        rs1: A3,
-        imm: 2,
-    });
-    asm.emit(Inst::Slli {
-        rd: T5,
-        rs1: A5,
-        shamt: 1,
-    });
-    asm.emit(Inst::Add {
-        rd: A0,
-        rs1: A0,
-        rs2: T5,
-    });
-    asm.emit(Inst::Addi {
-        rd: A4,
-        rs1: A4,
-        imm: -1,
-    });
-    asm.jump_to(outer);
-    asm.bind(done).expect("fresh");
-    asm.ret();
-    // general shapes: the scalar kernel with identical layout
-    asm.bind(slow).expect("fresh");
-    asm.jump_to(qq_scalar);
-    entry
-}
-
-/// Xkwtdot `add_sat_i16(a0=dst, a1=src, a2=len)` — the scalar loop with
-/// the branchy clamp collapsed into one `ksat.i16` (shift 0), leaf.
-fn emit_add_sat_i16_packed(asm: &mut Asm) -> Label {
-    let entry = asm.here("k_add_sat_i16_packed");
-    let lp = asm.new_label();
-    let done = asm.new_label();
-    asm.branch_to(
-        Inst::Beq {
-            rs1: A2,
-            rs2: Zero,
-            offset: 0,
-        },
-        done,
-    );
-    asm.bind(lp).expect("fresh");
-    asm.emit(Inst::Lh {
-        rd: T0,
-        rs1: A0,
-        imm: 0,
-    });
-    asm.emit(Inst::Lh {
-        rd: T1,
-        rs1: A1,
-        imm: 0,
-    });
-    asm.emit(Inst::Add {
-        rd: T0,
-        rs1: T0,
-        rs2: T1,
-    });
-    asm.emit(Inst::Packed {
-        op: PackedOp::KsatI16,
-        rd: T0,
-        rs1: T0,
-        rs2: Zero,
-    });
-    asm.emit(Inst::Sh {
-        rs2: T0,
-        rs1: A0,
-        imm: 0,
-    });
-    asm.emit(Inst::Addi {
-        rd: A0,
-        rs1: A0,
-        imm: 2,
-    });
-    asm.emit(Inst::Addi {
-        rd: A1,
-        rs1: A1,
-        imm: 2,
-    });
-    asm.emit(Inst::Addi {
-        rd: A2,
-        rs1: A2,
-        imm: -1,
-    });
-    asm.branch_to(
-        Inst::Bne {
-            rs1: A2,
-            rs2: Zero,
-            offset: 0,
-        },
-        lp,
-    );
-    asm.bind(done).expect("fresh");
-    asm.ret();
-    entry
-}
-
-/// Xkwtdot `dequant(a0=src i16, a1=dst f32, a2=len, a3=scale_bits 2^-y)`
-/// — leaf, one `kcvt.h2f` per element. The shift is recovered from the
-/// power-of-two scale's exponent field (`y = 127 - (bits >> 23)`), so
-/// the calling convention matches the scalar kernel exactly.
-fn emit_dequant_packed(asm: &mut Asm) -> Label {
-    let entry = asm.here("k_dequant_packed");
-    let lp = asm.new_label();
-    let done = asm.new_label();
-    asm.emit(Inst::Srli {
-        rd: T0,
-        rs1: A3,
-        shamt: 23,
-    });
-    asm.li(T1, 127);
-    asm.emit(Inst::Sub {
-        rd: T0,
-        rs1: T1,
-        rs2: T0,
-    }); // y
-    asm.branch_to(
-        Inst::Beq {
-            rs1: A2,
-            rs2: Zero,
-            offset: 0,
-        },
-        done,
-    );
-    asm.bind(lp).expect("fresh");
-    asm.emit(Inst::Lh {
-        rd: T2,
-        rs1: A0,
-        imm: 0,
-    });
-    asm.emit(Inst::Packed {
-        op: PackedOp::KcvtH2F,
-        rd: T2,
-        rs1: T2,
-        rs2: T0,
-    });
-    asm.emit(Inst::Sw {
-        rs2: T2,
-        rs1: A1,
-        imm: 0,
-    });
-    asm.emit(Inst::Addi {
-        rd: A0,
-        rs1: A0,
-        imm: 2,
-    });
-    asm.emit(Inst::Addi {
-        rd: A1,
-        rs1: A1,
-        imm: 4,
-    });
-    asm.emit(Inst::Addi {
-        rd: A2,
-        rs1: A2,
-        imm: -1,
-    });
-    asm.branch_to(
-        Inst::Bne {
-            rs1: A2,
-            rs2: Zero,
-            offset: 0,
-        },
-        lp,
-    );
-    asm.bind(done).expect("fresh");
-    asm.ret();
-    entry
-}
-
-/// Xkwtdot `requant(a0=src f32, a1=dst i16, a2=len, a3=scale_bits 2^y)`
-/// — leaf, one `kcvt.f2h` (multiply, floor, saturate) per element,
-/// replacing a soft-float multiply + float-to-int call chain.
-fn emit_requant_packed(asm: &mut Asm) -> Label {
-    let entry = asm.here("k_requant_packed");
-    let lp = asm.new_label();
-    let done = asm.new_label();
-    asm.emit(Inst::Srli {
-        rd: T0,
-        rs1: A3,
-        shamt: 23,
-    });
-    asm.emit(Inst::Addi {
-        rd: T0,
-        rs1: T0,
-        imm: -127,
-    }); // y
-    asm.branch_to(
-        Inst::Beq {
-            rs1: A2,
-            rs2: Zero,
-            offset: 0,
-        },
-        done,
-    );
-    asm.bind(lp).expect("fresh");
-    asm.emit(Inst::Lw {
-        rd: T2,
-        rs1: A0,
-        imm: 0,
-    });
-    asm.emit(Inst::Packed {
-        op: PackedOp::KcvtF2H,
-        rd: T2,
-        rs1: T2,
-        rs2: T0,
-    });
-    asm.emit(Inst::Sh {
-        rs2: T2,
-        rs1: A1,
-        imm: 0,
-    });
-    asm.emit(Inst::Addi {
-        rd: A0,
-        rs1: A0,
-        imm: 4,
-    });
-    asm.emit(Inst::Addi {
-        rd: A1,
-        rs1: A1,
-        imm: 2,
-    });
-    asm.emit(Inst::Addi {
-        rd: A2,
-        rs1: A2,
-        imm: -1,
-    });
-    asm.branch_to(
-        Inst::Bne {
-            rs1: A2,
-            rs2: Zero,
-            offset: 0,
-        },
-        lp,
-    );
     asm.bind(done).expect("fresh");
     asm.ret();
     entry
@@ -2484,326 +1535,6 @@ fn emit_gelu_accel(asm: &mut Asm) -> Label {
     entry
 }
 
-/// Xkwtdot `scale_f32(a0=ptr, a1=len, a2=scale_bits)` — leaf: one
-/// inline `kfmul.t` per element, same truncating result as the
-/// call-based scalar kernel.
-fn emit_scale_f32_packed(asm: &mut Asm) -> Label {
-    let entry = asm.here("k_scale_f32_packed");
-    let lp = asm.new_label();
-    let done = asm.new_label();
-    asm.branch_to(
-        Inst::Beq {
-            rs1: A1,
-            rs2: Zero,
-            offset: 0,
-        },
-        done,
-    );
-    asm.bind(lp).expect("fresh");
-    asm.emit(Inst::Lw {
-        rd: T0,
-        rs1: A0,
-        imm: 0,
-    });
-    asm.emit(Inst::Packed {
-        op: PackedOp::KfmulT,
-        rd: T0,
-        rs1: T0,
-        rs2: A2,
-    });
-    asm.emit(Inst::Sw {
-        rs2: T0,
-        rs1: A0,
-        imm: 0,
-    });
-    asm.emit(Inst::Addi {
-        rd: A0,
-        rs1: A0,
-        imm: 4,
-    });
-    asm.emit(Inst::Addi {
-        rd: A1,
-        rs1: A1,
-        imm: -1,
-    });
-    asm.branch_to(
-        Inst::Bne {
-            rs1: A1,
-            rs2: Zero,
-            offset: 0,
-        },
-        lp,
-    );
-    asm.bind(done).expect("fresh");
-    asm.ret();
-    entry
-}
-
-/// Xkwtdot `layer_norm_f32` — identical contract and float-operation
-/// sequence to the scalar kernel, but every soft-float call collapsed
-/// into an inline `kfadd.t`/`kfsub.t`/`kfmul.t` (the ops execute the
-/// same truncating arithmetic, so results are bit-identical). Only
-/// `rsqrtf` remains a call.
-fn emit_layer_norm_f32_packed(asm: &mut Asm, math: &MathLib) -> Label {
-    use PackedOp::{KfaddT, KfmulT, KfsubT};
-    let entry = asm.here("k_layer_norm_f32_packed");
-    let saves = [Ra, S0, S1, S2, S3, S4, S5, S6, S7, S8, S9, S10, S11];
-    let frame = prologue(asm, &saves);
-    let row_loop = asm.new_label();
-    let done = asm.new_label();
-    let l1 = asm.new_label();
-    let l1d = asm.new_label();
-    let l2 = asm.new_label();
-    let l2d = asm.new_label();
-    let l3 = asm.new_label();
-    let l3d = asm.new_label();
-
-    asm.mv(S0, A0); // x row
-    asm.mv(S1, A1); // gamma
-    asm.mv(S2, A2); // beta
-    asm.mv(S3, A3); // rows counter
-    asm.mv(S4, A4); // cols
-    asm.mv(S5, A5); // inv_n
-    asm.mv(S6, A6); // eps
-    asm.bind(row_loop).expect("fresh");
-    asm.branch_to(
-        Inst::Beq {
-            rs1: S3,
-            rs2: Zero,
-            offset: 0,
-        },
-        done,
-    );
-    // mean = (Σ x) * inv_n
-    asm.li(S8, 0);
-    asm.mv(S9, S0);
-    asm.mv(S10, S4);
-    asm.branch_to(
-        Inst::Beq {
-            rs1: S10,
-            rs2: Zero,
-            offset: 0,
-        },
-        l1d,
-    );
-    asm.bind(l1).expect("fresh");
-    asm.emit(Inst::Lw {
-        rd: T1,
-        rs1: S9,
-        imm: 0,
-    });
-    asm.emit(Inst::Packed {
-        op: KfaddT,
-        rd: S8,
-        rs1: T1,
-        rs2: S8,
-    });
-    asm.emit(Inst::Addi {
-        rd: S9,
-        rs1: S9,
-        imm: 4,
-    });
-    asm.emit(Inst::Addi {
-        rd: S10,
-        rs1: S10,
-        imm: -1,
-    });
-    asm.branch_to(
-        Inst::Bne {
-            rs1: S10,
-            rs2: Zero,
-            offset: 0,
-        },
-        l1,
-    );
-    asm.bind(l1d).expect("fresh");
-    asm.emit(Inst::Packed {
-        op: KfmulT,
-        rd: S7,
-        rs1: S8,
-        rs2: S5,
-    }); // mean
-        // var = (Σ (x - mean)^2) * inv_n
-    asm.li(S8, 0);
-    asm.mv(S9, S0);
-    asm.mv(S10, S4);
-    asm.branch_to(
-        Inst::Beq {
-            rs1: S10,
-            rs2: Zero,
-            offset: 0,
-        },
-        l2d,
-    );
-    asm.bind(l2).expect("fresh");
-    asm.emit(Inst::Lw {
-        rd: T1,
-        rs1: S9,
-        imm: 0,
-    });
-    asm.emit(Inst::Packed {
-        op: KfsubT,
-        rd: T1,
-        rs1: T1,
-        rs2: S7,
-    });
-    asm.emit(Inst::Packed {
-        op: KfmulT,
-        rd: T1,
-        rs1: T1,
-        rs2: T1,
-    });
-    asm.emit(Inst::Packed {
-        op: KfaddT,
-        rd: S8,
-        rs1: T1,
-        rs2: S8,
-    });
-    asm.emit(Inst::Addi {
-        rd: S9,
-        rs1: S9,
-        imm: 4,
-    });
-    asm.emit(Inst::Addi {
-        rd: S10,
-        rs1: S10,
-        imm: -1,
-    });
-    asm.branch_to(
-        Inst::Bne {
-            rs1: S10,
-            rs2: Zero,
-            offset: 0,
-        },
-        l2,
-    );
-    asm.bind(l2d).expect("fresh");
-    asm.emit(Inst::Packed {
-        op: KfmulT,
-        rd: A0,
-        rs1: S8,
-        rs2: S5,
-    }); // var
-    asm.emit(Inst::Packed {
-        op: KfaddT,
-        rd: A0,
-        rs1: A0,
-        rs2: S6,
-    }); // + eps
-    asm.call(math.rsqrtf);
-    asm.mv(S11, A0); // inv_std
-                     // x = ((x - mean) * inv_std) * gamma + beta
-    asm.mv(S9, S0);
-    asm.mv(S10, S4);
-    asm.li(S8, 0); // byte offset into gamma/beta
-    asm.branch_to(
-        Inst::Beq {
-            rs1: S10,
-            rs2: Zero,
-            offset: 0,
-        },
-        l3d,
-    );
-    asm.bind(l3).expect("fresh");
-    asm.emit(Inst::Lw {
-        rd: T1,
-        rs1: S9,
-        imm: 0,
-    });
-    asm.emit(Inst::Packed {
-        op: KfsubT,
-        rd: T1,
-        rs1: T1,
-        rs2: S7,
-    });
-    asm.emit(Inst::Packed {
-        op: KfmulT,
-        rd: T1,
-        rs1: T1,
-        rs2: S11,
-    });
-    asm.emit(Inst::Add {
-        rd: T0,
-        rs1: S1,
-        rs2: S8,
-    });
-    asm.emit(Inst::Lw {
-        rd: T2,
-        rs1: T0,
-        imm: 0,
-    });
-    asm.emit(Inst::Packed {
-        op: KfmulT,
-        rd: T1,
-        rs1: T1,
-        rs2: T2,
-    });
-    asm.emit(Inst::Add {
-        rd: T0,
-        rs1: S2,
-        rs2: S8,
-    });
-    asm.emit(Inst::Lw {
-        rd: T2,
-        rs1: T0,
-        imm: 0,
-    });
-    asm.emit(Inst::Packed {
-        op: KfaddT,
-        rd: T1,
-        rs1: T1,
-        rs2: T2,
-    });
-    asm.emit(Inst::Sw {
-        rs2: T1,
-        rs1: S9,
-        imm: 0,
-    });
-    asm.emit(Inst::Addi {
-        rd: S9,
-        rs1: S9,
-        imm: 4,
-    });
-    asm.emit(Inst::Addi {
-        rd: S8,
-        rs1: S8,
-        imm: 4,
-    });
-    asm.emit(Inst::Addi {
-        rd: S10,
-        rs1: S10,
-        imm: -1,
-    });
-    asm.branch_to(
-        Inst::Bne {
-            rs1: S10,
-            rs2: Zero,
-            offset: 0,
-        },
-        l3,
-    );
-    asm.bind(l3d).expect("fresh");
-    asm.emit(Inst::Slli {
-        rd: T0,
-        rs1: S4,
-        shamt: 2,
-    });
-    asm.emit(Inst::Add {
-        rd: S0,
-        rs1: S0,
-        rs2: T0,
-    });
-    asm.emit(Inst::Addi {
-        rd: S3,
-        rs1: S3,
-        imm: -1,
-    });
-    asm.jump_to(row_loop);
-    asm.bind(done).expect("fresh");
-    epilogue(asm, &saves, frame);
-    entry
-}
-
 /// `layer_norm_f32(a0=x, a1=gamma, a2=beta, a3=rows, a4=cols,
 /// a5=inv_n_bits, a6=eps_bits)` — per-row eqs. (4)–(5), `rsqrtf` for the
 /// inverse standard deviation.
@@ -3404,372 +2135,6 @@ fn emit_attention_q(
     entry
 }
 
-/// Xkwtdot `attention_q` — same contract as the scalar kernel (plus the
-/// [`attn_params::VT`]/[`attn_params::KP`] fields and a `KP`-entry
-/// `row16` buffer). Before the row loop it materialises a zero-padded
-/// transpose of `V` (`dh × KP`, built once per call), which turns the
-/// scalar-fallback `probs × V` product into a packed `Vᵀ × probs`
-/// matrix-vector product on the `kdot2.i16` fast path. Padded lanes
-/// multiply zero probabilities, so the wrapping-i32 accumulation — and
-/// therefore every logit — is bit-identical to the scalar kernel.
-#[allow(clippy::too_many_arguments)]
-fn emit_attention_q_packed(
-    asm: &mut Asm,
-    matmul_qq: Label,
-    dequant: Label,
-    requant: Label,
-    scale: Label,
-    softmax_f32: Label,
-    softmax_accel: Label,
-) -> Label {
-    use crate::regions::{BLOCK_ATTENTION, OP_MATMUL, OP_OTHER, OP_QUANT, OP_SOFTMAX};
-    let entry = asm.here("k_attention_q_packed");
-    let saves = [Ra, S0, S1, S2, S3, S4, S5, S6, S7, S8, S9, S10, S11];
-    let frame = prologue(asm, &saves);
-    let row = asm.new_label();
-    let done = asm.new_label();
-    let use_accel = asm.new_label();
-    let softmax_done = asm.new_label();
-    let tj = asm.new_label();
-    let tjd = asm.new_label();
-    let tk = asm.new_label();
-    let tkd = asm.new_label();
-    let tz = asm.new_label();
-    let tzd = asm.new_label();
-    let pz = asm.new_label();
-    let pzd = asm.new_label();
-
-    asm.mv(S0, A0); // Q
-    asm.mv(S1, A1); // K
-    asm.mv(S2, A2); // V
-    asm.mv(S3, A3); // out
-    asm.mv(S4, A4); // S
-    asm.mv(S5, A5); // dh
-    asm.mv(S6, A6); // row16 (KP entries, tail zeroed below)
-    asm.mv(S7, A7); // params
-    asm.emit(Inst::Lw {
-        rd: S11,
-        rs1: S7,
-        imm: attn_params::VT,
-    });
-
-    // ---- preamble: VT[j, k] = V[k, j], columns S..KP zero-padded ----
-    push_region(asm, BLOCK_ATTENTION | OP_OTHER);
-    asm.emit(Inst::Lw {
-        rd: T1,
-        rs1: S7,
-        imm: attn_params::KP,
-    });
-    asm.emit(Inst::Slli {
-        rd: A0,
-        rs1: S5,
-        shamt: 1,
-    }); // src column stride dh*2
-    asm.li(T2, 0); // j
-    asm.bind(tj).expect("fresh");
-    asm.branch_to(
-        Inst::Bgeu {
-            rs1: T2,
-            rs2: S5,
-            offset: 0,
-        },
-        tjd,
-    );
-    asm.emit(Inst::Slli {
-        rd: T3,
-        rs1: T2,
-        shamt: 1,
-    });
-    asm.emit(Inst::Add {
-        rd: T3,
-        rs1: S2,
-        rs2: T3,
-    }); // src = V + 2j
-    asm.emit(Inst::Mul {
-        rd: T4,
-        rs1: T2,
-        rs2: T1,
-    });
-    asm.emit(Inst::Slli {
-        rd: T4,
-        rs1: T4,
-        shamt: 1,
-    });
-    asm.emit(Inst::Add {
-        rd: T4,
-        rs1: S11,
-        rs2: T4,
-    }); // dst = VT + j*KP*2
-    asm.mv(T5, S4); // k counter
-    asm.bind(tk).expect("fresh");
-    asm.branch_to(
-        Inst::Beq {
-            rs1: T5,
-            rs2: Zero,
-            offset: 0,
-        },
-        tkd,
-    );
-    asm.emit(Inst::Lh {
-        rd: T6,
-        rs1: T3,
-        imm: 0,
-    });
-    asm.emit(Inst::Sh {
-        rs2: T6,
-        rs1: T4,
-        imm: 0,
-    });
-    asm.emit(Inst::Add {
-        rd: T3,
-        rs1: T3,
-        rs2: A0,
-    });
-    asm.emit(Inst::Addi {
-        rd: T4,
-        rs1: T4,
-        imm: 2,
-    });
-    asm.emit(Inst::Addi {
-        rd: T5,
-        rs1: T5,
-        imm: -1,
-    });
-    asm.jump_to(tk);
-    asm.bind(tkd).expect("fresh");
-    asm.emit(Inst::Sub {
-        rd: T5,
-        rs1: T1,
-        rs2: S4,
-    }); // pad count
-    asm.bind(tz).expect("fresh");
-    asm.branch_to(
-        Inst::Beq {
-            rs1: T5,
-            rs2: Zero,
-            offset: 0,
-        },
-        tzd,
-    );
-    asm.emit(Inst::Sh {
-        rs2: Zero,
-        rs1: T4,
-        imm: 0,
-    });
-    asm.emit(Inst::Addi {
-        rd: T4,
-        rs1: T4,
-        imm: 2,
-    });
-    asm.emit(Inst::Addi {
-        rd: T5,
-        rs1: T5,
-        imm: -1,
-    });
-    asm.jump_to(tz);
-    asm.bind(tzd).expect("fresh");
-    asm.emit(Inst::Addi {
-        rd: T2,
-        rs1: T2,
-        imm: 1,
-    });
-    asm.jump_to(tj);
-    asm.bind(tjd).expect("fresh");
-    // zero the probability pad tail once (requant never writes it)
-    asm.emit(Inst::Sub {
-        rd: T5,
-        rs1: T1,
-        rs2: S4,
-    });
-    asm.emit(Inst::Slli {
-        rd: T3,
-        rs1: S4,
-        shamt: 1,
-    });
-    asm.emit(Inst::Add {
-        rd: T3,
-        rs1: S6,
-        rs2: T3,
-    });
-    asm.bind(pz).expect("fresh");
-    asm.branch_to(
-        Inst::Beq {
-            rs1: T5,
-            rs2: Zero,
-            offset: 0,
-        },
-        pzd,
-    );
-    asm.emit(Inst::Sh {
-        rs2: Zero,
-        rs1: T3,
-        imm: 0,
-    });
-    asm.emit(Inst::Addi {
-        rd: T3,
-        rs1: T3,
-        imm: 2,
-    });
-    asm.emit(Inst::Addi {
-        rd: T5,
-        rs1: T5,
-        imm: -1,
-    });
-    asm.jump_to(pz);
-    asm.bind(pzd).expect("fresh");
-    pop_region(asm);
-
-    asm.mv(S8, S4); // row counter
-    asm.mv(S9, S0); // q row
-    asm.mv(S10, S3); // out row
-    asm.bind(row).expect("fresh");
-    asm.branch_to(
-        Inst::Beq {
-            rs1: S8,
-            rs2: Zero,
-            offset: 0,
-        },
-        done,
-    );
-    // scores_row (i16) = K * q_row (packed N == 1 fast path)
-    push_region(asm, BLOCK_ATTENTION | OP_MATMUL);
-    asm.mv(A0, S1);
-    asm.mv(A1, S9);
-    asm.li(A2, 0);
-    asm.mv(A3, S6);
-    asm.mv(A4, S4);
-    asm.mv(A5, S5);
-    asm.li(A6, 1);
-    asm.emit(Inst::Lw {
-        rd: A7,
-        rs1: S7,
-        imm: attn_params::SHIFT,
-    });
-    asm.call(matmul_qq);
-    pop_region(asm);
-    // dequantise the row to float scratch
-    push_region(asm, BLOCK_ATTENTION | OP_QUANT);
-    asm.mv(A0, S6);
-    asm.emit(Inst::Lw {
-        rd: A1,
-        rs1: S7,
-        imm: attn_params::ROWF,
-    });
-    asm.mv(A2, S4);
-    asm.emit(Inst::Lw {
-        rd: A3,
-        rs1: S7,
-        imm: attn_params::DEQ,
-    });
-    asm.call(dequant);
-    pop_region(asm);
-    // scale by 1/sqrt(dh)
-    push_region(asm, BLOCK_ATTENTION | OP_OTHER);
-    asm.emit(Inst::Lw {
-        rd: A0,
-        rs1: S7,
-        imm: attn_params::ROWF,
-    });
-    asm.mv(A1, S4);
-    asm.emit(Inst::Lw {
-        rd: A2,
-        rs1: S7,
-        imm: attn_params::INV_SQRT_DH,
-    });
-    asm.call(scale);
-    pop_region(asm);
-    // softmax (float or LUT)
-    push_region(asm, BLOCK_ATTENTION | OP_SOFTMAX);
-    asm.emit(Inst::Lw {
-        rd: A0,
-        rs1: S7,
-        imm: attn_params::ROWF,
-    });
-    asm.mv(A1, S4);
-    asm.emit(Inst::Lw {
-        rd: T1,
-        rs1: S7,
-        imm: attn_params::NONLINEARITY,
-    });
-    asm.branch_to(
-        Inst::Bne {
-            rs1: T1,
-            rs2: Zero,
-            offset: 0,
-        },
-        use_accel,
-    );
-    asm.call(softmax_f32);
-    asm.jump_to(softmax_done);
-    asm.bind(use_accel).expect("fresh");
-    asm.call(softmax_accel);
-    asm.bind(softmax_done).expect("fresh");
-    pop_region(asm);
-    // requantise probabilities
-    push_region(asm, BLOCK_ATTENTION | OP_QUANT);
-    asm.emit(Inst::Lw {
-        rd: A0,
-        rs1: S7,
-        imm: attn_params::ROWF,
-    });
-    asm.mv(A1, S6);
-    asm.mv(A2, S4);
-    asm.emit(Inst::Lw {
-        rd: A3,
-        rs1: S7,
-        imm: attn_params::REQ,
-    });
-    asm.call(requant);
-    pop_region(asm);
-    // out_row = Vᵀ (dh × KP) * probs (KP × 1) — packed fast path; the
-    // zero-padded lanes contribute nothing, so this equals the scalar
-    // probs × V product bit-for-bit
-    push_region(asm, BLOCK_ATTENTION | OP_MATMUL);
-    asm.mv(A0, S11);
-    asm.mv(A1, S6);
-    asm.li(A2, 0);
-    asm.mv(A3, S10);
-    asm.mv(A4, S5);
-    asm.emit(Inst::Lw {
-        rd: A5,
-        rs1: S7,
-        imm: attn_params::KP,
-    });
-    asm.li(A6, 1);
-    asm.emit(Inst::Lw {
-        rd: A7,
-        rs1: S7,
-        imm: attn_params::SHIFT,
-    });
-    asm.call(matmul_qq);
-    pop_region(asm);
-    // advance
-    asm.emit(Inst::Slli {
-        rd: T0,
-        rs1: S5,
-        shamt: 1,
-    });
-    asm.emit(Inst::Add {
-        rd: S9,
-        rs1: S9,
-        rs2: T0,
-    });
-    asm.emit(Inst::Add {
-        rd: S10,
-        rs1: S10,
-        rs2: T0,
-    });
-    asm.emit(Inst::Addi {
-        rd: S8,
-        rs1: S8,
-        imm: -1,
-    });
-    asm.jump_to(row);
-    asm.bind(done).expect("fresh");
-    epilogue(asm, &saves, frame);
-    entry
-}
-
 // =====================================================================
 // A8W8 kernels: fully-INT8 activations over `kdot4.i8`.
 // =====================================================================
@@ -3810,13 +2175,14 @@ pub mod a8_attn_params {
     pub const SIZE: usize = 24;
 }
 
-/// Entry labels of the A8W8 kernel set (always [`KernelIsa::Xkwtdot`]:
-/// the whole point of the i8-activation pipeline is the 4-lane dot).
+/// Entry labels of the A8W8 kernel set, the only user of the custom-2
+/// packed-MAC extension (the whole point of the i8-activation pipeline
+/// is the 4-lane dot).
 ///
 /// Calling conventions (ILP32, all leaf except `ln_a8`/`attention_a8`):
 ///
 /// * `matmul_a8(A:i8, Wt:i8 N×K, bias:i32|0, out:i8, M, K, N, shift)` —
-///   weights **transposed** like the i16 Xkwtdot GEMM; fast path needs
+///   weights **transposed** (`N×K` row-major); fast path needs
 ///   `A % 4 == 0`, `Wt % 4 == 0`, `K % 4 == 0` (16 MACs per unrolled
 ///   iteration, `ksat.i16` + `kclip 7` epilogue), anything else runs a
 ///   bit-identical scalar loop over the same layout.
@@ -5604,21 +3970,12 @@ mod tests {
 
     /// Builds a machine with inputs pre-written, then runs.
     fn run_with(inputs: &[(u32, Vec<u8>)], setup: impl FnOnce(&mut Asm, &Kernels)) -> Machine {
-        run_with_isa(KernelIsa::Rv32im, inputs, setup)
-    }
-
-    /// [`run_with`] over a chosen kernel ISA.
-    fn run_with_isa(
-        isa: KernelIsa,
-        inputs: &[(u32, Vec<u8>)],
-        setup: impl FnOnce(&mut Asm, &Kernels),
-    ) -> Machine {
         let mut asm = Asm::new(0, 0x8000);
         let over = asm.new_label();
         asm.jump_to(over);
-        let sf = SoftFloat::emit_with_isa(&mut asm, isa);
+        let sf = SoftFloat::emit(&mut asm);
         let math = MathLib::emit(&mut asm, &sf);
-        let kernels = Kernels::emit_with_isa(&mut asm, &sf, &math, isa);
+        let kernels = Kernels::emit(&mut asm, &sf, &math);
         asm.bind(over).expect("fresh");
         asm.here("entry");
         setup(&mut asm, &kernels);
@@ -5631,11 +3988,6 @@ mod tests {
         }
         m.run(500_000_000).expect("halts");
         m
-    }
-
-    /// The transposed weight layout the packed matmul expects.
-    fn transpose_i8(m: &Mat<i8>) -> Vec<i8> {
-        m.transpose().as_slice().to_vec()
     }
 
     fn f32s(v: &[f32]) -> Vec<u8> {
@@ -5702,193 +4054,6 @@ mod tests {
         let got = m.read_i16s(OUT, 6);
         let (want, _) = qops::matmul_i16_i16(&a, &b, shift).unwrap();
         assert_eq!(got, want.as_slice());
-    }
-
-    #[test]
-    fn packed_matmul_q_matches_host_exactly() {
-        // K = 8 exercises the kdot2/klw.b2h fast path; K = 5 the scalar
-        // fallback over the transposed layout.
-        for (m_rows, k_depth, n_cols) in [(3usize, 8usize, 4usize), (2, 5, 3), (4, 12, 1)] {
-            let a = Mat::from_fn(m_rows, k_depth, |r, c| {
-                ((r * k_depth + c) as i32 * 97 % 1701 - 850) as i16
-            });
-            let w = Mat::from_fn(k_depth, n_cols, |r, c| {
-                ((r * n_cols + c) as i32 * 37 % 251 - 125) as i8
-            });
-            let bias: Vec<i32> = (0..n_cols).map(|j| j as i32 * 1000 - 500).collect();
-            let shift = 6u32;
-            let m = run_with_isa(
-                KernelIsa::Xkwtdot,
-                &[
-                    (IN_A, i16s(a.as_slice())),
-                    (IN_B, i8s(&transpose_i8(&w))),
-                    (SCRATCH, i32s(&bias)),
-                ],
-                |asm, k| {
-                    asm.li(Reg::A0, IN_A as i32);
-                    asm.li(Reg::A1, IN_B as i32);
-                    asm.li(Reg::A2, SCRATCH as i32);
-                    asm.li(Reg::A3, OUT as i32);
-                    asm.li(Reg::A4, m_rows as i32);
-                    asm.li(Reg::A5, k_depth as i32);
-                    asm.li(Reg::A6, n_cols as i32);
-                    asm.li(Reg::A7, shift as i32);
-                    asm.call(k.matmul_q);
-                },
-            );
-            let got = m.read_i16s(OUT, m_rows * n_cols);
-            let (want, _) = qops::matmul_i16_i8(&a, &w, Some(&bias), shift).unwrap();
-            assert_eq!(got, want.as_slice(), "M={m_rows} K={k_depth} N={n_cols}");
-        }
-    }
-
-    #[test]
-    fn packed_matmul_qq_matches_host_exactly() {
-        // N = 1 with K % 4 == 0: fast path. N = 3 and odd K: scalar
-        // tail-jump. All must match the host reference bit-for-bit.
-        for (m_rows, k_depth, n_cols) in [(5usize, 8usize, 1usize), (2, 6, 3), (3, 7, 1)] {
-            let a = Mat::from_fn(m_rows, k_depth, |r, c| {
-                ((r * k_depth + c) as i32 * 211 % 3001 - 1500) as i16
-            });
-            let b = Mat::from_fn(k_depth, n_cols, |r, c| {
-                ((r * n_cols + c) as i32 * 131 % 2001 - 1000) as i16
-            });
-            let shift = 5u32;
-            let m = run_with_isa(
-                KernelIsa::Xkwtdot,
-                &[(IN_A, i16s(a.as_slice())), (IN_B, i16s(b.as_slice()))],
-                |asm, k| {
-                    asm.li(Reg::A0, IN_A as i32);
-                    asm.li(Reg::A1, IN_B as i32);
-                    asm.li(Reg::A2, 0);
-                    asm.li(Reg::A3, OUT as i32);
-                    asm.li(Reg::A4, m_rows as i32);
-                    asm.li(Reg::A5, k_depth as i32);
-                    asm.li(Reg::A6, n_cols as i32);
-                    asm.li(Reg::A7, shift as i32);
-                    asm.call(k.matmul_qq);
-                },
-            );
-            let got = m.read_i16s(OUT, m_rows * n_cols);
-            let (want, _) = qops::matmul_i16_i16(&a, &b, shift).unwrap();
-            assert_eq!(got, want.as_slice(), "M={m_rows} K={k_depth} N={n_cols}");
-        }
-    }
-
-    #[test]
-    fn packed_matmul_q_saturates_like_scalar() {
-        // Large accumulators must saturate identically through ksat.i16.
-        let a = Mat::from_fn(1, 4, |_, _| 32767i16);
-        let w = Mat::from_fn(4, 2, |_, c| if c == 0 { 127i8 } else { -128 });
-        let m = run_with_isa(
-            KernelIsa::Xkwtdot,
-            &[(IN_A, i16s(a.as_slice())), (IN_B, i8s(&transpose_i8(&w)))],
-            |asm, k| {
-                asm.li(Reg::A0, IN_A as i32);
-                asm.li(Reg::A1, IN_B as i32);
-                asm.li(Reg::A2, 0);
-                asm.li(Reg::A3, OUT as i32);
-                asm.li(Reg::A4, 1);
-                asm.li(Reg::A5, 4);
-                asm.li(Reg::A6, 2);
-                asm.li(Reg::A7, 0);
-                asm.call(k.matmul_q);
-            },
-        );
-        let got = m.read_i16s(OUT, 2);
-        let (want, _) = qops::matmul_i16_i8(&a, &w, None, 0).unwrap();
-        assert_eq!(got, want.as_slice());
-        assert_eq!(got, vec![32767, -32768]);
-    }
-
-    #[test]
-    fn packed_add_sat_and_quant_round_trip_match_host() {
-        // saturating residual add via ksat.i16
-        let a = vec![32000i16, -32000, 7];
-        let b = vec![1000i16, -1000, -10];
-        let m = run_with_isa(
-            KernelIsa::Xkwtdot,
-            &[(IN_A, i16s(&a)), (IN_B, i16s(&b))],
-            |asm, k| {
-                asm.li(Reg::A0, IN_A as i32);
-                asm.li(Reg::A1, IN_B as i32);
-                asm.li(Reg::A2, 3);
-                asm.call(k.add_sat_i16);
-            },
-        );
-        assert_eq!(m.read_i16s(IN_A, 3), vec![32767, -32768, -3]);
-        // kcvt-based dequant/requant: bit-exact vs the host quantiser
-        let xs: Vec<i16> = vec![-3000, -5, 0, 7, 120, 30001];
-        let m = run_with_isa(KernelIsa::Xkwtdot, &[(IN_A, i16s(&xs))], |asm, k| {
-            asm.li(Reg::A0, IN_A as i32);
-            asm.li(Reg::A1, OUT as i32);
-            asm.li(Reg::A2, 6);
-            asm.li(Reg::A3, (1.0f32 / 256.0).to_bits() as i32);
-            asm.call(k.dequant);
-            asm.li(Reg::A0, OUT as i32);
-            asm.li(Reg::A1, SCRATCH as i32);
-            asm.li(Reg::A2, 6);
-            asm.li(Reg::A3, 256.0f32.to_bits() as i32);
-            asm.call(k.requant);
-        });
-        let dequantised = m.read_f32s(OUT, 6);
-        for (d, &q) in dequantised.iter().zip(&xs) {
-            assert_eq!(*d, q as f32 / 256.0, "kcvt.h2f is exact");
-        }
-        assert_eq!(m.read_i16s(SCRATCH, 6), xs, "kcvt round trip");
-        // floor semantics on fresh floats match the host quantiser
-        let floats = vec![0.4f32, -0.4, 1.99, -1.99, 100.7, -3000.0];
-        let m = run_with_isa(KernelIsa::Xkwtdot, &[(IN_A, f32s(&floats))], |asm, k| {
-            asm.li(Reg::A0, IN_A as i32);
-            asm.li(Reg::A1, OUT as i32);
-            asm.li(Reg::A2, 6);
-            asm.li(Reg::A3, 32.0f32.to_bits() as i32);
-            asm.call(k.requant);
-        });
-        let got = m.read_i16s(OUT, 6);
-        let (want, _) = qops::quantize_i16(&Mat::from_vec(1, 6, floats).unwrap(), 5);
-        assert_eq!(got, want.as_slice());
-    }
-
-    #[test]
-    fn packed_kernels_retire_fewer_instructions() {
-        // The Xkwtdot GEMM must beat the scalar one by a wide margin on
-        // a well-formed (aligned, K % 4 == 0) problem.
-        let m_rows = 8usize;
-        let k_depth = 16usize;
-        let n_cols = 8usize;
-        let a = Mat::from_fn(m_rows, k_depth, |r, c| (r + c) as i16 * 321);
-        let w = Mat::from_fn(k_depth, n_cols, |r, c| ((r * 3 + c) as i8).wrapping_mul(5));
-        let run = |isa: KernelIsa, wb: Vec<u8>| {
-            let m = run_with_isa(isa, &[(IN_A, i16s(a.as_slice())), (IN_B, wb)], |asm, k| {
-                asm.li(Reg::A0, IN_A as i32);
-                asm.li(Reg::A1, IN_B as i32);
-                asm.li(Reg::A2, 0);
-                asm.li(Reg::A3, OUT as i32);
-                asm.li(Reg::A4, m_rows as i32);
-                asm.li(Reg::A5, k_depth as i32);
-                asm.li(Reg::A6, n_cols as i32);
-                asm.li(Reg::A7, 4);
-                asm.call(k.matmul_q);
-            });
-            (
-                m.read_i16s(OUT, m_rows * n_cols),
-                m.cpu.cycles,
-                m.cpu.instret,
-            )
-        };
-        let (scalar_out, scalar_cycles, scalar_instret) = run(KernelIsa::Rv32im, i8s(w.as_slice()));
-        let (packed_out, packed_cycles, packed_instret) =
-            run(KernelIsa::Xkwtdot, i8s(&transpose_i8(&w)));
-        assert_eq!(scalar_out, packed_out, "bit-identical results");
-        assert!(
-            packed_instret * 2 < scalar_instret,
-            "packed GEMM should retire <1/2 the instructions: {packed_instret} vs {scalar_instret}"
-        );
-        assert!(
-            packed_cycles * 2 < scalar_cycles,
-            "packed GEMM should cost <1/2 the cycles: {packed_cycles} vs {scalar_cycles}"
-        );
     }
 
     #[test]
@@ -6081,7 +4246,7 @@ mod tests {
         assert!(report.attributed_cycles > 0);
     }
 
-    /// [`run_with`] for the A8 kernel set (always Xkwtdot); the
+    /// [`run_with`] for the A8 kernel set; the
     /// attention kernel is specialised for `(s, dh)`.
     fn run_with_a8_dims(
         s: usize,

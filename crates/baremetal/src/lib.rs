@@ -57,7 +57,7 @@ pub use banks::Bank;
 pub use cluster::{ClusterSession, ClusterWave};
 pub use error::{BuildError, DeviceError};
 pub use image::{DeviceSession, Flavor, ImageSpec, InferenceImage, RecoveryReport};
-pub use kernels::{A8Kernels, KernelIsa};
+pub use kernels::A8Kernels;
 
 /// Convenience alias for results returned by this crate.
 pub type Result<T> = std::result::Result<T, BuildError>;

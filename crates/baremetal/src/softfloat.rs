@@ -164,55 +164,6 @@ impl SoftFloat {
             lt,
         }
     }
-
-    /// Emits the library for the chosen kernel ISA. Under
-    /// [`KernelIsa::Xkwtdot`](crate::kernels::KernelIsa::Xkwtdot) the
-    /// `add`/`sub`/`mul` entry points are two-instruction wrappers over
-    /// the `kfadd.t`/`kfsub.t`/`kfmul.t` custom-2 ops — the instructions
-    /// execute `kwt_rv32::softfp`, which the differential tests in this
-    /// module pin to the scalar assembly bit-for-bit — so every caller
-    /// (math library, float kernels) speeds up without any change in
-    /// results. `div`, the int converts and the compare keep their
-    /// scalar bodies.
-    pub fn emit_with_isa(asm: &mut Asm, isa: crate::kernels::KernelIsa) -> SoftFloat {
-        use kwt_rvasm::PackedOp;
-        let lib = Self::emit(asm);
-        match isa {
-            crate::kernels::KernelIsa::Rv32im => lib,
-            crate::kernels::KernelIsa::Xkwtdot => {
-                let add = asm.here("sf_add_kf");
-                asm.emit(Inst::Packed {
-                    op: PackedOp::KfaddT,
-                    rd: A0,
-                    rs1: A0,
-                    rs2: A1,
-                });
-                asm.ret();
-                let sub = asm.here("sf_sub_kf");
-                asm.emit(Inst::Packed {
-                    op: PackedOp::KfsubT,
-                    rd: A0,
-                    rs1: A0,
-                    rs2: A1,
-                });
-                asm.ret();
-                let mul = asm.here("sf_mul_kf");
-                asm.emit(Inst::Packed {
-                    op: PackedOp::KfmulT,
-                    rd: A0,
-                    rs1: A0,
-                    rs2: A1,
-                });
-                asm.ret();
-                SoftFloat {
-                    add,
-                    sub,
-                    mul,
-                    ..lib
-                }
-            }
-        }
-    }
 }
 
 fn emit_add(asm: &mut Asm) -> Label {
@@ -1253,8 +1204,8 @@ mod tests {
         //! The Xkwtdot `kfadd.t`/`kfsub.t`/`kfmul.t` instructions
         //! execute `kwt_rv32::softfp`; these properties pin the
         //! generated assembly to that model **bit-for-bit**, which is
-        //! what makes packed float kernels interchangeable with
-        //! call-based scalar kernels.
+        //! what lets the A8 kernels' inline `kfmul.t` stand in for a
+        //! call to the scalar library.
         use super::*;
         use proptest::prelude::*;
 

@@ -41,11 +41,11 @@ fn bench_program(c: &mut Criterion, name: &str, program: &kwt_rvasm::Program) {
     g.finish();
 }
 
-/// Scalar vs Xkwtdot inference image: one full quantised+LUT inference
-/// per iteration on a persistent session (warm decode cache), so the
-/// measured ratio is the packed-MAC extension's end-to-end win.
+/// Scalar accelerated vs A8 inference image: one full inference per
+/// iteration on a persistent session (warm decode cache), so the
+/// measured ratio is the packed-MAC A8 pipeline's end-to-end win.
 fn bench_isa_variants(c: &mut Criterion) {
-    use kwt_baremetal::{ImageSpec, InferenceImage, KernelIsa};
+    use kwt_baremetal::InferenceImage;
     use kwt_quant::{Nonlinearity, QuantConfig, QuantizedKwt};
     use kwt_tensor::Mat;
     let params = kwt_bench::enginebench::bench_params();
@@ -56,14 +56,11 @@ fn bench_isa_variants(c: &mut Criterion) {
         ((h >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 10.0
     });
     let mut g = c.benchmark_group("rv32_inference_isa");
-    for (name, isa) in [
-        ("rv32im", KernelIsa::Rv32im),
-        ("xkwtdot", KernelIsa::Xkwtdot),
-    ] {
-        let image = InferenceImage::build(ImageSpec::Quant(&qm, isa), Platform::ibex()).unwrap();
+    {
+        let image = InferenceImage::build_quant(&qm).unwrap();
         let mut session = image.session().unwrap();
         let mut logits = Vec::new();
-        g.bench_function(name, |b| {
+        g.bench_function("rv32im", |b| {
             b.iter(|| session.run_into(&mfcc, &mut logits).unwrap())
         });
     }

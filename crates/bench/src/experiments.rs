@@ -1,6 +1,6 @@
 //! One generator function per paper table/figure.
 
-use kwt_baremetal::{ImageSpec, InferenceImage, KernelIsa};
+use kwt_baremetal::InferenceImage;
 use kwt_dataset::{GscConfig, MfccDataset, Split, SyntheticGsc};
 use kwt_hw::AreaModel;
 use kwt_model::{KwtConfig, KwtParams};
@@ -500,11 +500,6 @@ pub fn check_cycles(_ctx: &ExpContext) -> String {
             "float" => InferenceImage::build_float(&params).expect("float image"),
             "quant" => InferenceImage::build_quant(&qm).expect("quant image"),
             "accel" => InferenceImage::build_quant(&accel).expect("accel image"),
-            "accel_xkwtdot" => InferenceImage::build(
-                ImageSpec::Quant(&accel, KernelIsa::Xkwtdot),
-                Platform::ibex(),
-            )
-            .expect("xkwtdot image"),
             "accel_xkwtdot_a8" => InferenceImage::build_a8(&a8).expect("a8 image"),
             other => panic!("unknown image variant `{other}` in cycle baseline"),
         }

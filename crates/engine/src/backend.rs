@@ -6,7 +6,7 @@
 //! for the host backends and machine-reuse-warm for the simulated one.
 
 use crate::Result;
-use kwt_baremetal::{DeviceSession, InferenceImage, KernelIsa};
+use kwt_baremetal::{DeviceSession, InferenceImage};
 use kwt_model::{KwtConfig, KwtParams, PackedKwtWeights, Scratch};
 use kwt_quant::{QuantScratch, QuantizedKwt};
 use kwt_rv32::RunResult;
@@ -328,12 +328,6 @@ impl Rv32SimBackend {
     /// Cumulative run count of the underlying session.
     pub fn runs(&self) -> u64 {
         self.session.runs()
-    }
-
-    /// The kernel ISA the loaded image was generated for (the scalar
-    /// oracle or the Xkwtdot packed extension).
-    pub fn isa(&self) -> KernelIsa {
-        self.session.isa()
     }
 
     /// The image flavour the session runs — the i16 quantised pipelines

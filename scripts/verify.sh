@@ -168,9 +168,4 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q >/dev/null 2>&1 \
     || fail "cargo doc"
 echo "docs OK"
 
-echo "== smoke: isa_ratio example =="
-cargo run --release -q -p kwt-bench --example isa_ratio >/dev/null \
-    || fail "isa_ratio example"
-echo "isa_ratio OK"
-
 echo "verify: all green"
