@@ -1438,7 +1438,7 @@ mod tests {
     fn scalar_accel_image_retires_no_custom2_ops() {
         // The paper's three images run on the plain Ibex: only the
         // custom-1 LUT ops, never the custom-2 packed-MAC extension.
-        use kwt_rv32::InstClass;
+        use kwt_rv32::{FuncUnit, InstClass};
         let params = trained_ish();
         let qm = QuantizedKwt::quantize(&params, QuantConfig::paper_best())
             .with_nonlinearity(Nonlinearity::FixedLut);
@@ -1448,16 +1448,73 @@ mod tests {
         session.run(&test_input(9)).unwrap();
         let h = session.machine().class_histogram();
         assert!(h.count(InstClass::Lut) > 0, "the LUT ops still run");
-        for class in [
-            InstClass::PackedDot,
-            InstClass::PackedAlu,
-            InstClass::PackedLoad,
-            InstClass::PackedCvt,
-            InstClass::PackedFloat,
-        ] {
-            assert_eq!(h.count(class), 0, "{class:?}");
+        for class in InstClass::ALL {
+            if class.unit() == FuncUnit::Simd {
+                assert_eq!(h.count(class), 0, "{class:?}");
+            }
         }
         assert_eq!(h.total_cycles(), session.machine().cpu.cycles);
+    }
+
+    #[test]
+    fn every_custom2_op_is_emitted_and_freed_encodings_trap() {
+        // Every op the custom-2 decoder accepts must appear in the text
+        // of one of the KWT-Tiny images, so deleting the last emitter of
+        // an op fails here instead of leaving a dead instruction behind.
+        use kwt_quant::{A8Config, A8Kwt};
+        use kwt_rv32::Trap;
+        use kwt_rvasm::{PackedOp, OP_CUSTOM2};
+        use std::collections::HashSet;
+        let params = trained_ish();
+        let qm = QuantizedKwt::quantize(&params, QuantConfig::paper_best());
+        let accel = qm.clone().with_nonlinearity(Nonlinearity::FixedLut);
+        let a8 = A8Kwt::quantize(&params, A8Config::paper_a8()).unwrap();
+        let images = [
+            InferenceImage::build_float(&params).unwrap(),
+            InferenceImage::build_quant(&qm).unwrap(),
+            InferenceImage::build_quant(&accel).unwrap(),
+            InferenceImage::build_a8(&a8).unwrap(),
+        ];
+        let emitted: HashSet<PackedOp> = images
+            .iter()
+            .flat_map(|img| &img.program.text)
+            .filter_map(|&w| match Inst::decode(w) {
+                Some(Inst::Packed { op, .. }) => Some(op),
+                _ => None,
+            })
+            .collect();
+        let defined: Vec<PackedOp> = (0..8)
+            .flat_map(|f3| (0..128).filter_map(move |f7| PackedOp::from_funct3_funct7(f3, f7)))
+            .collect();
+        for op in &defined {
+            assert!(emitted.contains(op), "{op:?} has no emitter");
+        }
+        assert_eq!(emitted.len(), defined.len());
+
+        // The unassigned custom-2 slots: R-type funct3 001 and the
+        // I-type funct3 100 (any immediate) are illegal instructions.
+        let custom2 = |top: u32, f3: u32| top << 20 | 11 << 15 | f3 << 12 | 10 << 7 | OP_CUSTOM2;
+        for word in [custom2(12, 0b001), custom2(0, 0b100), custom2(0xFFE, 0b100)] {
+            assert_eq!(Inst::decode(word), None, "{word:#010x}");
+            let mut asm = Asm::new(TEXT_BASE, DATA_BASE);
+            asm.here("entry");
+            asm.emit(Inst::Addi {
+                rd: Reg::Zero,
+                rs1: Reg::Zero,
+                imm: 0,
+            });
+            asm.emit(Inst::Ebreak);
+            let mut m = Machine::load(&asm.finish().unwrap(), Platform::ibex()).unwrap();
+            m.cpu.mem.write_bytes(TEXT_BASE, &word.to_le_bytes());
+            m.cpu.invalidate_decode_cache(TEXT_BASE, 4);
+            assert_eq!(
+                m.run(10),
+                Err(Trap::IllegalInstruction {
+                    pc: TEXT_BASE,
+                    word
+                })
+            );
+        }
     }
 
     /// MFCC-shaped test inputs (large positive c0, decaying higher

@@ -16,8 +16,8 @@
 //! * **system** — `ecall`/`ebreak`/Zicsr
 //! * **LUT** — the paper's custom-1 Q8.24 ops backed by [`LutSet`] ROMs
 //! * **packed SIMD** — the Xkwtdot custom-2 extension (`kdot4.i8`,
-//!   `kdot2.i16`, `ksat.i16`, `kclip`, `klw.b2h`, `kcvt.h2f`,
-//!   `kcvt.f2h`)
+//!   `ksat.i16`, `kclip`, `kcvt.h2f`, `kcvt.f2h`, `kfadd.t`,
+//!   `kfsub.t`, `kfmul.t`), register-to-register only
 //!
 //! Architectural stores invalidate overlapping cache slots, so
 //! self-modifying code behaves exactly as on the uncached interpreter
@@ -73,7 +73,6 @@ impl InstClass {
             InstClass::Lut => FuncUnit::Lut,
             InstClass::PackedDot
             | InstClass::PackedAlu
-            | InstClass::PackedLoad
             | InstClass::PackedCvt
             | InstClass::PackedFloat => FuncUnit::Simd,
         }
@@ -117,12 +116,11 @@ pub(crate) fn classify(inst: &Inst) -> InstClass {
         Ecall | Ebreak | Csrrw { .. } | Csrrs { .. } | Csrrc { .. } => InstClass::System,
         Custom { .. } => InstClass::Lut,
         Packed { op, .. } => match op {
-            PackedOp::Kdot4I8 | PackedOp::Kdot2I16 => InstClass::PackedDot,
+            PackedOp::Kdot4I8 => InstClass::PackedDot,
             PackedOp::KsatI16 | PackedOp::Kclip => InstClass::PackedAlu,
             PackedOp::KcvtH2F | PackedOp::KcvtF2H => InstClass::PackedCvt,
             PackedOp::KfaddT | PackedOp::KfsubT | PackedOp::KfmulT => InstClass::PackedFloat,
         },
-        KlwB2h { .. } => InstClass::PackedLoad,
     }
 }
 
@@ -353,7 +351,7 @@ impl Cpu {
                 StepOutcome::Continue => {}
             },
             FuncUnit::Lut => self.exec_lut(inst, pc)?,
-            FuncUnit::Simd => self.exec_simd(inst, pc)?,
+            FuncUnit::Simd => self.exec_simd(inst),
         }
 
         self.pc = next_pc;
@@ -646,68 +644,46 @@ impl Cpu {
 
     /// custom-2 packed-SIMD unit (Xkwtdot).
     #[inline(always)]
-    fn exec_simd(&mut self, inst: Inst, pc: u32) -> Result<(), Trap> {
-        match inst {
-            Inst::Packed { op, rd, rs1, rs2 } => {
-                let a = self.reg(rs1);
-                let b = self.reg(rs2);
-                let v = match op {
-                    PackedOp::Kdot4I8 => {
-                        let mut acc = self.reg(rd);
-                        for lane in 0..4 {
-                            let x = (a >> (8 * lane)) as i8 as i32;
-                            let y = (b >> (8 * lane)) as i8 as i32;
-                            acc = acc.wrapping_add(x.wrapping_mul(y) as u32);
-                        }
-                        acc
-                    }
-                    PackedOp::Kdot2I16 => {
-                        let mut acc = self.reg(rd);
-                        for lane in 0..2 {
-                            let x = (a >> (16 * lane)) as i16 as i32;
-                            let y = (b >> (16 * lane)) as i16 as i32;
-                            acc = acc.wrapping_add(x.wrapping_mul(y) as u32);
-                        }
-                        acc
-                    }
-                    PackedOp::KsatI16 => {
-                        let shifted = (a as i32) >> (b & 31);
-                        shifted.clamp(-32768, 32767) as u32
-                    }
-                    PackedOp::Kclip => {
-                        let n = b & 31;
-                        let lo = -(1i64 << n);
-                        let hi = (1i64 << n) - 1;
-                        (a as i32 as i64).clamp(lo, hi) as i32 as u32
-                    }
-                    PackedOp::KcvtH2F => {
-                        // f32(i16) is exact; scaling by 2^-s is exact, so
-                        // this matches the scalar sf_i2f + sf_mul chain
-                        // bit-for-bit on every i16 input.
-                        let h = a as u16 as i16;
-                        let scale = f32::from_bits((127 - (b & 31)) << 23);
-                        (h as f32 * scale).to_bits()
-                    }
-                    PackedOp::KcvtF2H => kcvt_f2h(a, b & 31),
-                    PackedOp::KfaddT => crate::softfp::add(a, b),
-                    PackedOp::KfsubT => crate::softfp::sub(a, b),
-                    PackedOp::KfmulT => crate::softfp::mul(a, b),
-                };
-                self.set_reg(rd, v);
-            }
-            Inst::KlwB2h { rd, rs1, imm } => {
-                let addr = self.reg(rs1).wrapping_add(imm as u32);
-                let h = self.mem.load16(addr, pc)?;
-                let lo = (h as u8 as i8 as i32 as u32) & 0xFFFF;
-                let hi = ((h >> 8) as u8 as i8 as i32 as u32) << 16;
-                self.set_reg(rd, hi | lo);
-                if self.daccess_enabled {
-                    self.last_daccess = Some(addr);
+    fn exec_simd(&mut self, inst: Inst) {
+        let Inst::Packed { op, rd, rs1, rs2 } = inst else {
+            unreachable!("{inst:?} routed to the packed-SIMD unit")
+        };
+        let a = self.reg(rs1);
+        let b = self.reg(rs2);
+        let v = match op {
+            PackedOp::Kdot4I8 => {
+                let mut acc = self.reg(rd);
+                for lane in 0..4 {
+                    let x = (a >> (8 * lane)) as i8 as i32;
+                    let y = (b >> (8 * lane)) as i8 as i32;
+                    acc = acc.wrapping_add(x.wrapping_mul(y) as u32);
                 }
+                acc
             }
-            other => unreachable!("{other:?} routed to the packed-SIMD unit"),
-        }
-        Ok(())
+            PackedOp::KsatI16 => {
+                let shifted = (a as i32) >> (b & 31);
+                shifted.clamp(-32768, 32767) as u32
+            }
+            PackedOp::Kclip => {
+                let n = b & 31;
+                let lo = -(1i64 << n);
+                let hi = (1i64 << n) - 1;
+                (a as i32 as i64).clamp(lo, hi) as i32 as u32
+            }
+            PackedOp::KcvtH2F => {
+                // f32(i16) is exact; scaling by 2^-s is exact, so
+                // this matches the scalar sf_i2f + sf_mul chain
+                // bit-for-bit on every i16 input.
+                let h = a as u16 as i16;
+                let scale = f32::from_bits((127 - (b & 31)) << 23);
+                (h as f32 * scale).to_bits()
+            }
+            PackedOp::KcvtF2H => kcvt_f2h(a, b & 31),
+            PackedOp::KfaddT => crate::softfp::add(a, b),
+            PackedOp::KfsubT => crate::softfp::sub(a, b),
+            PackedOp::KfmulT => crate::softfp::mul(a, b),
+        };
+        self.set_reg(rd, v);
     }
 }
 
@@ -716,9 +692,9 @@ impl Cpu {
 /// The floor/saturate follows the bare-metal soft-float `f2i_floor`
 /// exactly (zero for |x| < 1 positive, −1 for negative fractions,
 /// sign-directed saturation for huge values and NaN), then clamps to the
-/// i16 range — so the packed requant kernel is bit-identical to the
-/// scalar `sf_mul` + `sf_f2i_floor` + clamp sequence on every float the
-/// pipeline can produce.
+/// i16 range — so it is bit-identical to the scalar `sf_mul` +
+/// `sf_f2i_floor` + clamp sequence on every float the pipeline can
+/// produce.
 fn kcvt_f2h(bits: u32, shift: u32) -> u32 {
     let scale = f32::from_bits((127 + shift) << 23);
     let prod = f32::from_bits(bits) * scale;
@@ -1142,26 +1118,6 @@ mod tests {
     }
 
     #[test]
-    fn kdot2_i16_matches_scalar_mac_chain() {
-        // lanes a = [-300, 1200], b = [7, -40]
-        let a_word = (((-300i16 as u16) as u32) | ((1200i16 as u16 as u32) << 16)) as i32;
-        let b_word = (((7i16 as u16) as u32) | ((-40i16 as u16 as u32) << 16)) as i32;
-        let want = 5 + (-300) * 7 + 1200 * (-40);
-        let cpu = run(|a| {
-            a.li(Reg::A0, 5);
-            a.li(Reg::T0, a_word);
-            a.li(Reg::T1, b_word);
-            a.emit(Inst::Packed {
-                op: PackedOp::Kdot2I16,
-                rd: Reg::A0,
-                rs1: Reg::T0,
-                rs2: Reg::T1,
-            });
-        });
-        assert_eq!(cpu.reg(Reg::A0) as i32, want);
-    }
-
-    #[test]
     fn ksat_and_kclip_saturate() {
         let cpu = run(|a| {
             a.li(Reg::T0, 1 << 22);
@@ -1245,60 +1201,6 @@ mod tests {
     }
 
     #[test]
-    fn klw_b2h_widens_bytes_to_lanes() {
-        let cpu = run(|a| {
-            a.li(Reg::T0, 0x8000);
-            // store bytes [-5, 100] at 0x8000
-            a.li(Reg::T1, (-5i8) as u8 as i32);
-            a.emit(Inst::Sb {
-                rs2: Reg::T1,
-                rs1: Reg::T0,
-                imm: 0,
-            });
-            a.li(Reg::T1, 100);
-            a.emit(Inst::Sb {
-                rs2: Reg::T1,
-                rs1: Reg::T0,
-                imm: 1,
-            });
-            a.emit(Inst::KlwB2h {
-                rd: Reg::A0,
-                rs1: Reg::T0,
-                imm: 0,
-            });
-        });
-        let v = cpu.reg(Reg::A0);
-        assert_eq!((v & 0xFFFF) as u16 as i16, -5);
-        assert_eq!((v >> 16) as u16 as i16, 100);
-    }
-
-    #[test]
-    fn klw_b2h_traps_out_of_bounds() {
-        let mut asm = Asm::new(0, 0x8000);
-        asm.here("entry");
-        asm.li(Reg::T0, 0x0100_0000);
-        asm.emit(Inst::KlwB2h {
-            rd: Reg::A0,
-            rs1: Reg::T0,
-            imm: 0,
-        });
-        asm.emit(Inst::Ebreak);
-        let p = asm.finish().unwrap();
-        let mut mem = Memory::new(0, 0x10000);
-        let text: Vec<u8> = p.text.iter().flat_map(|w| w.to_le_bytes()).collect();
-        mem.write_bytes(0, &text);
-        let mut cpu = Cpu::new(mem, TimingModel::ibex(), LutSet::new());
-        let mut last = Ok(StepOutcome::Continue);
-        for _ in 0..10 {
-            last = cpu.step();
-            if last.is_err() || last == Ok(StepOutcome::Halted) {
-                break;
-            }
-        }
-        assert!(matches!(last, Err(Trap::AccessOutOfBounds { .. })));
-    }
-
-    #[test]
     fn cycle_accounting_follows_model() {
         // addi (1) + addi (1) + mul (3) + lw (2) + sw (2) + ebreak (1)
         let cpu = run(|a| {
@@ -1332,7 +1234,7 @@ mod tests {
         let t = TimingModel::ibex();
         let cpu = run(|a| {
             a.emit(Inst::Packed {
-                op: PackedOp::Kdot2I16,
+                op: PackedOp::Kdot4I8,
                 rd: Reg::A0,
                 rs1: Reg::Zero,
                 rs2: Reg::Zero,

@@ -4,8 +4,8 @@
 //! lowRISC-Ibex-class core (Table II: 64 kB RAM, 50 MHz, **no FPU**) with
 //! a per-instruction-class cycle model, the paper's `custom-1` extension
 //! (Table VII) wired to the Q8.24 lookup tables of [`kwt_quant`], and the
-//! **Xkwtdot** `custom-2` packed-MAC extension that vectorises the
-//! quantised GEMM inner loops.
+//! **Xkwtdot** `custom-2` packed-MAC extension that the fully-INT8 A8
+//! images run their GEMM inner loops on.
 //!
 //! The simulator is the measurement instrument for the paper's headline
 //! result — inference clock cycles dropping from 26 M (float) through
@@ -14,7 +14,7 @@
 //! region [`Profiler`] (driven by CSR writes from generated code)
 //! reproduces the per-operation breakdowns of Figs. 3–5, and a
 //! [`ClassHistogram`] attributes cycles to instruction classes so ISA
-//! experiments (scalar vs Xkwtdot images) can be compared paper-style.
+//! experiments (scalar vs A8 images) can be compared paper-style.
 //!
 //! # Execution model
 //!
@@ -39,24 +39,24 @@
 //! | `0101011` | `100` | R | `alu.tofixed` | LUT   | f32 → Q8.24 |
 //! | `0101011` | `101` | R | `alu.tofloat` | LUT   | Q8.24 → f32 |
 //! | `1011011` (custom-2) | `000` | R | `kdot4.i8`  | SIMD | `rd += Σ₀³ i8(rs1.b)·i8(rs2.b)` |
-//! | `1011011` | `001` | R | `kdot2.i16` | SIMD | `rd += Σ₀¹ i16(rs1.h)·i16(rs2.h)` |
 //! | `1011011` | `010` | R | `ksat.i16`  | SIMD | `rd = sat16(rs1 >>ₐ (rs2&31))` |
 //! | `1011011` | `011` | R | `kclip`     | SIMD | `rd = clamp(rs1, −2ⁿ, 2ⁿ−1)`, `n = rs2&31` |
-//! | `1011011` | `100` | I | `klw.b2h`   | SIMD | load halfword, widen both bytes to i16 lanes |
 //! | `1011011` | `101` | R | `kcvt.h2f`  | SIMD | `rd = f32(i16(rs1.h0)) · 2^−(rs2&31)` |
 //! | `1011011` | `110` | R | `kcvt.f2h`  | SIMD | `rd = sat16(⌊f32(rs1) · 2^(rs2&31)⌋)` |
 //! | `1011011` | `111` | R | `kfadd.t` / `kfsub.t` / `kfmul.t` | SIMD | funct7-selected truncating f32 ops, bit-identical to the bare-metal soft-float library ([`softfp`]) |
 //!
-//! All R-type custom ops require `funct7 = 0` (the funct3 = 111 float
-//! slot uses funct7 = 0/1/2 as its sub-op selector). LUT lookups whose index
+//! All custom ops are R-type and require `funct7 = 0` (the funct3 = 111
+//! float slot uses funct7 = 0/1/2 as its sub-op selector); custom-2
+//! funct3 `001` and `100` are unassigned and raise
+//! [`Trap::IllegalInstruction`]. LUT lookups whose index
 //! overruns a (deliberately truncated) table raise the typed
 //! [`Trap::LutIndexOutOfRange`] instead of panicking the host process.
 //!
 //! ## A8 (fully-INT8) usage
 //!
 //! The A8W8 images drive `kdot4.i8` with two plain `lw`-fetched i8
-//! operand words (activations *and* transposed weights — `klw.b2h` is an
-//! i16-pipeline instruction) and narrow accumulators to i8 through
+//! operand words (activations *and* transposed weights) and narrow
+//! accumulators to i8 through
 //! `ksat.i16` + `kclip 7`. Their quantisation boundaries compose
 //! `kcvt.h2f`/`kcvt.f2h` at shift 0 with a truncating `kfmul.t` by an
 //! arbitrary power-of-two scale, so stream exponents may be negative;
@@ -231,8 +231,8 @@ pub struct TimingModel {
     pub jump: u64,
     /// The five `custom-1` operations.
     pub custom: u64,
-    /// Xkwtdot packed dot-products (`kdot4.i8`, `kdot2.i16`): two-lane /
-    /// four-lane MAC array with a single accumulate writeback.
+    /// Xkwtdot packed dot-product (`kdot4.i8`): four-lane MAC array with
+    /// a single accumulate writeback.
     pub kdot: u64,
     /// Xkwtdot packed saturate/clip (`ksat.i16`, `kclip`): plain ALU
     /// datapath with a comparator tree.
@@ -240,9 +240,6 @@ pub struct TimingModel {
     /// Xkwtdot quantisation converts (`kcvt.h2f`, `kcvt.f2h`): shares
     /// the custom-1 float-convert datapath.
     pub kcvt: u64,
-    /// Xkwtdot packed widening load (`klw.b2h`): a halfword load plus a
-    /// free byte-lane sign-extender on the fill path.
-    pub kload: u64,
     /// Xkwtdot truncating scalar-float ops (`kfadd.t`, `kfsub.t`,
     /// `kfmul.t`): a small iterative FPU datapath, modelled like the
     /// fast multiplier.
@@ -265,7 +262,6 @@ impl TimingModel {
             kdot: 2,
             ksat: 1,
             kcvt: 2,
-            kload: 2,
             kfloat: 3,
         }
     }
@@ -286,7 +282,6 @@ impl TimingModel {
             kdot: 1,
             ksat: 1,
             kcvt: 1,
-            kload: 1,
             kfloat: 1,
         }
     }
@@ -306,7 +301,6 @@ impl TimingModel {
             InstClass::Lut => self.custom,
             InstClass::PackedDot => self.kdot,
             InstClass::PackedAlu => self.ksat,
-            InstClass::PackedLoad => self.kload,
             InstClass::PackedCvt => self.kcvt,
             InstClass::PackedFloat => self.kfloat,
         }

@@ -40,12 +40,10 @@ pub enum InstClass {
     System,
     /// custom-1 LUT ops (`alu.exp` … `alu.tofloat`).
     Lut,
-    /// custom-2 packed dot-products (`kdot4.i8`, `kdot2.i16`).
+    /// custom-2 packed dot-product (`kdot4.i8`).
     PackedDot,
     /// custom-2 packed saturate/clip (`ksat.i16`, `kclip`).
     PackedAlu,
-    /// custom-2 packed widening load (`klw.b2h`).
-    PackedLoad,
     /// custom-2 quantisation converts (`kcvt.h2f`, `kcvt.f2h`).
     PackedCvt,
     /// custom-2 truncating float ops (`kfadd.t`, `kfsub.t`, `kfmul.t`).
@@ -53,7 +51,7 @@ pub enum InstClass {
 }
 
 /// Number of [`InstClass`] variants.
-pub const NUM_INST_CLASSES: usize = 14;
+pub const NUM_INST_CLASSES: usize = 13;
 
 impl InstClass {
     /// All classes in discriminant order.
@@ -69,7 +67,6 @@ impl InstClass {
         InstClass::Lut,
         InstClass::PackedDot,
         InstClass::PackedAlu,
-        InstClass::PackedLoad,
         InstClass::PackedCvt,
         InstClass::PackedFloat,
     ];
@@ -88,7 +85,6 @@ impl InstClass {
             InstClass::Lut => "lut",
             InstClass::PackedDot => "packed_dot",
             InstClass::PackedAlu => "packed_alu",
-            InstClass::PackedLoad => "packed_load",
             InstClass::PackedCvt => "packed_cvt",
             InstClass::PackedFloat => "packed_float",
         }

@@ -47,14 +47,12 @@ impl CustomOp {
 }
 
 /// The R-type operations of the **Xkwtdot** `custom-2` packed-MAC
-/// extension (opcode `0b1011011`), selected by `funct3`. The packed
-/// widening load `klw.b2h` shares the opcode but is I-type and has its
-/// own [`Inst`] variant ([`Inst::KlwB2h`], funct3 = `100`).
+/// extension (opcode `0b1011011`), selected by `funct3`. funct3 `001`
+/// and `100` are unassigned and decode as illegal instructions.
 ///
 /// | funct3 | mnemonic    | semantics                                            |
 /// |--------|-------------|------------------------------------------------------|
 /// | `000`  | `kdot4.i8`  | `rd += Σ i8(rs1.b[i])·i8(rs2.b[i])`, i = 0..4        |
-/// | `001`  | `kdot2.i16` | `rd += Σ i16(rs1.h[i])·i16(rs2.h[i])`, i = 0..2      |
 /// | `010`  | `ksat.i16`  | `rd = clamp(rs1 >>ₐ (rs2 & 31), −2¹⁵, 2¹⁵−1)`        |
 /// | `011`  | `kclip`     | `rd = clamp(rs1, −2ⁿ, 2ⁿ−1)`, `n = rs2 & 31`         |
 /// | `101`  | `kcvt.h2f`  | `rd = f32(i16(rs1.h[0])) · 2^−(rs2 & 31)`            |
@@ -74,15 +72,13 @@ impl CustomOp {
 /// | `0000010` | `kfmul.t` | truncating f32 `rs1 · rs2`     |
 ///
 /// All integer accumulation is wrapping two's-complement i32, so a
-/// `kdot` sequence is bit-identical to the equivalent scalar
-/// `mul`/`add` chain in any order. The dot products read `rd` as a
+/// `kdot4.i8` sequence is bit-identical to the equivalent scalar
+/// `mul`/`add` chain in any order. The dot product reads `rd` as a
 /// third source operand (SMAQA-style destructive accumulate).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PackedOp {
     /// `kdot4.i8` — 4-lane i8×i8 dot-product accumulate (funct3 = 000).
     Kdot4I8,
-    /// `kdot2.i16` — 2-lane i16×i16 dot-product accumulate (funct3 = 001).
-    Kdot2I16,
     /// `ksat.i16` — arithmetic shift right + saturate to i16 (funct3 = 010).
     KsatI16,
     /// `kclip` — clamp to a signed power-of-two range (funct3 = 011).
@@ -104,7 +100,6 @@ impl PackedOp {
     pub fn funct3(self) -> u32 {
         match self {
             PackedOp::Kdot4I8 => 0b000,
-            PackedOp::Kdot2I16 => 0b001,
             PackedOp::KsatI16 => 0b010,
             PackedOp::Kclip => 0b011,
             PackedOp::KcvtH2F => 0b101,
@@ -127,7 +122,6 @@ impl PackedOp {
     pub fn from_funct3_funct7(f3: u32, f7: u32) -> Option<PackedOp> {
         match (f3, f7) {
             (0b000, 0) => Some(PackedOp::Kdot4I8),
-            (0b001, 0) => Some(PackedOp::Kdot2I16),
             (0b010, 0) => Some(PackedOp::KsatI16),
             (0b011, 0) => Some(PackedOp::Kclip),
             (0b101, 0) => Some(PackedOp::KcvtH2F),
@@ -143,7 +137,6 @@ impl PackedOp {
     pub fn mnemonic(self) -> &'static str {
         match self {
             PackedOp::Kdot4I8 => "kdot4.i8",
-            PackedOp::Kdot2I16 => "kdot2.i16",
             PackedOp::KsatI16 => "ksat.i16",
             PackedOp::Kclip => "kclip",
             PackedOp::KcvtH2F => "kcvt.h2f",
@@ -425,14 +418,6 @@ pub enum Inst {
         rs1: Reg,
         rs2: Reg,
     },
-    // Xkwtdot packed widening load: loads the halfword at rs1+imm and
-    // sign-extends each of its two bytes into a packed i16 lane of rd
-    // (opcode 0b1011011, funct3 = 100, I-type).
-    KlwB2h {
-        rd: Reg,
-        rs1: Reg,
-        imm: i32,
-    },
 }
 
 const OP_LUI: u32 = 0b0110111;
@@ -448,10 +433,8 @@ const OP_SYSTEM: u32 = 0b1110011;
 /// The RISC-V "custom-1" opcode the paper reserves for its extension.
 pub const OP_CUSTOM1: u32 = 0b0101011;
 /// The RISC-V "custom-2" opcode carrying the Xkwtdot packed-MAC
-/// extension (R-type ops + the `klw.b2h` widening load).
+/// extension (R-type ops only).
 pub const OP_CUSTOM2: u32 = 0b1011011;
-/// funct3 of the `klw.b2h` packed widening load within `custom-2`.
-pub const F3_KLW_B2H: u32 = 0b100;
 
 fn enc_r(funct7: u32, rs2: Reg, rs1: Reg, funct3: u32, rd: Reg, opcode: u32) -> u32 {
     (funct7 << 25)
@@ -563,7 +546,6 @@ impl Inst {
             Packed { op, rd, rs1, rs2 } => {
                 enc_r(op.funct7(), rs2, rs1, op.funct3(), rd, OP_CUSTOM2)
             }
-            KlwB2h { rd, rs1, imm } => enc_i(imm, rs1, F3_KLW_B2H, rd, OP_CUSTOM2),
         }
     }
 
@@ -776,11 +758,6 @@ impl Inst {
                 rs1,
                 rs2,
             },
-            OP_CUSTOM2 if funct3 == F3_KLW_B2H => KlwB2h {
-                rd,
-                rs1,
-                imm: imm_i,
-            },
             OP_CUSTOM2 => Packed {
                 op: PackedOp::from_funct3_funct7(funct3, funct7)?,
                 rd,
@@ -852,7 +829,6 @@ impl fmt::Display for Inst {
             Packed { op, rd, rs1, rs2 } => {
                 write!(f, "{} {rd}, {rs1}, {rs2}", op.mnemonic())
             }
-            KlwB2h { rd, rs1, imm } => write!(f, "klw.b2h {rd}, {imm}({rs1})"),
         }
     }
 }
@@ -1012,23 +988,12 @@ mod tests {
         assert_eq!(w & 0x7F, 0b1011011, "custom-2 opcode");
         assert_eq!(w >> 25, 0, "funct7 must be 0");
         assert_eq!(w >> 12 & 0x7, 0b000, "kdot4.i8 funct3 = 3'b000");
-        // klw.b2h is I-type: funct3 = 100, imm in [31:20].
-        let w = Inst::KlwB2h {
-            rd: Reg::T0,
-            rs1: Reg::T1,
-            imm: -2,
-        }
-        .encode();
-        assert_eq!(w & 0x7F, 0b1011011);
-        assert_eq!(w >> 12 & 0x7, 0b100);
-        assert_eq!((w as i32) >> 20, -2);
     }
 
     #[test]
     fn all_packed_ops_round_trip() {
         for op in [
             PackedOp::Kdot4I8,
-            PackedOp::Kdot2I16,
             PackedOp::KsatI16,
             PackedOp::Kclip,
             PackedOp::KcvtH2F,
@@ -1042,14 +1007,6 @@ mod tests {
                 rd: Reg::T0,
                 rs1: Reg::T1,
                 rs2: Reg::T2,
-            };
-            assert_eq!(Inst::decode(inst.encode()), Some(inst));
-        }
-        for imm in [-2048, -2, 0, 2, 2047] {
-            let inst = Inst::KlwB2h {
-                rd: Reg::A0,
-                rs1: Reg::Sp,
-                imm,
             };
             assert_eq!(Inst::decode(inst.encode()), Some(inst));
         }
@@ -1093,22 +1050,13 @@ mod tests {
         );
         assert_eq!(
             Inst::Packed {
-                op: PackedOp::Kdot2I16,
+                op: PackedOp::Kdot4I8,
                 rd: Reg::A0,
                 rs1: Reg::A1,
                 rs2: Reg::A2
             }
             .to_string(),
-            "kdot2.i16 a0, a1, a2"
-        );
-        assert_eq!(
-            Inst::KlwB2h {
-                rd: Reg::T0,
-                rs1: Reg::A0,
-                imm: 2
-            }
-            .to_string(),
-            "klw.b2h t0, 2(a0)"
+            "kdot4.i8 a0, a1, a2"
         );
     }
 

@@ -12,7 +12,7 @@
 //! # Custom-instruction encoding map
 //!
 //! Both extensions use the standard RISC-V custom opcode space. All ops
-//! are R-type with `funct7 = 0` unless noted; `klw.b2h` is I-type.
+//! are R-type with `funct7 = 0` unless noted.
 //!
 //! | opcode (custom-1, `0101011`) | funct3 | mnemonic       | semantics |
 //! |------------------------------|--------|----------------|-----------|
@@ -23,23 +23,20 @@
 //! |                              | `101`  | `alu.tofloat`  | Q8.24 → f32 |
 //! | opcode (custom-2, `1011011`) | funct3 | mnemonic       | semantics |
 //! |                              | `000`  | `kdot4.i8`     | `rd += Σ₀³ i8·i8` (SMAQA-style) |
-//! |                              | `001`  | `kdot2.i16`    | `rd += Σ₀¹ i16·i16` |
 //! |                              | `010`  | `ksat.i16`     | `rd = sat16(rs1 >>ₐ rs2)` |
 //! |                              | `011`  | `kclip`        | `rd = clamp(rs1, −2ⁿ, 2ⁿ−1)` |
-//! |                              | `100`  | `klw.b2h`      | I-type: load 2 bytes, widen to 2×i16 |
 //! |                              | `101`  | `kcvt.h2f`     | `f32(i16) · 2^−s` (dequantise) |
 //! |                              | `110`  | `kcvt.f2h`     | `sat16(⌊f32 · 2^s⌋)` (requantise) |
 //! |                              | `111`  | `kfadd.t` / `kfsub.t` / `kfmul.t` | funct7-selected truncating f32 ops (soft-float-exact) |
 //!
-//! The packed operands of `kdot4.i8`/`kdot2.i16` are fetched with plain
-//! `lw` (4 i8 lanes or 2 i16 lanes per word); the only dedicated load the
-//! extension needs is the **widening** `klw.b2h`, which feeds i8 weights
-//! into the i16 dot-product lanes.
+//! custom-2 funct3 `001` and `100` are unassigned: they decode as illegal
+//! instructions. The extension has no memory-form op; the packed operands
+//! of `kdot4.i8` are fetched with plain `lw` (4 i8 lanes per word).
 //!
 //! # A8 (fully-INT8) kernel calling conventions
 //!
-//! The A8W8 inference pipeline uses the extension with **both** operands
-//! i8 (no `klw.b2h`): activations and transposed `N×K` weights are
+//! The A8W8 inference pipeline, the extension's only user, takes **both**
+//! operands as i8: activations and transposed `N×K` weights are
 //! fetched four lanes per `lw` and accumulated with `kdot4.i8` — 16 MACs
 //! per unrolled GEMM iteration. Kernel epilogues narrow the i32
 //! accumulator straight to i8 with the `ksat.i16 rd, acc, shift` +
@@ -88,7 +85,7 @@ mod reg;
 pub use asm::{Asm, Label, Program};
 pub use compressed::expand_compressed;
 pub use error::AsmError;
-pub use inst::{CustomOp, Inst, PackedOp, F3_KLW_B2H, OP_CUSTOM1, OP_CUSTOM2};
+pub use inst::{CustomOp, Inst, PackedOp, OP_CUSTOM1, OP_CUSTOM2};
 pub use reg::Reg;
 
 /// Convenience alias for results returned by this crate.

@@ -38,7 +38,6 @@ fn custom_op() -> impl Strategy<Value = CustomOp> {
 fn packed_op() -> impl Strategy<Value = PackedOp> {
     prop_oneof![
         Just(PackedOp::Kdot4I8),
-        Just(PackedOp::Kdot2I16),
         Just(PackedOp::KsatI16),
         Just(PackedOp::Kclip),
         Just(PackedOp::KcvtH2F),
@@ -149,7 +148,6 @@ fn system_and_custom() -> impl Strategy<Value = Inst> {
             rs1,
             rs2
         }),
-        (r(), r(), imm12()).prop_map(|(rd, rs1, imm)| Inst::KlwB2h { rd, rs1, imm }),
     ]
 }
 
