@@ -124,12 +124,8 @@ pub mod attn_params {
     pub const ROWF: i32 = 16;
     /// u32: 0 = float softmax, 1 = LUT softmax.
     pub const NONLINEARITY: i32 = 20;
-    /// u32: unused (always 0).
-    pub const VT: i32 = 24;
-    /// u32: unused (the padded score length `S.next_multiple_of(4)`).
-    pub const KP: i32 = 28;
     /// Total block size in bytes.
-    pub const SIZE: usize = 32;
+    pub const SIZE: usize = 24;
 }
 
 /// Opens profiler region `region` (see [`crate::regions`]).
