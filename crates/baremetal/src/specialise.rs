@@ -177,6 +177,11 @@ impl GemmFactors {
         if self.j_unroll == 0 || self.k_unroll == 0 {
             return Err("zero unroll factor".into());
         }
+        // bounding K and N first keeps the offset arithmetic below from
+        // overflowing on hostile table entries
+        if geom.k > 2047 || geom.n > 2047 {
+            return Err("operand stride exceeds the I-type immediate range".into());
+        }
         if self.cache_a {
             if !geom.packed() {
                 return Err("cache_a needs the packed path (K % 4 == 0)".into());
@@ -205,7 +210,7 @@ impl GemmFactors {
                 "weight offset {max_w_off} exceeds the I-type immediate range"
             ));
         }
-        if 4 * (span - 1) > 2047 || span > 2047 || geom.k > 2047 || geom.n > 2047 {
+        if 4 * (span - 1) > 2047 || span > 2047 {
             return Err("operand stride exceeds the I-type immediate range".into());
         }
         let body = body_insts(geom, self);
@@ -337,7 +342,7 @@ impl LnFactors {
             return Err("degenerate LayerNorm geometry".into());
         }
         let span = self.unroll.min(cols);
-        if 4 * span > 2047 || cols > 2047 {
+        if cols > 2047 || 4 * span > 2047 {
             return Err("element offset exceeds the I-type immediate range".into());
         }
         // pass 3 is the widest body: 11 instructions per element
@@ -1502,6 +1507,20 @@ mod tests {
     }
 
     #[test]
+    fn parse_rejects_overflowing_fields_without_panicking() {
+        for line in [
+            "gemm m=1 k=9223372036854775808 n=6 bias=0 | j_unroll=3 k_unroll=1 cache_a=0",
+            "ln cols=4611686018427387904 | unroll=4611686018427387904",
+        ] {
+            let err = TunedKernels::parse(line).expect_err(line);
+            assert!(
+                matches!(&err, BuildError::Model(m) if m.contains("immediate range")),
+                "{err:?}"
+            );
+        }
+    }
+
+    #[test]
     fn factor_lookup_falls_back_to_valid_defaults() {
         let table = TunedKernels::default();
         for geom in model_sites() {
@@ -1531,6 +1550,40 @@ mod tests {
                 .gemm_factors(&geom)
                 .validate(&geom)
                 .expect("defaults validate");
+        }
+    }
+
+    /// Table field values: small, near the immediate limits, huge.
+    fn field() -> impl Strategy<Value = usize> {
+        prop_oneof![
+            0usize..8,
+            0usize..4200,
+            any::<usize>(),
+            Just(usize::MAX),
+            Just(1usize << 62),
+            Just(1usize << 63),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Any field values parse to a table or a typed error, never a
+        /// panic, and whatever parses validates.
+        #[test]
+        fn parse_never_panics(v in collection::vec(field(), 9)) {
+            let text = format!(
+                "gemm m={} k={} n={} bias={} | j_unroll={} k_unroll={} cache_a={}\nln cols={} | unroll={}\n",
+                v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7], v[8]
+            );
+            if let Ok(table) = TunedKernels::parse(&text) {
+                for (geom, f) in &table.gemm {
+                    prop_assert!(f.validate(geom).is_ok());
+                }
+                for (cols, f) in &table.ln {
+                    prop_assert!(f.validate(*cols).is_ok());
+                }
+            }
         }
     }
 
