@@ -1435,8 +1435,8 @@ mod tests {
 
     #[test]
     fn scalar_accel_image_retires_no_custom2_ops() {
-        // The paper's three images run on the plain Ibex: only the
-        // custom-1 LUT ops, never the custom-2 packed-MAC extension.
+        // The paper's accelerated image runs on the plain Ibex plus the
+        // custom-1 LUT ops; it never touches the custom-2 extension.
         use kwt_rv32::{FuncUnit, InstClass};
         let params = trained_ish();
         let qm = QuantizedKwt::quantize(&params, QuantConfig::paper_best())
