@@ -14,10 +14,12 @@
 //!   for the RV32 backend, a persistent warm machine);
 //! * `batched` — `Engine::classify_batch_into` over the whole clip set.
 //!
-//! Honors `KWT_BENCH_SMOKE=1` and `KWT_BENCH_MEAS_MS` exactly like
-//! [`crate::microbench`].
+//! Each host timing is the best of several batches within a fixed
+//! 200 ms budget; `--smoke` times one call instead (a compile + execute
+//! proof whose timings mean nothing).
 
-use crate::timing::{smoke, time_ns};
+use crate::baseline;
+use crate::timing::time_ns;
 use kwt_audio::kwt_tiny_frontend;
 use kwt_baremetal::InferenceImage;
 use kwt_engine::{Engine, Prediction};
@@ -25,17 +27,6 @@ use kwt_model::{KwtConfig, KwtParams};
 use kwt_quant::{A8Config, A8Kwt, Nonlinearity, QuantConfig, QuantizedKwt};
 use serde::Serialize;
 use std::hint::black_box;
-
-/// Clip count for the (slow) rv32 rows: 3 by default (2 in smoke mode),
-/// overridable with `KWT_BENCH_CLIPS` for less noisy numbers — the
-/// chosen count is recorded per row.
-fn rv32_clip_count() -> usize {
-    std::env::var("KWT_BENCH_CLIPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(if smoke() { 2 } else { 3 })
-}
 
 /// One backend × mode throughput measurement.
 #[derive(Debug, Clone, Serialize)]
@@ -185,7 +176,8 @@ pub struct ParallelRow {
 pub struct EngineBenchSummary {
     /// Producing command.
     pub generated_by: String,
-    /// True when produced under `KWT_BENCH_SMOKE=1` (timings meaningless).
+    /// True when produced by `paper bench-engine --smoke` (timings
+    /// meaningless).
     pub smoke: bool,
     /// Raw measurements.
     pub rows: Vec<EngineRow>,
@@ -252,13 +244,14 @@ struct BackendBench {
 }
 
 fn measure(
+    smoke: bool,
     backend: &'static str,
     clips: Vec<Vec<f32>>,
     mut one_shot: impl FnMut(&[f32]),
     engine: &mut Engine,
 ) -> BackendBench {
     let per_clip = |total: f64| total / clips.len() as f64;
-    let one_shot_ns = per_clip(time_ns(|| {
+    let one_shot_ns = per_clip(time_ns(smoke, || {
         for c in &clips {
             one_shot(black_box(c));
         }
@@ -268,7 +261,7 @@ fn measure(
     for c in &clips {
         engine.classify_into(c, &mut pred).expect("classify");
     }
-    let scratch_ns = per_clip(time_ns(|| {
+    let scratch_ns = per_clip(time_ns(smoke, || {
         for c in &clips {
             engine
                 .classify_into(black_box(c), &mut pred)
@@ -277,7 +270,7 @@ fn measure(
     }));
     let mut out = Vec::new();
     engine.classify_batch_into(&clips, &mut out).expect("batch");
-    let batched_ns = per_clip(time_ns(|| {
+    let batched_ns = per_clip(time_ns(smoke, || {
         engine
             .classify_batch_into(black_box(&clips), &mut out)
             .expect("batch");
@@ -291,8 +284,11 @@ fn measure(
     }
 }
 
-/// Runs every backend × mode measurement and returns the summary.
-pub fn collect() -> EngineBenchSummary {
+/// Runs every backend × mode measurement and returns the summary; `smoke`
+/// times each with a single call.
+pub fn collect(smoke: bool) -> EngineBenchSummary {
+    // clips for the (slow) rv32 rows; the count is recorded per row
+    let rv32_clips = if smoke { 2 } else { 3 };
     let params = bench_params();
     let qm = QuantizedKwt::quantize(&params, QuantConfig::paper_best());
     let accel = qm.clone().with_nonlinearity(Nonlinearity::FixedLut);
@@ -310,6 +306,7 @@ pub fn collect() -> EngineBenchSummary {
         let p = params.clone();
         let f = fe.clone();
         benches.push(measure(
+            smoke,
             "host_float",
             clips,
             move |c| {
@@ -328,6 +325,7 @@ pub fn collect() -> EngineBenchSummary {
         let q = qm.clone();
         let f = fe.clone();
         benches.push(measure(
+            smoke,
             "host_quant",
             clips,
             move |c| {
@@ -341,11 +339,12 @@ pub fn collect() -> EngineBenchSummary {
     // rv32_sim: seed path = InferenceImage::run — a fresh Machine::load
     // and a cold decode cache per clip.
     {
-        let clips = bench_clips(rv32_clip_count());
+        let clips = bench_clips(rv32_clips);
         let mut engine = Engine::rv32_sim(&image, fe.clone()).expect("engine");
         let f = fe.clone();
         let img = image.clone();
         benches.push(measure(
+            smoke,
             "rv32_sim",
             clips,
             move |c| {
@@ -360,11 +359,12 @@ pub fn collect() -> EngineBenchSummary {
     // row pipeline (numerics differ from the i16 path; logits are
     // bit-identical to the host A8 golden model instead).
     {
-        let clips = bench_clips(rv32_clip_count());
+        let clips = bench_clips(rv32_clips);
         let mut engine = Engine::rv32_sim(&a8image, fe.clone()).expect("engine");
         let f = fe.clone();
         let img = a8image.clone();
         benches.push(measure(
+            smoke,
             "rv32_sim_a8",
             clips,
             move |c| {
@@ -420,19 +420,19 @@ pub fn collect() -> EngineBenchSummary {
                     .expect("mfcc");
             }
             let per_clip = |total: f64| total / clips.len() as f64;
-            let reference_ns = per_clip(time_ns(|| {
+            let reference_ns = per_clip(time_ns(smoke, || {
                 for c in &clips {
                     black_box(fe.extract_padded_reference(black_box(c)).expect("mfcc"));
                 }
             }));
-            let fixed_ns = per_clip(time_ns(|| {
+            let fixed_ns = per_clip(time_ns(smoke, || {
                 for c in &clips {
                     fe.extract_padded_into(black_box(c), &mut feat, &mut scratch)
                         .expect("mfcc");
                     black_box(&feat);
                 }
             }));
-            let fixed_a8_ns = per_clip(time_ns(|| {
+            let fixed_a8_ns = per_clip(time_ns(smoke, || {
                 for c in &clips {
                     fe.extract_padded_a8_into(black_box(c), a8_exp, &mut feat_q, &mut scratch)
                         .expect("mfcc");
@@ -463,7 +463,7 @@ pub fn collect() -> EngineBenchSummary {
         let host_cpus = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        let clips = bench_clips(rv32_clip_count() * 4);
+        let clips = bench_clips(rv32_clips * 4);
         let mut engine = Engine::rv32_sim(&a8image, fe.clone()).expect("engine");
         let mut out = Vec::new();
         let mut base = 0.0f64;
@@ -471,7 +471,7 @@ pub fn collect() -> EngineBenchSummary {
             engine
                 .classify_batch_parallel(&clips, threads, &mut out)
                 .expect("parallel batch");
-            let ns = time_ns(|| {
+            let ns = time_ns(smoke, || {
                 engine
                     .classify_batch_parallel(black_box(&clips), threads, &mut out)
                     .expect("parallel batch");
@@ -542,7 +542,7 @@ pub fn collect() -> EngineBenchSummary {
 
     EngineBenchSummary {
         generated_by: "paper bench-engine".to_string(),
-        smoke: smoke(),
+        smoke,
         rows,
         frontend,
         speedups,
@@ -613,14 +613,12 @@ pub fn collect_cluster(a8image: &InferenceImage, fe: &kwt_audio::MfccExtractor) 
     rows
 }
 
-/// Runs [`collect`], writes `BENCH_engine.json` under `out_dir`, and
-/// returns a human-readable table.
-pub fn run_and_write(out_dir: &std::path::Path) -> String {
-    let summary = collect();
-    let json = serde_json::to_string_pretty(&summary).expect("summary serializes");
-    let path = out_dir.join("BENCH_engine.json");
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    let mut out = format!("# bench-engine (written to {})\n", path.display());
+/// Runs [`collect`], writes `BENCH_engine.json` to the working directory,
+/// and returns a human-readable table.
+pub fn run_and_write(smoke: bool) -> String {
+    let summary = collect(smoke);
+    baseline::ENGINE.write(&serde_json::to_string_pretty(&summary).expect("summary serializes"));
+    let mut out = format!("# bench-engine (written to {})\n", baseline::ENGINE.path);
     out.push_str("clips/sec, audio in -> prediction out:\n");
     for r in &summary.rows {
         out.push_str(&format!(

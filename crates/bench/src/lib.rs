@@ -17,12 +17,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod baseline;
 pub mod cascadebench;
 pub mod enginebench;
 pub mod experiments;
 pub mod faultsweep;
 pub mod gscbench;
-pub mod microbench;
 pub mod servebench;
 mod timing;
 pub mod tune;

@@ -1,62 +1,45 @@
-//! Shared wall-clock measurement used by the `BENCH_*.json` collectors
-//! ([`crate::microbench`], [`crate::enginebench`]): adaptive iteration
-//! counts, best-of-batches timing, and the `KWT_BENCH_SMOKE` /
-//! `KWT_BENCH_MEAS_MS` environment controls.
+//! Wall-clock measurement for the `BENCH_engine.json` collector
+//! ([`crate::enginebench`]): adaptive iteration counts and best-of-batches
+//! timing under a fixed per-measurement budget, or a single call in
+//! `--smoke` mode.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-/// True under `KWT_BENCH_SMOKE=1` — run every measurement exactly once
-/// (compile + execute proof, no timing fidelity).
-pub(crate) fn smoke() -> bool {
-    std::env::var("KWT_BENCH_SMOKE")
-        .map(|v| v != "0")
-        .unwrap_or(false)
-}
+/// Wall-clock budget of one measurement.
+const BUDGET: Duration = Duration::from_millis(200);
+/// Batch length the iteration count is calibrated to.
+const CALIBRATION: Duration = Duration::from_millis(40);
 
-/// Per-measurement budget (`KWT_BENCH_MEAS_MS`, default 200 ms).
-pub(crate) fn budget() -> Duration {
-    let ms = std::env::var("KWT_BENCH_MEAS_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(200);
-    Duration::from_millis(ms)
-}
-
-/// Best-of-batches ns/call of `f` under the global budget; a single call
-/// in smoke mode.
-pub(crate) fn time_ns<O>(mut f: impl FnMut() -> O) -> f64 {
-    if smoke() {
-        let t0 = Instant::now();
-        black_box(f());
-        return t0.elapsed().as_nanos() as f64;
-    }
-    let target = budget();
-    let calib = target.min(Duration::from_millis(40));
-    let mut n: u64 = 1;
-    loop {
+/// Best-of-batches ns/call of `f` under [`BUDGET`]; a single call when
+/// `smoke` is set (compile + execute proof, no timing fidelity).
+pub(crate) fn time_ns<O>(smoke: bool, mut f: impl FnMut() -> O) -> f64 {
+    let mut batch = |n: u64| {
         let t0 = Instant::now();
         for _ in 0..n {
             black_box(f());
         }
-        let dt = t0.elapsed();
-        if dt >= calib || n >= 1 << 40 {
+        t0.elapsed()
+    };
+    if smoke {
+        return batch(1).as_nanos() as f64;
+    }
+    let mut n: u64 = 1;
+    loop {
+        let dt = batch(n);
+        if dt >= CALIBRATION || n >= 1 << 40 {
             break;
         }
         n = if dt.as_nanos() == 0 {
             n * 16
         } else {
-            ((n as u128 * calib.as_nanos() * 2 / dt.as_nanos().max(1)) as u64).max(n + 1)
+            ((n as u128 * CALIBRATION.as_nanos() * 2 / dt.as_nanos().max(1)) as u64).max(n + 1)
         };
     }
     let mut best = f64::INFINITY;
     let mut spent = Duration::ZERO;
-    while spent < target {
-        let t0 = Instant::now();
-        for _ in 0..n {
-            black_box(f());
-        }
-        let dt = t0.elapsed();
+    while spent < BUDGET {
+        let dt = batch(n);
         spent += dt;
         best = best.min(dt.as_nanos() as f64 / n as f64);
     }

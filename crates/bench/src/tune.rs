@@ -18,6 +18,7 @@
 //! stale file) and on any tuned kernel slower than the generic kernel
 //! it replaces.
 
+use crate::baseline;
 use kwt_baremetal::specialise::{
     default_ln_factors, emit_gemm_a8_spec, emit_ln_a8_spec, gemm_sites, GemmFactors, GemmGeom,
     LnFactors, TunedKernels,
@@ -27,7 +28,6 @@ use kwt_model::KwtConfig;
 use kwt_rv32::{Machine, Platform};
 use kwt_rvasm::{Asm, Inst, Label, Reg};
 use std::fmt::Write as _;
-use std::path::Path;
 
 const IN_A: u32 = 0xA000;
 const IN_B: u32 = 0xA800;
@@ -136,8 +136,7 @@ fn run_micro(
 
 /// Run one GEMM micro-program on the simulator: deterministic inputs,
 /// `factors: None` for the generic `matmul_a8`, `Some` for a specialised
-/// kernel. Returns (device cycles, output bytes) — also the workload the
-/// `a8_kernels` criterion bench times on the host side.
+/// kernel. Returns (device cycles, output bytes).
 pub fn gemm_micro(geom: &GemmGeom, factors: Option<&GemmFactors>) -> (u64, Vec<u8>) {
     let a = rand_i8s(0xA8 + geom.k as u64, geom.m * geom.k);
     let wt = rand_i8s(0x88 + geom.n as u64, geom.n * geom.k);
@@ -339,14 +338,13 @@ fn sweep_markdown(r: &TuneResult) -> String {
 }
 
 /// `paper tune-kernels`: runs the sweep and writes
-/// `results/TUNED_KERNELS.txt` + `results/TUNING.md` under `root`.
-pub fn run_and_write(root: &Path) -> String {
+/// `results/TUNED_KERNELS.txt` + `results/TUNING.md` under the working
+/// directory.
+pub fn run_and_write() -> String {
     let r = tune();
-    let dir = root.join("results");
-    std::fs::create_dir_all(&dir).expect("results dir");
-    std::fs::write(dir.join("TUNED_KERNELS.txt"), r.table.to_text())
-        .expect("write TUNED_KERNELS.txt");
-    std::fs::write(dir.join("TUNING.md"), sweep_markdown(&r)).expect("write TUNING.md");
+    std::fs::create_dir_all("results").expect("results dir");
+    baseline::TUNED_KERNELS.write(&r.table.to_text());
+    std::fs::write("results/TUNING.md", sweep_markdown(&r)).expect("write TUNING.md");
     let mut out = String::from("## Kernel tuning\n\n");
     let _ = writeln!(
         out,
@@ -370,12 +368,13 @@ pub fn run_and_write(root: &Path) -> String {
 /// `paper check-tuning` (wired into `scripts/verify.sh` and CI):
 /// re-derives the tuned table and fails on any drift from the artefact
 /// the running binary was compiled with, on drift from the on-disk
-/// `results/TUNED_KERNELS.txt` when present, and on any tuned kernel
-/// slower than the generic kernel it replaces.
+/// `results/TUNED_KERNELS.txt`, and on any tuned kernel slower than the
+/// generic kernel it replaces.
 ///
 /// # Panics
 ///
-/// Panics (failing the verify run) on any of the three conditions.
+/// Panics (failing the verify run) on any of the three conditions, or
+/// when the on-disk artefact is missing or does not parse.
 pub fn check() -> String {
     let r = tune();
     let embedded = TunedKernels::embedded();
@@ -384,13 +383,13 @@ pub fn check() -> String {
         "committed TUNED_KERNELS.txt is stale: a fresh `paper tune-kernels` sweep \
          derives a different table — regenerate and rebuild"
     );
-    if let Ok(text) = std::fs::read_to_string("results/TUNED_KERNELS.txt") {
-        let on_disk = TunedKernels::parse(&text).expect("on-disk TUNED_KERNELS.txt parses");
-        assert_eq!(
-            on_disk, r.table,
-            "results/TUNED_KERNELS.txt on disk differs from a fresh sweep"
-        );
-    }
+    let on_disk = baseline::TUNED_KERNELS
+        .load_with(TunedKernels::parse)
+        .unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(
+        on_disk, r.table,
+        "results/TUNED_KERNELS.txt on disk differs from a fresh sweep"
+    );
     let mut lines = String::from("## Tuning gate\n\n");
     for (geom, f) in &r.table.gemm {
         let site = format!("gemm {}x{}x{}", geom.m, geom.k, geom.n);

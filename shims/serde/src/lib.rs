@@ -67,10 +67,17 @@ pub mod de {
 
     impl std::error::Error for Error {}
 
+    /// Deepest nesting of arrays and objects a document may have (serde_json's
+    /// default recursion limit). Deeper input is an error, not a stack
+    /// overflow in the recursive descent.
+    pub const MAX_DEPTH: usize = 128;
+
     /// A cursor over JSON text.
     pub struct Parser<'a> {
         bytes: &'a [u8],
         pos: usize,
+        /// Arrays and objects currently open.
+        depth: usize,
     }
 
     impl<'a> Parser<'a> {
@@ -79,6 +86,7 @@ pub mod de {
             Parser {
                 bytes: input.as_bytes(),
                 pos: 0,
+                depth: 0,
             }
         }
 
@@ -103,29 +111,36 @@ pub mod de {
             self.bytes.get(self.pos).copied()
         }
 
-        /// Consumes `c` (after whitespace) or errors.
+        /// Consumes `c` (after whitespace) or errors. Opening `{` / `[` must be
+        /// consumed here: it counts one nesting level against [`MAX_DEPTH`].
         pub fn expect(&mut self, c: char) -> Result<(), Error> {
-            self.skip_ws();
-            if self.bytes.get(self.pos) == Some(&(c as u8)) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(self.err(format!(
+            if !self.try_consume(c) {
+                return Err(self.err(format!(
                     "expected `{c}`, found {:?}",
                     self.bytes.get(self.pos).map(|&b| b as char)
-                )))
+                )));
             }
+            if c == '{' || c == '[' {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("recursion limit of {MAX_DEPTH} exceeded")));
+                }
+                self.depth += 1;
+            }
+            Ok(())
         }
 
-        /// Consumes `c` if it is next (after whitespace); returns whether it did.
+        /// Consumes `c` if it is next (after whitespace); returns whether it
+        /// did. A closing `}` / `]` leaves one nesting level.
         pub fn try_consume(&mut self, c: char) -> bool {
             self.skip_ws();
-            if self.bytes.get(self.pos) == Some(&(c as u8)) {
-                self.pos += 1;
-                true
-            } else {
-                false
+            if self.bytes.get(self.pos) != Some(&(c as u8)) {
+                return false;
             }
+            self.pos += 1;
+            if c == '}' || c == ']' {
+                self.depth = self.depth.saturating_sub(1);
+            }
+            true
         }
 
         /// True when only whitespace remains.

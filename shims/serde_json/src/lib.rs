@@ -40,3 +40,36 @@ pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T> {
     }
     Ok(v)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::from_str;
+    use serde::de::MAX_DEPTH;
+
+    /// One known field; the unknown `rows` goes through `skip_value`.
+    #[derive(serde::Deserialize)]
+    struct Doc {
+        device_cycles: Vec<u64>,
+    }
+
+    /// A document `arrays + 1` levels deep: `arrays` nested in `rows`.
+    fn nested_rows(arrays: usize) -> String {
+        let (open, close) = ("[".repeat(arrays), "]".repeat(arrays));
+        format!("{{\"rows\":{open}{close},\"device_cycles\":[7]}}")
+    }
+
+    #[test]
+    fn hundred_thousand_deep_unknown_field_is_an_error_not_a_stack_overflow() {
+        let err = from_str::<Doc>(&nested_rows(100_000))
+            .err()
+            .expect("too deep");
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+    }
+
+    #[test]
+    fn document_at_the_depth_limit_parses() {
+        let doc: Doc = from_str(&nested_rows(MAX_DEPTH - 1)).expect("depth 128 parses");
+        assert_eq!(doc.device_cycles, [7]);
+        assert!(from_str::<Doc>(&nested_rows(MAX_DEPTH)).is_err());
+    }
+}
