@@ -958,9 +958,11 @@ impl DeviceSession {
             .logit_scale;
         logits.extend(
             self.machine
-                .read_i8s(self.logits_addr, c.num_classes)
-                .into_iter()
-                .map(|v| v as f32 * scale),
+                .cpu
+                .mem
+                .read_bytes(self.logits_addr, c.num_classes)
+                .iter()
+                .map(|&v| v as i8 as f32 * scale),
         );
         Ok(RunResult {
             cycles: result.cycles - cycles0,
@@ -1243,9 +1245,11 @@ pub(crate) fn read_clip_logits(
                 .logit_scale;
             logits.extend(
                 machine
-                    .read_i8s(logits_addr, config.num_classes)
-                    .into_iter()
-                    .map(|v| v as f32 * scale),
+                    .cpu
+                    .mem
+                    .read_bytes(logits_addr, config.num_classes)
+                    .iter()
+                    .map(|&v| v as i8 as f32 * scale),
             );
         }
     }

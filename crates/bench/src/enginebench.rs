@@ -14,17 +14,24 @@
 //!   for the RV32 backend, a persistent warm machine);
 //! * `batched` — `Engine::classify_batch_into` over the whole clip set.
 //!
-//! Each host timing is the best of several batches within a fixed
-//! 200 ms budget; `--smoke` times one call instead (a compile + execute
-//! proof whose timings mean nothing).
+//! Each host timing is the median of several batches within a fixed
+//! 200 ms budget, recorded with its median absolute deviation where the
+//! row has a MAD field; `--smoke` times one call instead (a compile +
+//! execute proof whose timings mean nothing).
+//!
+//! The `sim_dispatch` row times the simulator itself on the A8 image:
+//! host ns per thousand retired instructions through `Machine::run`
+//! (straight-line block dispatch) and through a plain `Cpu::step` loop,
+//! measured in the same run.
 
 use crate::baseline;
-use crate::timing::time_ns;
+use crate::timing::{time_ns, Timing};
 use kwt_audio::kwt_tiny_frontend;
 use kwt_baremetal::InferenceImage;
 use kwt_engine::{Engine, Prediction};
 use kwt_model::{KwtConfig, KwtParams};
 use kwt_quant::{A8Config, A8Kwt, Nonlinearity, QuantConfig, QuantizedKwt};
+use kwt_rv32::StepOutcome;
 use serde::Serialize;
 use std::hint::black_box;
 
@@ -37,10 +44,37 @@ pub struct EngineRow {
     pub mode: String,
     /// Clips per measured batch.
     pub clips: usize,
-    /// ns per clip.
+    /// ns per clip (median batch).
     pub ns_per_clip: f64,
+    /// Median absolute deviation of the batch ns per clip.
+    pub mad_ns_per_clip: f64,
     /// Clips per second.
     pub clips_per_s: f64,
+}
+
+/// Simulator dispatch cost on one image: host time per thousand retired
+/// instructions through `Machine::run` (block dispatch) and through a
+/// `Cpu::step` loop, measured in alternating rounds of the same run
+/// (each figure the median over rounds, with the MAD across rounds).
+/// Recorded, not gated.
+#[derive(Debug, Clone, Serialize)]
+pub struct SimDispatchRow {
+    /// Image variant (`accel_xkwtdot_a8`).
+    pub variant: String,
+    /// Instructions retired per inference (identical on both paths).
+    pub instructions: u64,
+    /// Host ns per thousand instructions through `Machine::run`.
+    pub run_ns_per_kinst: f64,
+    /// Median absolute deviation of `run_ns_per_kinst`.
+    pub run_mad_ns_per_kinst: f64,
+    /// Host ns per thousand instructions through a `Cpu::step` loop.
+    pub step_ns_per_kinst: f64,
+    /// Median absolute deviation of `step_ns_per_kinst`.
+    pub step_mad_ns_per_kinst: f64,
+    /// Median over alternating measurement rounds of the per-round
+    /// `step / run` ns ratio: how many times fewer host ns per
+    /// instruction block dispatch spends.
+    pub step_over_run: f64,
 }
 
 /// Per-backend speedup summary.
@@ -181,6 +215,8 @@ pub struct EngineBenchSummary {
     pub smoke: bool,
     /// Raw measurements.
     pub rows: Vec<EngineRow>,
+    /// Simulator dispatch cost, block dispatch vs the step loop.
+    pub sim_dispatch: Vec<SimDispatchRow>,
     /// MFCC front-end throughput per geometry and path (the PR 5
     /// `fixed`-path budget for KWT-Tiny is 0.1 ms/clip).
     pub frontend: Vec<FrontendRow>,
@@ -238,9 +274,9 @@ pub fn bench_params() -> KwtParams {
 struct BackendBench {
     backend: &'static str,
     clips: Vec<Vec<f32>>,
-    one_shot_ns: f64,
-    scratch_ns: f64,
-    batched_ns: f64,
+    one_shot: Timing,
+    scratch: Timing,
+    batched: Timing,
 }
 
 fn measure(
@@ -250,37 +286,40 @@ fn measure(
     mut one_shot: impl FnMut(&[f32]),
     engine: &mut Engine,
 ) -> BackendBench {
-    let per_clip = |total: f64| total / clips.len() as f64;
-    let one_shot_ns = per_clip(time_ns(smoke, || {
+    let n = clips.len() as f64;
+    let one_shot = time_ns(smoke, || {
         for c in &clips {
             one_shot(black_box(c));
         }
-    }));
+    })
+    .per(n);
     let mut pred = Prediction::default();
     // warm the arenas before timing the steady state
     for c in &clips {
         engine.classify_into(c, &mut pred).expect("classify");
     }
-    let scratch_ns = per_clip(time_ns(smoke, || {
+    let scratch = time_ns(smoke, || {
         for c in &clips {
             engine
                 .classify_into(black_box(c), &mut pred)
                 .expect("classify");
         }
-    }));
+    })
+    .per(n);
     let mut out = Vec::new();
     engine.classify_batch_into(&clips, &mut out).expect("batch");
-    let batched_ns = per_clip(time_ns(smoke, || {
+    let batched = time_ns(smoke, || {
         engine
             .classify_batch_into(black_box(&clips), &mut out)
             .expect("batch");
-    }));
+    })
+    .per(n);
     BackendBench {
         backend,
         clips,
-        one_shot_ns,
-        scratch_ns,
-        batched_ns,
+        one_shot,
+        scratch,
+        batched,
     }
 }
 
@@ -378,23 +417,24 @@ pub fn collect(smoke: bool) -> EngineBenchSummary {
     let mut rows = Vec::new();
     let mut speedups = Vec::new();
     for b in &benches {
-        for (mode, ns) in [
-            ("one_shot", b.one_shot_ns),
-            ("scratch_reuse", b.scratch_ns),
-            ("batched", b.batched_ns),
+        for (mode, t) in [
+            ("one_shot", b.one_shot),
+            ("scratch_reuse", b.scratch),
+            ("batched", b.batched),
         ] {
             rows.push(EngineRow {
                 backend: b.backend.to_string(),
                 mode: mode.to_string(),
                 clips: b.clips.len(),
-                ns_per_clip: ns,
-                clips_per_s: 1e9 / ns,
+                ns_per_clip: t.ns,
+                mad_ns_per_clip: t.mad_ns,
+                clips_per_s: 1e9 / t.ns,
             });
         }
         speedups.push(EngineSpeedup {
             backend: b.backend.to_string(),
-            scratch_reuse_vs_one_shot: b.one_shot_ns / b.scratch_ns,
-            batched_vs_one_shot: b.one_shot_ns / b.batched_ns,
+            scratch_reuse_vs_one_shot: b.one_shot.ns / b.scratch.ns,
+            batched_vs_one_shot: b.one_shot.ns / b.batched.ns,
         });
     }
     // MFCC front-end throughput: the f64 oracle vs the fixed-point block
@@ -419,7 +459,7 @@ pub fn collect(smoke: bool) -> EngineBenchSummary {
                 fe.extract_padded_a8_into(c, a8_exp, &mut feat_q, &mut scratch)
                     .expect("mfcc");
             }
-            let per_clip = |total: f64| total / clips.len() as f64;
+            let per_clip = |t: Timing| t.ns / clips.len() as f64;
             let reference_ns = per_clip(time_ns(smoke, || {
                 for c in &clips {
                     black_box(fe.extract_padded_reference(black_box(c)).expect("mfcc"));
@@ -475,7 +515,8 @@ pub fn collect(smoke: bool) -> EngineBenchSummary {
                 engine
                     .classify_batch_parallel(black_box(&clips), threads, &mut out)
                     .expect("parallel batch");
-            }) / clips.len() as f64;
+            })
+            .ns / clips.len() as f64;
             if threads == 1 {
                 base = ns;
             }
@@ -489,6 +530,8 @@ pub fn collect(smoke: bool) -> EngineBenchSummary {
             });
         }
     }
+
+    let sim_dispatch = vec![collect_sim_dispatch(smoke, &a8image, &fe)];
 
     // simulated-cluster scaling: the tuned A8 image at 1/2/4/8 harts
     // against the banked shared memory, in deterministic SoC cycles
@@ -544,6 +587,7 @@ pub fn collect(smoke: bool) -> EngineBenchSummary {
         generated_by: "paper bench-engine".to_string(),
         smoke,
         rows,
+        sim_dispatch,
         frontend,
         speedups,
         parallel_scaling,
@@ -553,6 +597,59 @@ pub fn collect(smoke: bool) -> EngineBenchSummary {
         device_kernel_cycles,
     }
 }
+
+/// Times one A8 inference through `Machine::run` and through a
+/// hand-written `Cpu::step` loop on the same warm machine (input
+/// mailbox written, decode cache filled), as host ns per thousand
+/// retired instructions.
+pub fn collect_sim_dispatch(
+    smoke: bool,
+    a8image: &InferenceImage,
+    fe: &kwt_audio::MfccExtractor,
+) -> SimDispatchRow {
+    let mfcc = fe
+        .extract_padded_reference(&bench_clips(1)[0])
+        .expect("mfcc");
+    let mut session = a8image.session().expect("session");
+    let mut logits = Vec::new();
+    let instructions = session
+        .run_into(&mfcc, &mut logits)
+        .expect("device run")
+        .instructions;
+    let mut machine = session.machine().clone();
+    let kinst = instructions as f64 / 1e3;
+    // alternate the two paths so a host slowdown hits both alike; the
+    // ratio is the median of the per-round ratios
+    let (mut run, mut step, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..if smoke { 1 } else { SIM_DISPATCH_ROUNDS } {
+        let r = time_ns(smoke, || {
+            machine.reset_cpu();
+            machine.run(u64::MAX).expect("device run")
+        })
+        .per(kinst);
+        let s = time_ns(smoke, || {
+            machine.reset_cpu();
+            while machine.cpu.step().expect("device step") == StepOutcome::Continue {}
+        })
+        .per(kinst);
+        ratios.push(s.ns / r.ns);
+        run.push(r.ns);
+        step.push(s.ns);
+    }
+    let (run, step) = (Timing::of(&mut run), Timing::of(&mut step));
+    SimDispatchRow {
+        variant: "accel_xkwtdot_a8".to_string(),
+        instructions,
+        run_ns_per_kinst: run.ns,
+        run_mad_ns_per_kinst: run.mad_ns,
+        step_ns_per_kinst: step.ns,
+        step_mad_ns_per_kinst: step.mad_ns,
+        step_over_run: Timing::of(&mut ratios).ns,
+    }
+}
+
+/// Alternating run/step measurement rounds of the `sim_dispatch` row.
+const SIM_DISPATCH_ROUNDS: usize = 9;
 
 /// Measures the simulated-cluster scaling table: the tuned A8 image
 /// pushed through 1/2/4/8-hart clusters in waves (one clip per hart
@@ -622,8 +719,20 @@ pub fn run_and_write(smoke: bool) -> String {
     out.push_str("clips/sec, audio in -> prediction out:\n");
     for r in &summary.rows {
         out.push_str(&format!(
-            "  {:<12} {:<14} {:>12.0} ns/clip  {:>10.1} clips/s\n",
-            r.backend, r.mode, r.ns_per_clip, r.clips_per_s
+            "  {:<12} {:<14} {:>12.0} ± {:<9.0} ns/clip  {:>10.1} clips/s\n",
+            r.backend, r.mode, r.ns_per_clip, r.mad_ns_per_clip, r.clips_per_s
+        ));
+    }
+    out.push_str("simulator dispatch, host ns per thousand instructions:\n");
+    for d in &summary.sim_dispatch {
+        out.push_str(&format!(
+            "  {:<16} run {:>8.0} ± {:.0}   step {:>8.0} ± {:.0}   {:.2}x fewer via run\n",
+            d.variant,
+            d.run_ns_per_kinst,
+            d.run_mad_ns_per_kinst,
+            d.step_ns_per_kinst,
+            d.step_mad_ns_per_kinst,
+            d.step_over_run
         ));
     }
     out.push_str("mfcc front end, ms/clip (PR 5 budget: fixed <= 0.1 ms on kwt_tiny):\n");

@@ -5,12 +5,19 @@
 //! streaming ring exist for.
 
 use kwt_audio::kwt_tiny_frontend;
-use kwt_engine::{Engine, Prediction, StreamDecision, StreamingConfig, StreamingKws};
+use kwt_baremetal::InferenceImage;
+use kwt_engine::{
+    Backend, BackendKind, Engine, Prediction, Rv32SimBackend, StreamDecision, StreamingConfig,
+    StreamingKws,
+};
 use kwt_model::{KwtConfig, KwtParams};
-use kwt_quant::{QuantConfig, QuantizedKwt};
+use kwt_quant::{A8Config, A8Kwt, QuantConfig, QuantizedKwt};
+use kwt_rv32::DecodeCacheStats;
+use kwt_tensor::Mat;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 struct CountingAlloc;
 
@@ -252,4 +259,91 @@ fn window_wave_steady_state_allocates_nothing() {
         }
     });
     assert_eq!(n, 0, "window wave hot loop allocated {n} times");
+}
+
+/// An rv32 backend that publishes its machine's decode-cache counters
+/// after every inference (a copy into a preallocated slot: no heap).
+struct CacheProbe {
+    inner: Rv32SimBackend,
+    stats: Arc<Mutex<DecodeCacheStats>>,
+}
+
+impl CacheProbe {
+    fn publish(&self) {
+        *self.stats.lock().unwrap() = self.inner.session().machine().cpu.decode_cache_stats();
+    }
+}
+
+impl Backend for CacheProbe {
+    fn kind(&self) -> BackendKind {
+        self.inner.kind()
+    }
+
+    fn config(&self) -> &KwtConfig {
+        self.inner.config()
+    }
+
+    fn infer_into(&mut self, mfcc: &Mat<f32>, logits: &mut Vec<f32>) -> kwt_engine::Result<()> {
+        self.inner.infer_into(mfcc, logits)?;
+        self.publish();
+        Ok(())
+    }
+
+    fn input_exponent(&self) -> Option<i32> {
+        self.inner.input_exponent()
+    }
+
+    fn infer_prequantized_into(
+        &mut self,
+        input: &Mat<i8>,
+        logits: &mut Vec<f32>,
+    ) -> kwt_engine::Result<()> {
+        self.inner.infer_prequantized_into(input, logits)?;
+        self.publish();
+        Ok(())
+    }
+}
+
+#[test]
+fn rv32_sim_a8_steady_state_allocates_nothing() {
+    // The A8 device path: i8 MFCC emission, the input-mailbox write, the
+    // simulated inference and the logits readback. After warm-up none
+    // of it may allocate, and the per-call mailbox write must leave
+    // every straight-line block of the simulator cached.
+    let a8 = A8Kwt::quantize(&trained_ish(), A8Config::paper_a8()).unwrap();
+    let image = InferenceImage::build_a8(&a8).unwrap();
+    let stats = Arc::new(Mutex::new(DecodeCacheStats::default()));
+    let probe = CacheProbe {
+        inner: Rv32SimBackend::new(&image).unwrap(),
+        stats: Arc::clone(&stats),
+    };
+    let mut engine = Engine::new(kwt_tiny_frontend().unwrap(), Box::new(probe)).unwrap();
+    let clips: Vec<Vec<f32>> = (0..3).map(clip).collect();
+    let mut pred = Prediction::default();
+    for _ in 0..2 {
+        for audio in &clips {
+            engine.classify_into(audio, &mut pred).unwrap();
+        }
+    }
+    let warm = *stats.lock().unwrap();
+    assert!(warm.blocks_built > 0, "the device ran through blocks");
+    let n = allocations(|| {
+        for _ in 0..10 {
+            for audio in &clips {
+                engine.classify_into(audio, &mut pred).unwrap();
+            }
+        }
+    });
+    assert_eq!(n, 0, "rv32_sim A8 hot loop allocated {n} times");
+    let after = *stats.lock().unwrap();
+    assert_eq!(
+        after.blocks_built, warm.blocks_built,
+        "mailbox writes rebuilt blocks"
+    );
+    assert_eq!(
+        after.blocks_dropped, warm.blocks_dropped,
+        "mailbox writes dropped blocks"
+    );
+    assert_eq!(after.misses, warm.misses, "warm calls re-decoded code");
+    assert!(after.hits > warm.hits);
 }

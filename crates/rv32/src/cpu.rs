@@ -19,9 +19,13 @@
 //!   `ksat.i16`, `kclip`, `kcvt.h2f`, `kcvt.f2h`, `kfadd.t`,
 //!   `kfsub.t`, `kfmul.t`), register-to-register only
 //!
-//! Architectural stores invalidate overlapping cache slots, so
-//! self-modifying code behaves exactly as on the uncached interpreter
-//! (covered by `tests/differential.rs`).
+//! Architectural stores invalidate overlapping cache slots (and the
+//! straight-line blocks built over them), so self-modifying code behaves
+//! exactly as on the uncached interpreter (covered by
+//! `tests/differential.rs`). `Cpu::run_blocks`, the block runner behind
+//! [`crate::Machine::run`], executes whole straight-line blocks on the
+//! same units; [`Cpu::step`] stays the per-instruction path every
+//! monitor uses and the oracle blocks are tested against.
 
 use crate::icache::{DecodeCache, DecodeCacheStats};
 use crate::mem::Memory;
@@ -256,14 +260,18 @@ impl Cpu {
     }
 
     /// Reads a register.
+    #[inline(always)]
     pub fn reg(&self, r: Reg) -> u32 {
-        self.regs[r.num() as usize]
+        // the mask is a no-op on a 5-bit register number; it lets the
+        // compiler drop the bounds check on the hot path
+        self.regs[r.num() as usize & 31]
     }
 
     /// Writes a register (`x0` writes are discarded).
+    #[inline(always)]
     pub fn set_reg(&mut self, r: Reg, value: u32) {
         if r != Reg::Zero {
-            self.regs[r.num() as usize] = value;
+            self.regs[r.num() as usize & 31] = value;
         }
     }
 
@@ -362,6 +370,154 @@ impl Cpu {
         if self.hist_enabled {
             self.class_counts[class as usize] += 1;
         }
+        Ok(StepOutcome::Continue)
+    }
+
+    /// Runs up to `budget` instructions block by block (see the `icache`
+    /// module): at each pc the straight-line block there — built on first
+    /// use from filled decode slots — executes in one inner loop when it
+    /// fits the remaining budget; otherwise one instruction runs through
+    /// [`Cpu::step`]. Returns [`StepOutcome::Halted`] at `ebreak` and
+    /// [`StepOutcome::Continue`] when the budget ran out first.
+    ///
+    /// Architecturally identical to as many `step` calls: every
+    /// instruction but a block's last is neither a control transfer nor
+    /// a system, LUT or store instruction, so none of them observes
+    /// `cycles`, `instret` or `pc`, and none can change code. The block's
+    /// summed cost and the retirements before its last instruction are
+    /// charged just before that instruction runs, so CSR reads and
+    /// profiler pushes/pops see the counters `step` would show; a load
+    /// fault mid-block rolls the counters back to the faulting
+    /// instruction. The class histogram is not updated and the
+    /// data-access trace would keep only a block's last access — callers
+    /// use `step` while either is armed.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`Trap`] `step` would raise, with the hart left at the
+    /// faulting instruction.
+    pub(crate) fn run_blocks(&mut self, budget: u64) -> Result<StepOutcome, Trap> {
+        let mut left = budget;
+        while left > 0 {
+            let pc0 = self.pc;
+            let (idx0, block) = match self.icache.block(pc0) {
+                Some((idx, b)) if u64::from(b.insts) <= left => (idx, b),
+                _ => {
+                    left -= 1;
+                    if self.step()? == StepOutcome::Halted {
+                        return Ok(StepOutcome::Halted);
+                    }
+                    continue;
+                }
+            };
+            let n = u32::from(block.insts);
+            left -= u64::from(n);
+            let (mut idx, mut pc) = (idx0, pc0);
+            for k in 0..n - 1 {
+                let (inst, len) = self.icache.block_inst(idx);
+                if let Err(trap) = self.exec_straight(inst, pc) {
+                    // as `step` leaves it: the faulting instruction's
+                    // cost charged and looked up, the earlier ones retired
+                    self.cycles += self.icache.prefix_cost(idx0, k + 1);
+                    self.instret += u64::from(k);
+                    self.icache.count_hits(k + 1);
+                    self.pc = pc;
+                    return Err(trap);
+                }
+                pc = pc.wrapping_add(len);
+                idx += len as usize >> 1;
+            }
+            self.cycles += u64::from(block.cost);
+            self.instret += u64::from(n - 1);
+            self.icache.count_hits(n);
+            let (inst, len) = self.icache.block_inst(idx);
+            self.pc = pc;
+            if self.exec_last(inst, len, pc)? == StepOutcome::Halted {
+                return Ok(StepOutcome::Halted);
+            }
+        }
+        Ok(StepOutcome::Continue)
+    }
+
+    /// Executes an instruction that cannot end a block (ALU, mul/div,
+    /// load, packed SIMD). Every variant has its own arm, so after
+    /// inlining the unit's own `match` folds away and the instruction
+    /// costs a single dispatch.
+    #[inline(always)]
+    fn exec_straight(&mut self, inst: Inst, pc: u32) -> Result<(), Trap> {
+        use Inst::*;
+        match inst {
+            Lb { .. } => return self.exec_load_store(inst, pc),
+            Lh { .. } => return self.exec_load_store(inst, pc),
+            Lw { .. } => return self.exec_load_store(inst, pc),
+            Lbu { .. } => return self.exec_load_store(inst, pc),
+            Lhu { .. } => return self.exec_load_store(inst, pc),
+            Mul { .. } => self.exec_muldiv(inst),
+            Mulh { .. } => self.exec_muldiv(inst),
+            Mulhsu { .. } => self.exec_muldiv(inst),
+            Mulhu { .. } => self.exec_muldiv(inst),
+            Div { .. } => self.exec_muldiv(inst),
+            Divu { .. } => self.exec_muldiv(inst),
+            Rem { .. } => self.exec_muldiv(inst),
+            Remu { .. } => self.exec_muldiv(inst),
+            Packed { .. } => self.exec_simd(inst),
+            Lui { .. } => self.exec_alu(inst, pc),
+            Auipc { .. } => self.exec_alu(inst, pc),
+            Addi { .. } => self.exec_alu(inst, pc),
+            Slti { .. } => self.exec_alu(inst, pc),
+            Sltiu { .. } => self.exec_alu(inst, pc),
+            Xori { .. } => self.exec_alu(inst, pc),
+            Ori { .. } => self.exec_alu(inst, pc),
+            Andi { .. } => self.exec_alu(inst, pc),
+            Slli { .. } => self.exec_alu(inst, pc),
+            Srli { .. } => self.exec_alu(inst, pc),
+            Srai { .. } => self.exec_alu(inst, pc),
+            Add { .. } => self.exec_alu(inst, pc),
+            Sub { .. } => self.exec_alu(inst, pc),
+            Sll { .. } => self.exec_alu(inst, pc),
+            Slt { .. } => self.exec_alu(inst, pc),
+            Sltu { .. } => self.exec_alu(inst, pc),
+            Xor { .. } => self.exec_alu(inst, pc),
+            Srl { .. } => self.exec_alu(inst, pc),
+            Sra { .. } => self.exec_alu(inst, pc),
+            Or { .. } => self.exec_alu(inst, pc),
+            And { .. } => self.exec_alu(inst, pc),
+            other => unreachable!("{other:?} cannot sit inside a block"),
+        }
+        Ok(())
+    }
+
+    /// Executes a block's last instruction — usually its terminator —
+    /// and retires it: the tail of [`Cpu::step`] without the class
+    /// histogram (never armed under block dispatch), with one dispatch on
+    /// the instruction itself.
+    #[inline(always)]
+    fn exec_last(&mut self, inst: Inst, len: u32, pc: u32) -> Result<StepOutcome, Trap> {
+        use Inst::*;
+        let mut next_pc = pc.wrapping_add(len);
+        match inst {
+            Sb { .. } => self.exec_load_store(inst, pc)?,
+            Sh { .. } => self.exec_load_store(inst, pc)?,
+            Sw { .. } => self.exec_load_store(inst, pc)?,
+            Beq { .. } => self.exec_branch_jump(inst, pc, len, &mut next_pc),
+            Bne { .. } => self.exec_branch_jump(inst, pc, len, &mut next_pc),
+            Blt { .. } => self.exec_branch_jump(inst, pc, len, &mut next_pc),
+            Bge { .. } => self.exec_branch_jump(inst, pc, len, &mut next_pc),
+            Bltu { .. } => self.exec_branch_jump(inst, pc, len, &mut next_pc),
+            Bgeu { .. } => self.exec_branch_jump(inst, pc, len, &mut next_pc),
+            Jal { .. } => self.exec_branch_jump(inst, pc, len, &mut next_pc),
+            Jalr { .. } => self.exec_branch_jump(inst, pc, len, &mut next_pc),
+            Custom { .. } => self.exec_lut(inst, pc)?,
+            Ecall | Ebreak | Csrrw { .. } | Csrrs { .. } | Csrrc { .. } => {
+                if self.exec_system(inst, pc)? == StepOutcome::Halted {
+                    self.instret += 1;
+                    return Ok(StepOutcome::Halted);
+                }
+            }
+            _ => self.exec_straight(inst, pc)?,
+        }
+        self.pc = next_pc;
+        self.instret += 1;
         Ok(StepOutcome::Continue)
     }
 

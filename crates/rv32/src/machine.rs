@@ -133,13 +133,20 @@ impl Machine {
 
     /// Runs until `ebreak`, a trap, or `max_steps` retired instructions.
     ///
-    /// With a [`FaultPlan`] armed ([`set_fault_plan`](Self::set_fault_plan))
-    /// or a cycle watchdog set
-    /// ([`set_cycle_watchdog`](Self::set_cycle_watchdog)), each step is
-    /// additionally monitored;
-    /// without either, the plain tight loop runs — fault support costs
-    /// nothing on the fault-free path, and simulated cycle counts are
-    /// identical either way.
+    /// With no monitor armed, execution goes block by block: straight-line
+    /// runs of already-decoded instructions up to the next branch, jump,
+    /// system, LUT or store instruction execute in one inner loop (see
+    /// the `icache` module), and a block longer than the remaining step
+    /// budget runs through [`Cpu::step`] instead, so
+    /// [`Trap::OutOfFuel`] stops at exactly `max_steps`. Any monitor —
+    /// a [`FaultPlan`] ([`set_fault_plan`](Self::set_fault_plan)), a
+    /// cycle watchdog ([`set_cycle_watchdog`](Self::set_cycle_watchdog)),
+    /// the class histogram or the data-access trace — switches to one
+    /// [`Cpu::step`] per instruction. Both paths are architecturally
+    /// identical: cycles, instret, registers, memory, traps, the profile
+    /// report and the decode-cache hit count match exactly
+    /// (`tests/differential.rs`), so monitoring costs nothing on the plain
+    /// path and never changes simulated cycle counts.
     ///
     /// # Errors
     ///
@@ -151,22 +158,35 @@ impl Machine {
         if self.watchdog.is_some() || self.faults.as_ref().is_some_and(|p| !p.is_empty()) {
             return self.run_monitored(max_steps);
         }
+        if !self.cpu.class_histogram_enabled() && !self.cpu.data_trace_enabled() {
+            let outcome = self.cpu.run_blocks(max_steps)?;
+            return self.finish_run(outcome);
+        }
         for _ in 0..max_steps {
-            match self.cpu.step()? {
-                StepOutcome::Continue => {}
-                StepOutcome::Halted => {
-                    self.cpu.profiler.finish(self.cpu.cycles);
-                    return Ok(RunResult {
-                        cycles: self.cpu.cycles,
-                        instructions: self.cpu.instret,
-                        exit_code: self.cpu.reg(Reg::A0),
-                    });
-                }
+            if self.cpu.step()? == StepOutcome::Halted {
+                return self.finish_run(StepOutcome::Halted);
             }
         }
-        Err(Trap::OutOfFuel {
-            executed: self.cpu.instret,
-        })
+        self.finish_run(StepOutcome::Continue)
+    }
+
+    /// The [`RunResult`] of a halted run (finishing the profiler, which is
+    /// idempotent), or [`Trap::OutOfFuel`] when the step budget ran out
+    /// first.
+    fn finish_run(&mut self, outcome: StepOutcome) -> Result<RunResult, Trap> {
+        match outcome {
+            StepOutcome::Halted => {
+                self.cpu.profiler.finish(self.cpu.cycles);
+                Ok(RunResult {
+                    cycles: self.cpu.cycles,
+                    instructions: self.cpu.instret,
+                    exit_code: self.cpu.reg(Reg::A0),
+                })
+            }
+            StepOutcome::Continue => Err(Trap::OutOfFuel {
+                executed: self.cpu.instret,
+            }),
+        }
     }
 
     /// The monitored twin of the [`run`](Self::run) loop: applies due
@@ -178,16 +198,8 @@ impl Machine {
         let budget = self.watchdog;
         for step in 0..max_steps {
             self.apply_due_faults(step)?;
-            match self.cpu.step()? {
-                StepOutcome::Continue => {}
-                StepOutcome::Halted => {
-                    self.cpu.profiler.finish(self.cpu.cycles);
-                    return Ok(RunResult {
-                        cycles: self.cpu.cycles,
-                        instructions: self.cpu.instret,
-                        exit_code: self.cpu.reg(Reg::A0),
-                    });
-                }
+            if self.cpu.step()? == StepOutcome::Halted {
+                return self.finish_run(StepOutcome::Halted);
             }
             if let Some(b) = budget {
                 let used = self.cpu.cycles - cycles0;
@@ -199,9 +211,7 @@ impl Machine {
                 }
             }
         }
-        Err(Trap::OutOfFuel {
-            executed: self.cpu.instret,
-        })
+        self.finish_run(StepOutcome::Continue)
     }
 
     /// One iteration of the monitored run loop, exposed so an external
@@ -369,8 +379,12 @@ impl Machine {
 
     /// Like [`Machine::run`], but keeps a ring buffer of the last
     /// `capacity` executed instructions (pc, raw word, disassembly) — the
-    /// post-mortem a bare-metal target cannot give you. On a trap the
-    /// trace ends at the faulting instruction.
+    /// post-mortem a bare-metal target cannot give you. Runs every
+    /// instruction through the monitored step, so an armed fault plan
+    /// fires and the cycle watchdog stops the run exactly as in `run`.
+    /// On a trap the trace ends at the faulting instruction (for a fault
+    /// forced at a pc, the instruction at that pc, recorded as it was
+    /// before any memory flip due at the same step).
     pub fn run_traced(
         &mut self,
         max_steps: u64,
@@ -378,35 +392,23 @@ impl Machine {
     ) -> (Result<RunResult, Trap>, Vec<TraceEntry>) {
         let mut trace: std::collections::VecDeque<TraceEntry> =
             std::collections::VecDeque::with_capacity(capacity.max(1));
-        for _ in 0..max_steps {
+        let cycles0 = self.cpu.cycles;
+        for step in 0..max_steps {
             let pc = self.cpu.pc;
             let entry = self.describe(pc);
             if trace.len() == capacity.max(1) {
                 trace.pop_front();
             }
             trace.push_back(entry);
-            match self.cpu.step() {
+            match self.step_monitored(step, cycles0) {
                 Ok(StepOutcome::Continue) => {}
                 Ok(StepOutcome::Halted) => {
-                    self.cpu.profiler.finish(self.cpu.cycles);
-                    return (
-                        Ok(RunResult {
-                            cycles: self.cpu.cycles,
-                            instructions: self.cpu.instret,
-                            exit_code: self.cpu.reg(Reg::A0),
-                        }),
-                        trace.into(),
-                    );
+                    return (self.finish_run(StepOutcome::Halted), trace.into())
                 }
                 Err(t) => return (Err(t), trace.into()),
             }
         }
-        (
-            Err(Trap::OutOfFuel {
-                executed: self.cpu.instret,
-            }),
-            trace.into(),
-        )
+        (self.finish_run(StepOutcome::Continue), trace.into())
     }
 
     /// Disassembles the instruction at `pc` (best effort).
@@ -434,18 +436,30 @@ impl Machine {
 
     // ---- host-side typed memory access ----
 
+    /// Writes `values` as little-endian `N`-byte words at `addr`, in
+    /// place (no staging buffer), and invalidates the decode cache over
+    /// the written range.
+    fn write_le<T: Copy, const N: usize>(
+        &mut self,
+        addr: u32,
+        values: &[T],
+        to_le: impl Fn(T) -> [u8; N],
+    ) {
+        let len = values.len() * N;
+        let bytes = self.cpu.mem.bytes_mut(addr, len);
+        for (dst, &v) in bytes.chunks_exact_mut(N).zip(values) {
+            dst.copy_from_slice(&to_le(v));
+        }
+        self.cpu.invalidate_decode_cache(addr, len as u32);
+    }
+
     /// Writes `f32` values (IEEE-754 bits) starting at `addr`.
     ///
     /// # Panics
     ///
     /// Panics if the range is outside RAM.
     pub fn write_f32s(&mut self, addr: u32, values: &[f32]) {
-        let bytes: Vec<u8> = values
-            .iter()
-            .flat_map(|v| v.to_bits().to_le_bytes())
-            .collect();
-        self.cpu.mem.write_bytes(addr, &bytes);
-        self.cpu.invalidate_decode_cache(addr, bytes.len() as u32);
+        self.write_le(addr, values, |v: f32| v.to_bits().to_le_bytes());
     }
 
     /// Reads `len` `f32` values starting at `addr`.
@@ -468,9 +482,7 @@ impl Machine {
     ///
     /// Panics if the range is outside RAM.
     pub fn write_i16s(&mut self, addr: u32, values: &[i16]) {
-        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
-        self.cpu.mem.write_bytes(addr, &bytes);
-        self.cpu.invalidate_decode_cache(addr, bytes.len() as u32);
+        self.write_le(addr, values, i16::to_le_bytes);
     }
 
     /// Reads `len` `i16` values starting at `addr`.
@@ -487,15 +499,14 @@ impl Machine {
             .collect()
     }
 
-    /// Writes `i8` values starting at `addr` (the A8 image input path).
+    /// Writes `i8` values starting at `addr` (the A8 image input path;
+    /// allocation-free, like every typed writer).
     ///
     /// # Panics
     ///
     /// Panics if the range is outside RAM.
     pub fn write_i8s(&mut self, addr: u32, values: &[i8]) {
-        let bytes: Vec<u8> = values.iter().map(|&v| v as u8).collect();
-        self.cpu.mem.write_bytes(addr, &bytes);
-        self.cpu.invalidate_decode_cache(addr, bytes.len() as u32);
+        self.write_le(addr, values, i8::to_le_bytes);
     }
 
     /// Reads `len` `i8` values starting at `addr`.
@@ -518,9 +529,7 @@ impl Machine {
     ///
     /// Panics if the range is outside RAM.
     pub fn write_i32s(&mut self, addr: u32, values: &[i32]) {
-        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
-        self.cpu.mem.write_bytes(addr, &bytes);
-        self.cpu.invalidate_decode_cache(addr, bytes.len() as u32);
+        self.write_le(addr, values, i32::to_le_bytes);
     }
 
     /// Reads `len` `i32` values starting at `addr`.
@@ -709,6 +718,45 @@ mod tests {
         let (result, trace) = m.run_traced(1_000, 5);
         assert!(result.is_ok());
         assert_eq!(trace.len(), 5);
+    }
+
+    #[test]
+    fn run_traced_fires_a_forced_trap_at_its_pc() {
+        let p = program(|a| {
+            a.li(Reg::A0, 1);
+            a.li(Reg::A1, 2);
+            a.li(Reg::A2, 3);
+        });
+        let mut m = Machine::load(&p, Platform::ibex()).unwrap();
+        let pc = m.cpu.pc + 4;
+        let trap = Trap::AccessOutOfBounds { addr: 0xBAD, pc };
+        m.set_fault_plan(crate::FaultPlan::new().force_trap_at_pc(pc, trap));
+        let (result, trace) = m.run_traced(100, 8);
+        assert_eq!(result, Err(trap));
+        assert_eq!(trace.last().unwrap().pc, pc, "trace ends at the forced pc");
+        assert_eq!(trace.len(), 2);
+        assert_eq!(m.fault_log().len(), 1);
+    }
+
+    #[test]
+    fn run_traced_honours_the_cycle_watchdog() {
+        let mut asm = Asm::new(0, 0x8000);
+        let top = asm.new_label();
+        asm.bind(top).unwrap();
+        asm.jump_to(top);
+        let p = asm.finish().unwrap();
+        let mut m = Machine::load(&p, Platform::ibex()).unwrap();
+        m.set_cycle_watchdog(Some(100));
+        let (result, trace) = m.run_traced(1_000_000, 4);
+        match result {
+            Err(Trap::WatchdogExpired { budget, cycles }) => {
+                assert_eq!(budget, 100);
+                assert!(cycles > 100 && cycles < 200, "fired promptly: {cycles}");
+            }
+            other => panic!("expected watchdog trap, got {other:?}"),
+        }
+        assert_eq!(trace.len(), 4);
+        assert!(m.cpu.instret < 100, "stopped at the budget, not the fuel");
     }
 
     #[test]

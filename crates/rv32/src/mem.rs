@@ -39,27 +39,28 @@ impl Memory {
         Ok((addr - self.base) as usize)
     }
 
+    /// The `N` bytes at `addr`, bounds- and alignment-checked.
+    #[inline(always)]
+    fn array<const N: usize>(&self, addr: u32, pc: u32) -> Result<[u8; N], Trap> {
+        let o = self.offset(addr, N as u32, pc)?;
+        Ok(self.bytes[o..o + N]
+            .try_into()
+            .expect("offset checked the range"))
+    }
+
     /// Loads a byte.
     pub fn load8(&self, addr: u32, pc: u32) -> Result<u8, Trap> {
-        let o = self.offset(addr, 1, pc)?;
-        Ok(self.bytes[o])
+        self.array::<1>(addr, pc).map(|[b]| b)
     }
 
     /// Loads a little-endian halfword (2-byte aligned).
     pub fn load16(&self, addr: u32, pc: u32) -> Result<u16, Trap> {
-        let o = self.offset(addr, 2, pc)?;
-        Ok(u16::from_le_bytes([self.bytes[o], self.bytes[o + 1]]))
+        self.array(addr, pc).map(u16::from_le_bytes)
     }
 
     /// Loads a little-endian word (4-byte aligned).
     pub fn load32(&self, addr: u32, pc: u32) -> Result<u32, Trap> {
-        let o = self.offset(addr, 4, pc)?;
-        Ok(u32::from_le_bytes([
-            self.bytes[o],
-            self.bytes[o + 1],
-            self.bytes[o + 2],
-            self.bytes[o + 3],
-        ]))
+        self.array(addr, pc).map(u32::from_le_bytes)
     }
 
     /// Fetches an instruction parcel (16-bit aligned — the C extension
@@ -101,6 +102,19 @@ impl Memory {
     pub fn write_bytes(&mut self, addr: u32, data: &[u8]) {
         let o = (addr - self.base) as usize;
         self.bytes[o..o + data.len()].copy_from_slice(data);
+    }
+
+    /// Host-side mutable view of `len` bytes at `addr`, for writers that
+    /// fill RAM in place without a staging buffer. Like
+    /// [`write_bytes`](Self::write_bytes) it bypasses decode-cache
+    /// invalidation (see [`crate::Cpu::invalidate_decode_cache`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range falls outside RAM.
+    pub(crate) fn bytes_mut(&mut self, addr: u32, len: usize) -> &mut [u8] {
+        let o = (addr - self.base) as usize;
+        &mut self.bytes[o..o + len]
     }
 
     /// Host-side bulk read (results, buffers).
@@ -173,5 +187,7 @@ mod tests {
         let mut m = Memory::new(0x8000, 0x100);
         m.write_bytes(0x8010, &[1, 2, 3]);
         assert_eq!(m.read_bytes(0x8010, 3), &[1, 2, 3]);
+        m.bytes_mut(0x8011, 2).copy_from_slice(&[7, 8]);
+        assert_eq!(m.read_bytes(0x8010, 3), &[1, 7, 8]);
     }
 }

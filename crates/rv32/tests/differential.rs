@@ -2,10 +2,78 @@
 //! executed on the simulator must match the host's reference semantics
 //! on random operands, and the pre-decode execution cache must be
 //! architecturally invisible — including under self-modifying code.
+//!
+//! Block dispatch is held to the same standard: `Machine::run` (which
+//! runs straight-line blocks when no monitor is armed) must match a
+//! hand-written `Cpu::step` loop exactly — cycles, instret, registers,
+//! memory, pc, trap, profile report and decode-cache counters — over
+//! random programs, traps mid-block, step budgets landing mid-block,
+//! self-modifying stores and host writes.
 
-use kwt_rv32::{Machine, Platform};
-use kwt_rvasm::{Asm, Inst, PackedOp, Reg};
+use kwt_rv32::{Machine, Platform, RunResult, StepOutcome, Trap};
+use kwt_rvasm::{Asm, CustomOp, Inst, PackedOp, Program, Reg};
 use proptest::prelude::*;
+
+/// `Machine::run` spelled out as one `Cpu::step` per instruction — the
+/// oracle block dispatch is compared against.
+fn step_loop(m: &mut Machine, max_steps: u64) -> Result<RunResult, Trap> {
+    for _ in 0..max_steps {
+        if m.cpu.step()? == StepOutcome::Halted {
+            m.cpu.profiler.finish(m.cpu.cycles);
+            return Ok(RunResult {
+                cycles: m.cpu.cycles,
+                instructions: m.cpu.instret,
+                exit_code: m.cpu.reg(Reg::A0),
+            });
+        }
+    }
+    Err(Trap::OutOfFuel {
+        executed: m.cpu.instret,
+    })
+}
+
+/// Asserts two machines are in the same architectural and accounting
+/// state: pc, registers, counters, all of RAM, the profile report and
+/// the decode-cache hit/miss/invalidation counters.
+fn assert_same_state(blocks: &Machine, steps: &Machine) {
+    assert_eq!(blocks.cpu.pc, steps.cpu.pc, "pc");
+    assert_eq!(blocks.cpu.regs, steps.cpu.regs, "registers");
+    assert_eq!(blocks.cpu.cycles, steps.cpu.cycles, "cycles");
+    assert_eq!(blocks.cpu.instret, steps.cpu.instret, "instret");
+    let ram = |m: &Machine| {
+        m.cpu
+            .mem
+            .read_bytes(m.cpu.mem.base(), m.cpu.mem.size() as usize)
+            .to_vec()
+    };
+    assert!(ram(blocks) == ram(steps), "memory differs");
+    assert_eq!(
+        format!("{:?}", blocks.profile_report()),
+        format!("{:?}", steps.profile_report()),
+        "profile report"
+    );
+    let (b, s) = (
+        blocks.cpu.decode_cache_stats(),
+        steps.cpu.decode_cache_stats(),
+    );
+    assert_eq!(
+        (b.hits, b.misses, b.invalidated),
+        (s.hits, s.misses, s.invalidated),
+        "decode-cache counters"
+    );
+}
+
+/// Runs `p` through `Machine::run` and through the step loop with the
+/// same budget, asserts identical outcomes and state, and returns the
+/// block-dispatched machine with its result.
+fn run_vs_step(p: &Program, max_steps: u64) -> (Machine, Result<RunResult, Trap>) {
+    let mut blocks = Machine::load(p, Platform::ibex()).expect("fits");
+    let mut steps = Machine::load(p, Platform::ibex()).expect("fits");
+    let r = blocks.run(max_steps);
+    assert_eq!(r, step_loop(&mut steps, max_steps), "run result");
+    assert_same_state(&blocks, &steps);
+    (blocks, r)
+}
 
 /// Builds a program whose first instruction (`site`, at text base 0) is
 /// executed, then overwritten through `patch`, then executed again:
@@ -527,5 +595,515 @@ proptest! {
             run_imm(&|rd, rs1, imm| Inst::Andi { rd, rs1, imm }),
             a & (imm as u32)
         );
+    }
+}
+
+/// A 6-instruction subroutine whose 3rd instruction loads through `t5`,
+/// called once with a good pointer (decoding and caching it), then with
+/// a misaligned one — the second call runs as a block and faults
+/// mid-block.
+#[test]
+fn trap_on_third_instruction_of_a_six_instruction_block() {
+    let mut asm = Asm::new(0, 0x8000);
+    let blk = asm.new_label();
+    asm.bind(blk).unwrap();
+    let blk_pc = asm.pc();
+    asm.emit(Inst::Addi {
+        rd: Reg::A0,
+        rs1: Reg::A0,
+        imm: 1,
+    });
+    asm.emit(Inst::Mul {
+        rd: Reg::A1,
+        rs1: Reg::A0,
+        rs2: Reg::A0,
+    });
+    asm.emit(Inst::Lw {
+        rd: Reg::A2,
+        rs1: Reg::T5,
+        imm: 0,
+    });
+    asm.emit(Inst::Addi {
+        rd: Reg::A3,
+        rs1: Reg::A2,
+        imm: 7,
+    });
+    asm.emit(Inst::Xor {
+        rd: Reg::A4,
+        rs1: Reg::A3,
+        rs2: Reg::A1,
+    });
+    asm.ret();
+    asm.here("entry");
+    asm.li(Reg::T5, 0x9000);
+    asm.jal_to(Reg::Ra, blk);
+    asm.li(Reg::T5, 0x9002);
+    asm.jal_to(Reg::Ra, blk);
+    asm.emit(Inst::Ebreak);
+    let p = asm.finish().expect("assembles");
+    let (m, r) = run_vs_step(&p, 1_000);
+    assert_eq!(
+        r,
+        Err(Trap::MisalignedAccess {
+            addr: 0x9002,
+            size: 4,
+            pc: blk_pc + 8,
+        })
+    );
+    assert_eq!(m.cpu.pc, blk_pc + 8, "left at the faulting load");
+    assert!(
+        m.cpu.decode_cache_stats().blocks_built > 0,
+        "the fault hit a block"
+    );
+}
+
+/// A counted loop: `t0` iterations of an 8-instruction body.
+fn counted_loop(iters: i32) -> Program {
+    let mut asm = Asm::new(0, 0x8000);
+    asm.here("entry");
+    asm.li(Reg::T0, iters);
+    asm.li(Reg::T5, 0x9000);
+    let top = asm.new_label();
+    asm.bind(top).unwrap();
+    for imm in 1..=3 {
+        asm.emit(Inst::Addi {
+            rd: Reg::A0,
+            rs1: Reg::A0,
+            imm,
+        });
+    }
+    asm.emit(Inst::Lw {
+        rd: Reg::A1,
+        rs1: Reg::T5,
+        imm: 0,
+    });
+    asm.emit(Inst::Add {
+        rd: Reg::A1,
+        rs1: Reg::A1,
+        rs2: Reg::A0,
+    });
+    asm.emit(Inst::Sw {
+        rs2: Reg::A1,
+        rs1: Reg::T5,
+        imm: 0,
+    });
+    asm.emit(Inst::Addi {
+        rd: Reg::T0,
+        rs1: Reg::T0,
+        imm: -1,
+    });
+    asm.branch_to(
+        Inst::Bne {
+            rs1: Reg::T0,
+            rs2: Reg::Zero,
+            offset: 0,
+        },
+        top,
+    );
+    asm.emit(Inst::Ebreak);
+    asm.finish().expect("assembles")
+}
+
+/// Every step budget from 1 up to past the halt: `OutOfFuel` (and the
+/// state it leaves) must be exact wherever the budget lands, mid-block
+/// included, and a resumed run must finish identically.
+#[test]
+fn max_steps_landing_mid_block_is_exact() {
+    let p = counted_loop(6);
+    let (_, full) = run_vs_step(&p, 10_000);
+    let total = full.expect("halts").instructions;
+    for budget in 1..=total + 2 {
+        let mut blocks = Machine::load(&p, Platform::ibex()).expect("fits");
+        let mut steps = Machine::load(&p, Platform::ibex()).expect("fits");
+        let r = blocks.run(budget);
+        assert_eq!(r, step_loop(&mut steps, budget), "budget {budget}");
+        if budget < total {
+            assert_eq!(r, Err(Trap::OutOfFuel { executed: budget }));
+        }
+        assert_same_state(&blocks, &steps);
+        // resume from wherever the budget stopped
+        assert_eq!(blocks.run(10_000), step_loop(&mut steps, 10_000));
+        assert_same_state(&blocks, &steps);
+    }
+}
+
+/// A store patching the instruction right after it, after that
+/// instruction already sits in a built block: the block is dropped and
+/// the new code is seen, exactly as under `step`.
+///
+/// ```text
+///        li   t0, 4              # passes
+/// top:   addi a0, a0, 1
+///        bne  t0, t2, y          # t2 = 2: patch on the third pass only
+///        sw   t1, 0(t3)          # t3 = &y, t1 = `addi a0, a0, 100`
+/// y:     addi a1, a1, 1          # the patched instruction
+///        addi t0, t0, -1
+///        bne  t0, zero, top
+/// ```
+#[test]
+fn store_patching_the_next_instruction_is_seen() {
+    let patched = Inst::Addi {
+        rd: Reg::A0,
+        rs1: Reg::A0,
+        imm: 100,
+    }
+    .encode();
+    let mut asm = Asm::new(0, 0x8000);
+    asm.here("entry");
+    asm.li(Reg::T0, 4);
+    asm.li(Reg::T1, patched as i32);
+    asm.li(Reg::T2, 2);
+    let y = asm.new_label();
+    let top = asm.new_label();
+    // `y` sits 12 bytes past `top` (addi, bne, sw)
+    let y_addr = asm.pc() + 4 + 12;
+    asm.li(Reg::T3, y_addr as i32);
+    assert_eq!(asm.pc(), y_addr - 12, "li t3 must be one instruction");
+    asm.bind(top).unwrap();
+    asm.emit(Inst::Addi {
+        rd: Reg::A0,
+        rs1: Reg::A0,
+        imm: 1,
+    });
+    asm.branch_to(
+        Inst::Bne {
+            rs1: Reg::T0,
+            rs2: Reg::T2,
+            offset: 0,
+        },
+        y,
+    );
+    asm.emit(Inst::Sw {
+        rs2: Reg::T1,
+        rs1: Reg::T3,
+        imm: 0,
+    });
+    asm.bind(y).unwrap();
+    asm.emit(Inst::Addi {
+        rd: Reg::A1,
+        rs1: Reg::A1,
+        imm: 1,
+    });
+    asm.emit(Inst::Addi {
+        rd: Reg::T0,
+        rs1: Reg::T0,
+        imm: -1,
+    });
+    asm.branch_to(
+        Inst::Bne {
+            rs1: Reg::T0,
+            rs2: Reg::Zero,
+            offset: 0,
+        },
+        top,
+    );
+    asm.emit(Inst::Ebreak);
+    let p = asm.finish().expect("assembles");
+    let (m, r) = run_vs_step(&p, 10_000);
+    r.expect("halts");
+    // `y` adds 1 to a1 on the first two passes and 100 to a0 on the last two
+    assert_eq!(m.cpu.reg(Reg::A0), 4 + 2 * 100);
+    assert_eq!(m.cpu.reg(Reg::A1), 2);
+    let stats = m.cpu.decode_cache_stats();
+    assert!(
+        stats.blocks_dropped > 0,
+        "the store dropped the block at y: {stats:?}"
+    );
+}
+
+/// A host write into code between runs of the same machine drops the
+/// overlapping block; both dispatch paths see the new code.
+#[test]
+fn host_write_into_code_between_runs_drops_blocks() {
+    let p = counted_loop(5);
+    let mut blocks = Machine::load(&p, Platform::ibex()).expect("fits");
+    let mut steps = Machine::load(&p, Platform::ibex()).expect("fits");
+    for m in [&mut blocks, &mut steps] {
+        m.cpu.pc = p.symbol("entry").expect("entry");
+    }
+    assert_eq!(blocks.run(10_000), step_loop(&mut steps, 10_000));
+    let loop_body = p.symbol("entry").expect("entry") + 16;
+    let word = Inst::Addi {
+        rd: Reg::A0,
+        rs1: Reg::A0,
+        imm: 40,
+    }
+    .encode() as i32;
+    let built = blocks.cpu.decode_cache_stats().blocks_built;
+    for m in [&mut blocks, &mut steps] {
+        m.write_i32s(loop_body, &[word]);
+        m.reset_cpu();
+    }
+    assert!(
+        blocks.cpu.decode_cache_stats().blocks_dropped > 0,
+        "write overlapped a block"
+    );
+    let r = blocks.run(10_000);
+    assert_eq!(r, step_loop(&mut steps, 10_000));
+    assert_same_state(&blocks, &steps);
+    assert!(
+        blocks.cpu.decode_cache_stats().blocks_built > built,
+        "rebuilt over new code"
+    );
+}
+
+/// Writes to data (the input-mailbox pattern: a host write before every
+/// inference) must leave every block cached.
+#[test]
+fn mailbox_write_leaves_blocks_cached() {
+    let p = counted_loop(5);
+    let mut m = Machine::load(&p, Platform::ibex()).expect("fits");
+    m.run(10_000).expect("halts");
+    m.reset_cpu();
+    m.run(10_000).expect("halts");
+    let warm = m.cpu.decode_cache_stats();
+    assert!(warm.blocks_built > 0);
+    for round in 0..3 {
+        m.write_i8s(0x9000, &[round; 64]);
+        m.reset_cpu();
+        m.run(10_000).expect("halts");
+    }
+    let after = m.cpu.decode_cache_stats();
+    assert_eq!(after.blocks_built, warm.blocks_built, "no block rebuilt");
+    assert_eq!(after.blocks_dropped, 0, "no block dropped");
+    assert_eq!(after.misses, warm.misses, "no instruction re-decoded");
+}
+
+/// Turning the decode cache off turns blocks off too.
+#[test]
+fn disabled_decode_cache_builds_no_blocks() {
+    let p = counted_loop(5);
+    let mut m = Machine::load(&p, Platform::ibex()).expect("fits");
+    m.cpu.set_decode_cache_enabled(false);
+    let mut steps = Machine::load(&p, Platform::ibex()).expect("fits");
+    assert_eq!(m.run(10_000), step_loop(&mut steps, 10_000));
+    assert_eq!(m.cpu.decode_cache_stats().blocks_built, 0);
+}
+
+/// Register pool of the random block programs (no sp/ra/zero and none
+/// of the harness registers t4/t5/t6).
+const POOL: [Reg; 8] = [
+    Reg::T0,
+    Reg::T1,
+    Reg::T2,
+    Reg::A0,
+    Reg::A1,
+    Reg::A2,
+    Reg::A3,
+    Reg::A4,
+];
+
+/// One random instruction of a block program.
+#[derive(Debug, Clone)]
+struct RandOp {
+    kind: u8,
+    rd: usize,
+    rs1: usize,
+    rs2: usize,
+    imm: i16,
+}
+
+fn rand_op() -> impl Strategy<Value = RandOp> {
+    (0u8..64, 0usize..8, 0usize..8, 0usize..8, any::<i16>()).prop_map(
+        |(kind, rd, rs1, rs2, imm)| RandOp {
+            kind,
+            rd,
+            rs1,
+            rs2,
+            imm,
+        },
+    )
+}
+
+/// Assembles a random loop program: `t4` passes over the random body
+/// (so blocks are built and reused), loads/stores into the scratch
+/// window at `t5`, LUT ops, profiler pushes/pops, cycle/instret CSR
+/// reads, forward branches and packed ops. Kind 63 is a load that may
+/// be misaligned, so some programs trap mid-block.
+fn block_program(ops: &[RandOp], passes: i32) -> Program {
+    let mut asm = Asm::new(0, 0x8000);
+    asm.here("entry");
+    asm.li(Reg::T4, passes);
+    asm.li(Reg::T5, 0x9000);
+    let top = asm.new_label();
+    asm.bind(top).unwrap();
+    for o in ops {
+        let (rd, rs1, rs2) = (POOL[o.rd], POOL[o.rs1], POOL[o.rs2]);
+        let imm = o.imm as i32;
+        let word = imm & 0x3FC;
+        match o.kind {
+            0 => asm.emit(Inst::Add { rd, rs1, rs2 }),
+            1 => asm.emit(Inst::Sub { rd, rs1, rs2 }),
+            2 => asm.emit(Inst::Xor { rd, rs1, rs2 }),
+            3 => asm.emit(Inst::Sltu { rd, rs1, rs2 }),
+            4 => asm.emit(Inst::Slli {
+                rd,
+                rs1,
+                shamt: (imm & 31) as u32,
+            }),
+            5 => asm.emit(Inst::Srai {
+                rd,
+                rs1,
+                shamt: (imm & 31) as u32,
+            }),
+            6 => asm.emit(Inst::Mul { rd, rs1, rs2 }),
+            7 => asm.emit(Inst::Div { rd, rs1, rs2 }),
+            8 => asm.emit(Inst::Remu { rd, rs1, rs2 }),
+            9 | 10 => asm.emit(Inst::Lw {
+                rd,
+                rs1: Reg::T5,
+                imm: word,
+            }),
+            11 => asm.emit(Inst::Lb {
+                rd,
+                rs1: Reg::T5,
+                imm: imm & 0x3FF,
+            }),
+            12 => asm.emit(Inst::Lhu {
+                rd,
+                rs1: Reg::T5,
+                imm: imm & 0x3FE,
+            }),
+            13 | 14 => asm.emit(Inst::Sw {
+                rs2: rs1,
+                rs1: Reg::T5,
+                imm: word,
+            }),
+            15 => asm.emit(Inst::Sb {
+                rs2: rs1,
+                rs1: Reg::T5,
+                imm: imm & 0x3FF,
+            }),
+            16 => asm.emit(Inst::Sh {
+                rs2: rs1,
+                rs1: Reg::T5,
+                imm: imm & 0x3FE,
+            }),
+            17 => asm.emit(Inst::Custom {
+                op: [
+                    CustomOp::Exp,
+                    CustomOp::Invert,
+                    CustomOp::Gelu,
+                    CustomOp::ToFixed,
+                    CustomOp::ToFloat,
+                ][(o.imm as u16 % 5) as usize],
+                rd,
+                rs1,
+                rs2: Reg::Zero,
+            }),
+            18 => {
+                asm.li(Reg::T6, (o.imm as u16 % 4) as i32);
+                asm.emit(Inst::Csrrw {
+                    rd: Reg::Zero,
+                    rs1: Reg::T6,
+                    csr: kwt_rvasm::CSR_PROFILE_PUSH,
+                });
+            }
+            19 => asm.emit(Inst::Csrrw {
+                rd: Reg::Zero,
+                rs1: Reg::Zero,
+                csr: kwt_rvasm::CSR_PROFILE_POP,
+            }),
+            20 => asm.emit(Inst::Csrrs {
+                rd,
+                rs1: Reg::Zero,
+                csr: 0xB00, // mcycle
+            }),
+            21 => asm.emit(Inst::Csrrs {
+                rd,
+                rs1: Reg::Zero,
+                csr: 0xB02, // minstret
+            }),
+            22 | 23 => {
+                // forward branch over one instruction
+                let skip = asm.new_label();
+                let template = if o.kind == 22 {
+                    Inst::Beq {
+                        rs1,
+                        rs2,
+                        offset: 0,
+                    }
+                } else {
+                    Inst::Bltu {
+                        rs1,
+                        rs2,
+                        offset: 0,
+                    }
+                };
+                asm.branch_to(template, skip);
+                asm.emit(Inst::Addi { rd, rs1, imm: 1 });
+                asm.bind(skip).unwrap();
+            }
+            24 => asm.emit(Inst::Packed {
+                op: PackedOp::Kdot4I8,
+                rd,
+                rs1,
+                rs2,
+            }),
+            25 => asm.emit(Inst::Packed {
+                op: PackedOp::KsatI16,
+                rd,
+                rs1,
+                rs2,
+            }),
+            26 => asm.emit(Inst::Packed {
+                op: PackedOp::KfmulT,
+                rd,
+                rs1,
+                rs2,
+            }),
+            27 => asm.emit(Inst::Lui { rd, imm: imm << 12 }),
+            28 => asm.emit(Inst::Auipc { rd, imm: imm << 12 }),
+            63 => asm.emit(Inst::Lw {
+                rd,
+                rs1: Reg::T5,
+                imm: imm & 0x3FF,
+            }),
+            _ => asm.emit(Inst::Addi {
+                rd,
+                rs1,
+                imm: imm >> 4,
+            }),
+        }
+    }
+    asm.emit(Inst::Addi {
+        rd: Reg::T4,
+        rs1: Reg::T4,
+        imm: -1,
+    });
+    asm.branch_to(
+        Inst::Bne {
+            rs1: Reg::T4,
+            rs2: Reg::Zero,
+            offset: 0,
+        },
+        top,
+    );
+    asm.emit(Inst::Ebreak);
+    asm.finish().expect("random program assembles")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Block dispatch ≡ the step loop over random programs, run to the
+    /// end and with a random step budget (then resumed).
+    #[test]
+    fn blocks_match_step_loop_on_random_programs(
+        ops in proptest::collection::vec(rand_op(), 1..48),
+        passes in 1i32..5,
+        budget in 1u64..600,
+    ) {
+        let p = block_program(&ops, passes);
+        let (m, r) = run_vs_step(&p, 100_000);
+        if passes > 1 && r.is_ok() {
+            prop_assert!(m.cpu.decode_cache_stats().blocks_built > 0, "loop ran without blocks");
+        }
+        let mut blocks = Machine::load(&p, Platform::ibex()).expect("fits");
+        let mut steps = Machine::load(&p, Platform::ibex()).expect("fits");
+        prop_assert_eq!(blocks.run(budget), step_loop(&mut steps, budget));
+        assert_same_state(&blocks, &steps);
+        prop_assert_eq!(blocks.run(100_000), step_loop(&mut steps, 100_000));
+        assert_same_state(&blocks, &steps);
     }
 }

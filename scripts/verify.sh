@@ -13,7 +13,8 @@
 # benchmark package's tests (`kwsbench/` is its own workspace, so a plain
 # `cargo test` would not notice a public-API break it depends on).
 # The smoke pass then runs `paper bench-engine --smoke` (one call per
-# timing) and `paper bench-serve --smoke` in a scratch directory (so the
+# timing, the simulator's `sim_dispatch` block-vs-step row included) and
+# `paper bench-serve --smoke` in a scratch directory (so the
 # committed BENCH_*.json artefacts are not overwritten with smoke-mode
 # numbers), and the regression gates. The gates that compare against a
 # committed artefact run from the repository root, where the files are,
