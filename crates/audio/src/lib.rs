@@ -18,10 +18,10 @@
 //! fixed-point** — a batched `f32` real FFT with fused windowing, a
 //! banded Q15 mel bank, an integer (LUT) log-mel and a Q15 DCT, with
 //! the seed's double-precision pipeline kept verbatim as the oracle
-//! ([`MfccExtractor::extract_reference`]) and a direct-to-`i8` feature
-//! path for the A8 device image
-//! ([`MfccExtractor::extract_padded_a8_into`]). See the
-//! [`mfcc`](MfccExtractor) module docs for the stage-by-stage story.
+//! ([`MfccExtractor::extract_reference`]). Features are always `f32`;
+//! the A8 device image quantises them to `i8` in its own session input
+//! path (`kwt-baremetal`). See the [`mfcc`](MfccExtractor) module docs
+//! for the stage-by-stage story.
 //! Frames computed one window at a time
 //! ([`MfccExtractor::compute_frame_into`], which `kwt-engine`'s
 //! streaming core runs over a [`SampleRing`]) are bit-identical to batch

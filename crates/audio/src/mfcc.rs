@@ -22,10 +22,10 @@
 //!    transcendentals** — producing Q9 log-mel rows;
 //! 4. the **pre-packed Q15 DCT-II matrix** maps log-mel rows to
 //!    cepstral coefficients (exact `i64` accumulation), which are scaled
-//!    back to `f32` by one exact power of two. [`extract_a8_into`]
-//!    (MfccExtractor::extract_a8_into) instead quantises them straight
-//!    to `i8` at a caller-supplied input exponent — the A8 device
-//!    image's native input format.
+//!    back to `f32` by one exact power of two. The front end emits
+//!    only `f32` features: the A8 device image's `i8` input is
+//!    quantised from them by the device session's input path
+//!    (`kwt-baremetal`), the one place A8 features are quantised.
 //!
 //! Every fixed-point stage is exact integer arithmetic with
 //! row-independent outputs, so streaming extraction (one frame at a
@@ -41,7 +41,7 @@ use crate::mel::MelFilterbank;
 use crate::window::WindowKind;
 use crate::{AudioError, Result};
 use kwt_tensor::fixedpoint::{self, pow2_f64, MelBankQ15, Q15_BITS};
-use kwt_tensor::{qops, Mat, PackedMat};
+use kwt_tensor::{Mat, PackedMat};
 use serde::{Deserialize, Serialize};
 
 /// Fractional bits of the fixed-point log-mel rows.
@@ -85,8 +85,6 @@ pub struct MfccScratch {
     feat_q: Mat<i64>,
     /// Single-frame output staging for `compute_frame_into`.
     frame_mat: Mat<f32>,
-    /// Float feature staging for the `i8` emission path.
-    feats: Mat<f32>,
     /// Padded clip staging for the `extract_padded*` entry points.
     padded: Vec<f32>,
 }
@@ -581,59 +579,6 @@ impl MfccExtractor {
         scratch.padded = padded;
         result
     }
-
-    /// [`extract_into`](Self::extract_into) quantised straight to `i8` at
-    /// `2^input_exp` — the A8 device image's native input format. The
-    /// features are the exact `f32` values
-    /// [`extract_into`](Self::extract_into) produces, quantised with
-    /// the device's
-    /// floor-and-saturate rule ([`kwt_tensor::qops::quantize_i8_scaled_into`]),
-    /// so feeding `out` to a pre-quantised device session is
-    /// **bit-identical** to quantising the float features host-side.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`extract`](Self::extract).
-    pub fn extract_a8_into(
-        &self,
-        samples: &[f32],
-        input_exp: i32,
-        out: &mut Mat<i8>,
-        scratch: &mut MfccScratch,
-    ) -> Result<()> {
-        let mut feats = std::mem::take(&mut scratch.feats);
-        let result = self.extract_into(samples, &mut feats, scratch);
-        if result.is_ok() {
-            qops::quantize_i8_scaled_into(&feats, input_exp, out);
-        }
-        scratch.feats = feats;
-        result
-    }
-
-    /// [`extract_padded_into`](Self::extract_padded_into) quantised
-    /// straight to `i8` at `2^input_exp`
-    /// (see [`extract_a8_into`](Self::extract_a8_into)) — the engine's
-    /// zero-copy path into an A8
-    /// [`DeviceSession`](../kwt_baremetal/struct.DeviceSession.html).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`extract_padded`](Self::extract_padded).
-    pub fn extract_padded_a8_into(
-        &self,
-        samples: &[f32],
-        input_exp: i32,
-        out: &mut Mat<i8>,
-        scratch: &mut MfccScratch,
-    ) -> Result<()> {
-        let mut feats = std::mem::take(&mut scratch.feats);
-        let result = self.extract_padded_into(samples, &mut feats, scratch);
-        if result.is_ok() {
-            qops::quantize_i8_scaled_into(&feats, input_exp, out);
-        }
-        scratch.feats = feats;
-        result
-    }
 }
 
 /// Rejects the first NaN, infinite or subnormal sample with a typed
@@ -760,22 +705,6 @@ mod tests {
                     "fixed path deviates by {max_err} (noise {noise_amp}, bound {bound})"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn extract_a8_equals_quantised_float_features() {
-        let fe = kwt_tiny_frontend().unwrap();
-        let clip = tone(523.0, 16_000);
-        let mut scratch = MfccScratch::new();
-        for input_exp in [-1i32, 0, 2] {
-            let mut direct = Mat::default();
-            fe.extract_padded_a8_into(&clip, input_exp, &mut direct, &mut scratch)
-                .unwrap();
-            let feats = fe.extract_padded(&clip).unwrap();
-            let mut via_float = Mat::default();
-            qops::quantize_i8_scaled_into(&feats, input_exp, &mut via_float);
-            assert_eq!(direct, via_float, "input_exp {input_exp}");
         }
     }
 

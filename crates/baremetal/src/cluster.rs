@@ -73,8 +73,7 @@ impl ClusterWave {
 /// A persistent N-hart inference session on one [`InferenceImage`] (see
 /// [`InferenceImage::cluster_session`]).
 ///
-/// The wave protocol: [`load_clip`](Self::load_clip) (or
-/// [`load_clip_prequantized`](Self::load_clip_prequantized)) into harts
+/// The wave protocol: [`load_clip`](Self::load_clip) into harts
 /// `0..k`, [`run_loaded(k)`](Self::run_loaded), then
 /// [`read_logits`](Self::read_logits) per hart. Loading resets the
 /// hart's architectural registers, so waves re-arm exactly like the
@@ -90,6 +89,8 @@ pub struct ClusterSession {
     logits_addr: u32,
     integrity: Vec<IntegrityBank>,
     runs: u64,
+    /// `i8` input staging reused by every A8 [`load_clip`](Self::load_clip).
+    staging: Mat<i8>,
 }
 
 impl InferenceImage {
@@ -126,6 +127,7 @@ impl InferenceImage {
             logits_addr: self.logits_addr(),
             integrity: self.integrity_banks(),
             runs: 0,
+            staging: Mat::default(),
         })
     }
 }
@@ -154,20 +156,6 @@ impl ClusterSession {
     /// The bank geometry of the shared memory.
     pub fn bank_config(&self) -> BankConfig {
         self.cluster.bank_config()
-    }
-
-    /// The power-of-two input exponent of a pre-quantising front end —
-    /// `Some` only for [`Flavor::A8`] images (see
-    /// [`DeviceSession::input_exponent`](crate::DeviceSession::input_exponent)).
-    pub fn input_exponent(&self) -> Option<i32> {
-        match self.flavor {
-            Flavor::A8 => Some(
-                self.a8config
-                    .expect("A8 flavour carries a8config")
-                    .input_exponent(),
-            ),
-            _ => None,
-        }
     }
 
     fn check_shape(&self, shape: (usize, usize)) -> Result<()> {
@@ -203,34 +191,8 @@ impl ClusterSession {
             self.a8config,
             self.input_addr,
             mfcc,
+            &mut self.staging,
         );
-        Ok(())
-    }
-
-    /// Resets hart `hart` and writes a clip already quantised to the
-    /// image's `i8` format at [`input_exponent`](Self::input_exponent)
-    /// into its mailbox (A8 images only).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError::Model`] for a wrong input shape or a
-    /// non-A8 image.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hart` is out of range.
-    pub fn load_clip_prequantized(&mut self, hart: usize, input: &Mat<i8>) -> Result<()> {
-        if self.flavor != Flavor::A8 {
-            return Err(BuildError::Model(format!(
-                "pre-quantised input requires an A8 image, this session runs {:?}",
-                self.flavor
-            )));
-        }
-        self.check_shape(input.shape())?;
-        let input_addr = self.input_addr;
-        let m = self.cluster.hart_mut(hart);
-        m.reset_cpu();
-        m.write_i8s(input_addr, input.as_slice());
         Ok(())
     }
 
@@ -493,25 +455,5 @@ mod tests {
         assert!(wave_all_ok(&after));
         cluster.read_logits(1, &mut logits);
         assert_eq!(logits, clean[1], "recovered hart must match fault-free");
-    }
-
-    #[test]
-    fn prequantized_wave_matches_float_wave() {
-        let image = a8_image();
-        let c = image.config;
-        let mfcc = clip(7, &c);
-        let yi = image.a8config.unwrap().input_bits;
-        let mut q = Mat::default();
-        kwt_tensor::qops::quantize_i8_scaled_into(&mfcc, yi, &mut q);
-
-        let mut cluster = image.cluster_session(2).unwrap();
-        cluster.load_clip(0, &mfcc).unwrap();
-        cluster.load_clip_prequantized(1, &q).unwrap();
-        let wave = cluster.run_loaded(2);
-        assert!(wave_all_ok(&wave));
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        cluster.read_logits(0, &mut a);
-        cluster.read_logits(1, &mut b);
-        assert_eq!(a, b, "prequantized mailbox path must be bit-identical");
     }
 }

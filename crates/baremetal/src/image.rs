@@ -855,6 +855,7 @@ impl InferenceImage {
             logits_addr: self.logits_addr,
             runs: 0,
             integrity: self.integrity_banks(),
+            staging: Mat::default(),
         })
     }
 }
@@ -878,6 +879,9 @@ pub struct DeviceSession {
     logits_addr: u32,
     runs: u64,
     integrity: Vec<IntegrityBank>,
+    /// `i8` input staging reused by every A8 run (see
+    /// [`write_clip_input`]).
+    staging: Mat<i8>,
 }
 
 impl DeviceSession {
@@ -894,81 +898,6 @@ impl DeviceSession {
     /// Inferences completed so far.
     pub fn runs(&self) -> u64 {
         self.runs
-    }
-
-    /// The power-of-two input exponent of a pre-quantising front end —
-    /// `Some` only for [`Flavor::A8`] images, whose `i8` input tensor the
-    /// host can produce directly (see
-    /// [`run_prequantized_into`](Self::run_prequantized_into)).
-    pub fn input_exponent(&self) -> Option<i32> {
-        match self.flavor {
-            Flavor::A8 => Some(
-                self.a8config
-                    .expect("A8 flavour carries a8config")
-                    .input_exponent(),
-            ),
-            _ => None,
-        }
-    }
-
-    /// [`run_into`](Self::run_into) over an input already quantised to
-    /// the image's `i8` format at [`input_exponent`](Self::input_exponent)
-    /// — the upload path for front ends that emit device-ready features
-    /// (`MfccExtractor::extract_padded_a8_into`), skipping the session's
-    /// own host-side quantisation pass. Feeding features quantised with
-    /// the same floor-and-saturate rule is **bit-identical** to
-    /// [`run_into`](Self::run_into) on the float features.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError::Model`] for a wrong input shape or a
-    /// non-A8 image, and [`BuildError::Trap`] if the program faults.
-    pub fn run_prequantized_into(
-        &mut self,
-        input: &Mat<i8>,
-        logits: &mut Vec<f32>,
-    ) -> Result<RunResult> {
-        let c = self.config;
-        if self.flavor != Flavor::A8 {
-            return Err(BuildError::Model(format!(
-                "pre-quantised input requires an A8 image, this session runs {:?}",
-                self.flavor
-            )));
-        }
-        if input.shape() != (c.input_time, c.input_freq) {
-            return Err(BuildError::Model(format!(
-                "input shape {:?}, expected ({}, {})",
-                input.shape(),
-                c.input_time,
-                c.input_freq
-            )));
-        }
-        self.machine.reset_cpu();
-        self.machine.write_i8s(self.input_addr, input.as_slice());
-        let cycles0 = self.machine.cpu.cycles;
-        let instret0 = self.machine.cpu.instret;
-        let result = self.run_machine(cycles0)?;
-        self.runs += 1;
-        logits.clear();
-        let scale = self
-            .a8config
-            .expect("A8 flavour carries a8config")
-            .consts(&c)
-            .expect("validated at build time")
-            .logit_scale;
-        logits.extend(
-            self.machine
-                .cpu
-                .mem
-                .read_bytes(self.logits_addr, c.num_classes)
-                .iter()
-                .map(|&v| v as i8 as f32 * scale),
-        );
-        Ok(RunResult {
-            cycles: result.cycles - cycles0,
-            instructions: result.instructions - instret0,
-            exit_code: result.exit_code,
-        })
     }
 
     /// Runs one inference, writing float logits into `logits` (cleared
@@ -999,6 +928,7 @@ impl DeviceSession {
             self.a8config,
             self.input_addr,
             mfcc,
+            &mut self.staging,
         );
         let cycles0 = self.machine.cpu.cycles;
         let instret0 = self.machine.cpu.instret;
@@ -1185,7 +1115,9 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
 /// Quantises (flavour-appropriately) and writes one clip into a loaded
 /// machine's input mailbox — the single input path shared by
 /// [`DeviceSession`] and [`crate::ClusterSession`], so the two can never
-/// disagree on quantisation.
+/// disagree on quantisation. This is the only place A8 features become
+/// `i8`: they are quantised at [`A8Config::input_exponent`] into the
+/// session-owned `staging` buffer, which is reused across runs.
 pub(crate) fn write_clip_input(
     machine: &mut Machine,
     flavor: Flavor,
@@ -1193,6 +1125,7 @@ pub(crate) fn write_clip_input(
     a8config: Option<A8Config>,
     input_addr: u32,
     mfcc: &Mat<f32>,
+    staging: &mut Mat<i8>,
 ) {
     match flavor {
         Flavor::Float => machine.write_f32s(input_addr, mfcc.as_slice()),
@@ -1202,10 +1135,11 @@ pub(crate) fn write_clip_input(
             machine.write_i16s(input_addr, q.as_slice());
         }
         Flavor::A8 => {
-            let yi = a8config.expect("A8 flavour carries a8config").input_bits;
-            let mut q = Mat::default();
-            qops::quantize_i8_scaled_into(mfcc, yi, &mut q);
-            machine.write_i8s(input_addr, q.as_slice());
+            let yi = a8config
+                .expect("A8 flavour carries a8config")
+                .input_exponent();
+            qops::quantize_i8_scaled_into(mfcc, yi, staging);
+            machine.write_i8s(input_addr, staging.as_slice());
         }
     }
 }
@@ -1574,44 +1508,6 @@ mod tests {
     }
 
     #[test]
-    fn a8_prequantized_input_bit_identical_to_float_path() {
-        // The engine's zero-copy upload path: quantising the float
-        // features host-side (the front end's `extract_a8_into` rule)
-        // and writing them via `run_prequantized_into` must reproduce
-        // `run_into`'s logits and cycles exactly.
-        use kwt_quant::{A8Config, A8Kwt};
-        use kwt_tensor::qops;
-        let params = trained_ish();
-        let a8 = A8Kwt::quantize(&params, A8Config::paper_a8()).unwrap();
-        let image = InferenceImage::build_a8(&a8).unwrap();
-        let mut float_session = image.session().unwrap();
-        let mut q_session = image.session().unwrap();
-        let y = q_session
-            .input_exponent()
-            .expect("A8 exposes its input exponent");
-        assert_eq!(y, A8Config::paper_a8().input_bits);
-        let mut q = Mat::default();
-        let (mut lf, mut lq) = (Vec::new(), Vec::new());
-        for seed in 0..4u64 {
-            let x = mfcc_like_input(seed * 13 + 3);
-            let rf = float_session.run_into(&x, &mut lf).unwrap();
-            qops::quantize_i8_scaled_into(&x, y, &mut q);
-            let rq = q_session.run_prequantized_into(&q, &mut lq).unwrap();
-            assert_eq!(rf.cycles, rq.cycles, "seed {seed}");
-            for (a, b) in lf.iter().zip(&lq) {
-                assert_eq!(a.to_bits(), b.to_bits(), "seed {seed}");
-            }
-        }
-        // non-A8 sessions reject the pre-quantised path
-        let qm16 = QuantizedKwt::quantize(&params, QuantConfig::paper_best())
-            .with_nonlinearity(Nonlinearity::FixedLut);
-        let image16 = InferenceImage::build_quant(&qm16).unwrap();
-        let mut s16 = image16.session().unwrap();
-        assert_eq!(s16.input_exponent(), None);
-        assert!(s16.run_prequantized_into(&q, &mut lq).is_err());
-    }
-
-    #[test]
     fn a8_image_is_fastest_variant() {
         // The whole point: kdot4 + the fused attention pipeline must
         // beat the scalar accelerated image (the paper's fastest) by a
@@ -1706,6 +1602,9 @@ mod tests {
         // A persistent session re-armed with reset_cpu must match a fresh
         // machine bit-for-bit on every flavour, in any input order —
         // including re-running an input the session has already seen.
+        // The A8 image also proves its reused i8 staging buffer is
+        // re-quantised on every run: a stale buffer would replay input
+        // 21 for input 22.
         let params = trained_ish();
         let qm = QuantizedKwt::quantize(&params, QuantConfig::paper_best());
         let accel = qm.clone().with_nonlinearity(Nonlinearity::FixedLut);
@@ -1713,6 +1612,7 @@ mod tests {
             InferenceImage::build_float(&params).unwrap(),
             InferenceImage::build_quant(&qm).unwrap(),
             InferenceImage::build_quant(&accel).unwrap(),
+            a8_image(),
         ];
         let inputs = [test_input(21), test_input(22), test_input(21)];
         for image in &images {

@@ -140,9 +140,8 @@ pub struct DeviceKernelRow {
 pub struct FrontendRow {
     /// Input geometry (`kwt_tiny_16x26` or `kwt1_40x98`).
     pub geometry: String,
-    /// Extraction path: `reference` (the seed's f64 generic-FFT oracle),
-    /// `fixed` (the block-vectorised fixed-point pipeline) or `fixed_a8`
-    /// (fixed path emitting `i8` at the A8 input exponent).
+    /// Extraction path: `reference` (the seed's f64 generic-FFT oracle)
+    /// or `fixed` (the block-vectorised fixed-point pipeline).
     pub path: String,
     /// Clips per measured batch.
     pub clips: usize,
@@ -438,12 +437,11 @@ pub fn collect(smoke: bool) -> EngineBenchSummary {
         });
     }
     // MFCC front-end throughput: the f64 oracle vs the fixed-point block
-    // pipeline (float and direct-i8 emission) on both paper geometries.
+    // pipeline on both paper geometries.
     let mut frontend = Vec::new();
     {
         use kwt_audio::{kwt1_frontend, MfccScratch};
         use kwt_tensor::Mat;
-        let a8_exp = A8Config::paper_a8().input_exponent();
         let clips = bench_clips(8);
         for (geometry, fe) in [
             ("kwt_tiny_16x26", kwt_tiny_frontend().expect("preset")),
@@ -451,12 +449,9 @@ pub fn collect(smoke: bool) -> EngineBenchSummary {
         ] {
             let mut scratch = MfccScratch::new();
             let mut feat = Mat::default();
-            let mut feat_q = Mat::default();
             // warm the arenas, then measure each path per clip
             for c in &clips {
                 fe.extract_padded_into(c, &mut feat, &mut scratch)
-                    .expect("mfcc");
-                fe.extract_padded_a8_into(c, a8_exp, &mut feat_q, &mut scratch)
                     .expect("mfcc");
             }
             let per_clip = |t: Timing| t.ns / clips.len() as f64;
@@ -472,18 +467,7 @@ pub fn collect(smoke: bool) -> EngineBenchSummary {
                     black_box(&feat);
                 }
             }));
-            let fixed_a8_ns = per_clip(time_ns(smoke, || {
-                for c in &clips {
-                    fe.extract_padded_a8_into(black_box(c), a8_exp, &mut feat_q, &mut scratch)
-                        .expect("mfcc");
-                    black_box(&feat_q);
-                }
-            }));
-            for (path, ns) in [
-                ("reference", reference_ns),
-                ("fixed", fixed_ns),
-                ("fixed_a8", fixed_a8_ns),
-            ] {
+            for (path, ns) in [("reference", reference_ns), ("fixed", fixed_ns)] {
                 frontend.push(FrontendRow {
                     geometry: geometry.to_string(),
                     path: path.to_string(),

@@ -736,6 +736,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 mod tests {
     use super::*;
     use crate::augment::AugmentConfig;
+    use proptest::prelude::*;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("kwt_gscv2_{tag}_{}", std::process::id()));
@@ -919,5 +920,50 @@ mod tests {
             Err(GscV2Error::MissingTarget("zero"))
         ));
         std::fs::remove_dir_all(&d).unwrap();
+    }
+
+    /// The committed subset's manifest, the seed of the mutation fuzz.
+    const COMMITTED_MANIFEST: &str = include_str!("../../../data/gsc_v2_subset/MANIFEST.tsv");
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic_the_manifest_parser(
+            bytes in collection::vec(any::<u8>(), 0..256),
+        ) {
+            let text = String::from_utf8_lossy(&bytes);
+            if let Ok(entries) = parse_manifest(&text) {
+                prop_assert!(entries.len() <= text.lines().count());
+            }
+        }
+
+        #[test]
+        fn mutated_manifests_never_panic_the_parser(
+            // (position modulo the length, new byte)
+            edits in collection::vec((any::<usize>(), any::<u8>()), 1..8),
+            cut in any::<usize>(),
+        ) {
+            let mut bytes = COMMITTED_MANIFEST.as_bytes().to_vec();
+            let n = bytes.len();
+            for &(at, b) in &edits {
+                bytes[at % n] = b;
+            }
+            bytes.truncate(cut % (n + 1));
+            let text = String::from_utf8_lossy(&bytes);
+            match parse_manifest(&text) {
+                Ok(entries) => prop_assert!(entries.len() <= text.lines().count()),
+                Err(e) => prop_assert!(
+                    matches!(e, GscV2Error::ManifestSyntax { line, .. } if line >= 1),
+                    "unexpected error {e}"
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn committed_manifest_parses() {
+        let entries = parse_manifest(COMMITTED_MANIFEST).unwrap();
+        assert!(entries.len() > 100);
     }
 }

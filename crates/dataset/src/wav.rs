@@ -216,6 +216,7 @@ pub fn quantize_pcm16(samples: &[f32]) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn round_trip_is_pcm16_exact() {
@@ -271,5 +272,50 @@ mod tests {
         let mut truncated = good;
         truncated.truncate(40);
         assert!(decode_wav(&truncated, 16_000).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic_the_decoder(
+            bytes in collection::vec(any::<u8>(), 0..256),
+            preamble in 0usize..3,
+            fmt_len in 0u32..64,
+        ) {
+            // Preambles carry the random bytes past the container check:
+            // a valid RIFF/WAVE header, then also a `fmt ` chunk header
+            // of a small length, so short and long format chunks are hit.
+            let mut input = Vec::new();
+            if preamble >= 1 {
+                input.extend_from_slice(b"RIFF\0\0\0\0WAVE");
+            }
+            if preamble == 2 {
+                input.extend_from_slice(b"fmt ");
+                input.extend_from_slice(&fmt_len.to_le_bytes());
+            }
+            input.extend_from_slice(&bytes);
+            if let Ok(samples) = decode_wav(&input, GSC_SAMPLE_RATE) {
+                prop_assert!(samples.len() * 2 <= input.len());
+            }
+        }
+
+        #[test]
+        fn mutated_wav_files_never_panic_the_decoder(
+            // (position modulo the length, new byte)
+            edits in collection::vec((any::<usize>(), any::<u8>()), 1..8),
+            cut in any::<usize>(),
+        ) {
+            let mut bytes = encode_wav_16k_mono(&[0.5, -0.25, 0.125, 0.0, -1.0]);
+            let n = bytes.len();
+            for &(at, b) in &edits {
+                bytes[at % n] = b;
+            }
+            bytes.truncate(cut % (n + 1));
+            if let Ok(samples) = decode_wav(&bytes, GSC_SAMPLE_RATE) {
+                prop_assert!(samples.len() * 2 <= bytes.len());
+                prop_assert!(samples.iter().all(|v| (-1.0..1.0).contains(v)));
+            }
+        }
     }
 }

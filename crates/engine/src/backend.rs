@@ -60,26 +60,23 @@ pub trait Backend: Send {
     /// Propagates the subsystem's shape/kernel errors.
     fn infer_into(&mut self, mfcc: &Mat<f32>, logits: &mut Vec<f32>) -> Result<()>;
 
-    /// The power-of-two input exponent of a backend that consumes
-    /// pre-quantised `i8` features directly — `Some` only for A8
-    /// [`BackendKind::Rv32Sim`] sessions. When set, the engine extracts
-    /// features straight to `i8` at this exponent
-    /// (`MfccExtractor::extract_padded_a8_into`) and feeds them through
-    /// [`infer_prequantized_into`](Self::infer_prequantized_into),
-    /// skipping the separate host quantisation pass — with logits
-    /// **bit-identical** to the float [`infer_into`](Self::infer_into)
-    /// path (both quantise the same float features by the same rule).
+    /// Unused in this workspace: no backend overrides it and the
+    /// [`Engine`](crate::Engine) never calls it. A8 devices take the
+    /// same float features as every other backend and quantise them to
+    /// `i8` in their session's one input path. This method and the two
+    /// `infer_prequantized_*` defaults are kept only because kwsbench's
+    /// frozen `Timed` decorator implements every trait method; they go
+    /// with the trait collapse.
     fn input_exponent(&self) -> Option<i32> {
         None
     }
 
-    /// Runs one inference over features already quantised to `i8` at
-    /// [`input_exponent`](Self::input_exponent).
+    /// Unused in this workspace (see
+    /// [`input_exponent`](Self::input_exponent)).
     ///
     /// # Errors
     ///
-    /// Returns a configuration error unless the backend advertises an
-    /// input exponent.
+    /// Always returns a configuration error.
     fn infer_prequantized_into(&mut self, input: &Mat<i8>, logits: &mut Vec<f32>) -> Result<()> {
         let _ = (input, logits);
         Err(crate::EngineError::Config {
@@ -114,13 +111,13 @@ pub trait Backend: Send {
         Ok(())
     }
 
-    /// [`infer_wave`](Self::infer_wave) over features already quantised
-    /// to `i8` at [`input_exponent`](Self::input_exponent).
+    /// Unused in this workspace (see
+    /// [`input_exponent`](Self::input_exponent)).
     ///
     /// # Errors
     ///
-    /// Propagates the first clip failure; a configuration error unless
-    /// the backend advertises an input exponent.
+    /// Propagates the first
+    /// [`infer_prequantized_into`](Self::infer_prequantized_into) failure.
     fn infer_prequantized_wave(
         &mut self,
         inputs: &[Mat<i8>],
@@ -359,16 +356,6 @@ impl Backend for Rv32SimBackend {
 
     fn infer_into(&mut self, mfcc: &Mat<f32>, logits: &mut Vec<f32>) -> Result<()> {
         let run = self.session.run_into(mfcc, logits)?;
-        self.last_run = Some(run);
-        Ok(())
-    }
-
-    fn input_exponent(&self) -> Option<i32> {
-        self.session.input_exponent()
-    }
-
-    fn infer_prequantized_into(&mut self, input: &Mat<i8>, logits: &mut Vec<f32>) -> Result<()> {
-        let run = self.session.run_prequantized_into(input, logits)?;
         self.last_run = Some(run);
         Ok(())
     }

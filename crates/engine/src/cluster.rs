@@ -136,18 +136,6 @@ impl Backend for Rv32ClusterBackend {
         r
     }
 
-    fn input_exponent(&self) -> Option<i32> {
-        self.session.input_exponent()
-    }
-
-    fn infer_prequantized_into(&mut self, input: &Mat<i8>, logits: &mut Vec<f32>) -> Result<()> {
-        self.session.load_clip_prequantized(0, input)?;
-        let mut slot = [std::mem::take(logits)];
-        let r = self.finish_wave(1, &mut slot);
-        *logits = std::mem::take(&mut slot[0]);
-        r
-    }
-
     fn batch_width(&self) -> usize {
         self.session.num_harts()
     }
@@ -158,18 +146,6 @@ impl Backend for Rv32ClusterBackend {
             self.session.load_clip(h, m)?;
         }
         self.finish_wave(mfccs.len(), logits)
-    }
-
-    fn infer_prequantized_wave(
-        &mut self,
-        inputs: &[Mat<i8>],
-        logits: &mut [Vec<f32>],
-    ) -> Result<()> {
-        debug_assert!(inputs.len() <= self.session.num_harts());
-        for (h, m) in inputs.iter().enumerate() {
-            self.session.load_clip_prequantized(h, m)?;
-        }
-        self.finish_wave(inputs.len(), logits)
     }
 
     fn last_device_run(&self) -> Option<RunResult> {

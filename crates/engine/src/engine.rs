@@ -57,15 +57,12 @@ pub struct Engine {
     frontend: MfccExtractor,
     backend: Box<dyn Backend>,
     mfcc: Mat<f32>,
-    /// `i8` feature staging for backends that consume pre-quantised
-    /// input (A8 device sessions — see [`Backend::input_exponent`]).
-    mfcc_q: Mat<i8>,
     scratch: MfccScratch,
     logits: Vec<f32>,
-    /// Per-slot logits staging reused by every wave-sharded entry point
-    /// ([`classify_batch_into`](Self::classify_batch_into) on wide
-    /// backends, [`classify_window_wave_into`](Self::classify_window_wave_into)).
-    wave_logits: Vec<Vec<f32>>,
+    /// Per-slot staging reused by every wave-sharded entry point
+    /// ([`classify_batch_into`](Self::classify_batch_into),
+    /// [`classify_window_wave_into`](Self::classify_window_wave_into)).
+    wave: WaveArena,
 }
 
 impl Engine {
@@ -92,12 +89,11 @@ impl Engine {
         }
         Ok(Engine {
             mfcc: Mat::zeros(c.input_time, c.input_freq),
-            mfcc_q: Mat::zeros(c.input_time, c.input_freq),
             frontend,
             backend,
             scratch: MfccScratch::new(),
             logits: Vec::with_capacity(c.num_classes),
-            wave_logits: Vec::new(),
+            wave: WaveArena::default(),
         })
     }
 
@@ -257,31 +253,14 @@ impl Engine {
     }
 
     /// [`classify`](Self::classify) into a reusable [`Prediction`] — the
-    /// allocation-free steady-state form.
-    ///
-    /// A backend that consumes pre-quantised `i8` features (an A8 device
-    /// session) receives them straight from the front end at its input
-    /// exponent — no separate host quantisation pass — with logits
-    /// bit-identical to the float feature path.
+    /// allocation-free steady-state form. Every backend receives the
+    /// front end's float features; an A8 device quantises them to `i8`
+    /// in its session's input path.
     ///
     /// # Errors
     ///
     /// Same contract as [`classify`](Self::classify).
     pub fn classify_into(&mut self, samples: &[f32], out: &mut Prediction) -> Result<()> {
-        if let Some(y) = self.backend.input_exponent() {
-            self.frontend.extract_padded_a8_into(
-                samples,
-                y,
-                &mut self.mfcc_q,
-                &mut self.scratch,
-            )?;
-            return infer_prediction_prequantized(
-                self.backend.as_mut(),
-                &self.mfcc_q,
-                &mut self.logits,
-                out,
-            );
-        }
         self.frontend
             .extract_padded_into(samples, &mut self.mfcc, &mut self.scratch)?;
         infer_prediction(self.backend.as_mut(), &self.mfcc, &mut self.logits, out)
@@ -344,16 +323,9 @@ impl Engine {
                 ),
             });
         }
-        let width = self.backend.batch_width().max(1);
-        if self.wave_logits.len() < width {
-            self.wave_logits.resize_with(width, Vec::new);
-        }
+        let width = self.wave_width();
         for (chunk, preds) in windows.chunks(width).zip(out.chunks_mut(width)) {
-            let k = chunk.len();
-            self.backend.infer_wave(chunk, &mut self.wave_logits[..k])?;
-            for (logits, pred) in self.wave_logits[..k].iter().zip(preds.iter_mut()) {
-                finish_prediction(logits, pred)?;
-            }
+            infer_wave_predictions(self.backend.as_mut(), chunk, &mut self.wave.logits, preds)?;
         }
         Ok(())
     }
@@ -375,11 +347,12 @@ impl Engine {
     /// in place, so re-running batches of the same size allocates nothing
     /// on the host backends.
     ///
-    /// A backend with [`Backend::batch_width`]` > 1` (the simulated
-    /// cluster) receives the batch as waves of up to `batch_width`
-    /// clips, one clip per hart — functionally identical to the serial
-    /// loop (the wave contract guarantees it), but the simulated cost
-    /// is the *SoC* timeline, not the sum of per-clip runs.
+    /// The batch runs as waves of up to [`wave_width`](Self::wave_width)
+    /// clips through [`Backend::infer_wave`]: one clip at a time on a
+    /// serial backend, one clip per hart on the simulated cluster.
+    /// Either way the logits equal the serial loop's (the wave contract
+    /// guarantees it); on the cluster the simulated cost is the *SoC*
+    /// timeline, not the sum of per-clip runs.
     ///
     /// # Errors
     ///
@@ -390,66 +363,13 @@ impl Engine {
         out: &mut Vec<Prediction>,
     ) -> Result<()> {
         out.resize_with(clips.len(), Prediction::default);
-        let width = self.backend.batch_width();
-        if width > 1 && clips.len() > 1 {
-            return self.classify_batch_waves(clips, width, out);
-        }
-        for (clip, pred) in clips.iter().zip(out.iter_mut()) {
-            self.classify_into(clip.as_ref(), pred)?;
-        }
-        Ok(())
-    }
-
-    /// The wave-sharded batch path: extract a wave's worth of features,
-    /// run them concurrently on the backend, finish the predictions.
-    fn classify_batch_waves(
-        &mut self,
-        clips: &[impl AsRef<[f32]>],
-        width: usize,
-        out: &mut [Prediction],
-    ) -> Result<()> {
-        let c = *self.backend.config();
-        if self.wave_logits.len() < width {
-            self.wave_logits.resize_with(width, Vec::new);
-        }
-        if let Some(y) = self.backend.input_exponent() {
-            let mut staged: Vec<Mat<i8>> = (0..width)
-                .map(|_| Mat::zeros(c.input_time, c.input_freq))
-                .collect();
-            for (chunk, preds) in clips.chunks(width).zip(out.chunks_mut(width)) {
-                let k = chunk.len();
-                for (slot, clip) in staged.iter_mut().zip(chunk.iter()) {
-                    self.frontend.extract_padded_a8_into(
-                        clip.as_ref(),
-                        y,
-                        slot,
-                        &mut self.scratch,
-                    )?;
-                }
-                self.backend
-                    .infer_prequantized_wave(&staged[..k], &mut self.wave_logits[..k])?;
-                for (logits, pred) in self.wave_logits[..k].iter().zip(preds.iter_mut()) {
-                    finish_prediction(logits, pred)?;
-                }
-            }
-        } else {
-            let mut staged: Vec<Mat<f32>> = (0..width)
-                .map(|_| Mat::zeros(c.input_time, c.input_freq))
-                .collect();
-            for (chunk, preds) in clips.chunks(width).zip(out.chunks_mut(width)) {
-                let k = chunk.len();
-                for (slot, clip) in staged.iter_mut().zip(chunk.iter()) {
-                    self.frontend
-                        .extract_padded_into(clip.as_ref(), slot, &mut self.scratch)?;
-                }
-                self.backend
-                    .infer_wave(&staged[..k], &mut self.wave_logits[..k])?;
-                for (logits, pred) in self.wave_logits[..k].iter().zip(preds.iter_mut()) {
-                    finish_prediction(logits, pred)?;
-                }
-            }
-        }
-        Ok(())
+        self.wave.classify_clips(
+            &self.frontend,
+            &mut self.scratch,
+            self.backend.as_mut(),
+            clips,
+            out,
+        )
     }
 
     /// [`classify_batch_into`](Self::classify_batch_into) sharded across
@@ -458,13 +378,14 @@ impl Engine {
     /// The clip list is split into contiguous chunks; each worker owns an
     /// independent clone of the backend (for [`BackendKind::Rv32Sim`]
     /// that is a whole `DeviceSession` — its own simulator machine with
-    /// its own warm decode cache) plus private MFCC scratch, and writes
-    /// into a disjoint slice of `out`. Clip `i` therefore always lands in
-    /// `out[i]`, computed by the same deterministic pipeline as the
-    /// serial path — sessions are stateless across inputs (proven by the
-    /// bare-metal differential tests), so the logits are **identical**
-    /// to [`classify_batch_into`](Self::classify_batch_into)'s, in the
-    /// same order, for any thread count.
+    /// its own warm decode cache) plus private MFCC scratch and wave
+    /// staging, runs the serial path's wave loop over its chunk, and
+    /// writes into a disjoint slice of `out`. Clip `i` therefore always
+    /// lands in `out[i]`, computed by the same deterministic pipeline as
+    /// the serial path — sessions are stateless across inputs (proven by
+    /// the bare-metal differential tests), so the logits are
+    /// **identical** to [`classify_batch_into`](Self::classify_batch_into)'s,
+    /// in the same order, for any thread count.
     ///
     /// `threads` is clamped to the clip count; `threads <= 1` runs the
     /// serial path (as does a backend that cannot be cloned).
@@ -495,31 +416,16 @@ impl Engine {
         out.resize_with(n, Prediction::default);
         let chunk = n.div_ceil(t);
         let frontend = &self.frontend;
-        let config = *self.backend.config();
-        let run_chunk = |backend: &mut dyn Backend,
-                         clips: &[_],
-                         preds: &mut [Prediction]|
-         -> Result<()> {
-            let mut mfcc = Mat::zeros(config.input_time, config.input_freq);
-            let mut mfcc_q = Mat::zeros(config.input_time, config.input_freq);
-            let mut scratch = MfccScratch::new();
-            let mut logits = Vec::with_capacity(config.num_classes);
-            for (clip, pred) in clips.iter().zip(preds.iter_mut()) {
-                if let Some(y) = backend.input_exponent() {
-                    frontend.extract_padded_a8_into(
-                        AsRef::as_ref(clip),
-                        y,
-                        &mut mfcc_q,
-                        &mut scratch,
-                    )?;
-                    infer_prediction_prequantized(backend, &mfcc_q, &mut logits, pred)?;
-                } else {
-                    frontend.extract_padded_into(AsRef::as_ref(clip), &mut mfcc, &mut scratch)?;
-                    infer_prediction(backend, &mfcc, &mut logits, pred)?;
-                }
-            }
-            Ok(())
-        };
+        let run_chunk =
+            |backend: &mut dyn Backend, clips: &[_], preds: &mut [Prediction]| -> Result<()> {
+                WaveArena::default().classify_clips(
+                    frontend,
+                    &mut MfccScratch::new(),
+                    backend,
+                    clips,
+                    preds,
+                )
+            };
         let (head_clips, tail_clips) = clips.split_at(chunk.min(n));
         let (head_out, tail_out) = out.split_at_mut(chunk.min(n));
         let own_backend = self.backend.as_mut();
@@ -575,16 +481,60 @@ fn infer_prediction(
     finish_prediction(logits, out)
 }
 
-/// [`infer_prediction`] over pre-quantised `i8` features (A8 device
-/// backends).
-fn infer_prediction_prequantized(
+/// The wave twin of [`infer_prediction`], shared by every wave-sharded
+/// entry point: one [`Backend::infer_wave`] over at most
+/// [`Backend::batch_width`] windows into the reused per-slot `logits`,
+/// then one finished prediction per window.
+fn infer_wave_predictions(
     backend: &mut dyn Backend,
-    mfcc_q: &Mat<i8>,
-    logits: &mut Vec<f32>,
-    out: &mut Prediction,
+    windows: &[Mat<f32>],
+    logits: &mut Vec<Vec<f32>>,
+    out: &mut [Prediction],
 ) -> Result<()> {
-    backend.infer_prequantized_into(mfcc_q, logits)?;
-    finish_prediction(logits, out)
+    let k = windows.len();
+    if logits.len() < k {
+        logits.resize_with(k, Vec::new);
+    }
+    backend.infer_wave(windows, &mut logits[..k])?;
+    for (l, pred) in logits[..k].iter().zip(out.iter_mut()) {
+        finish_prediction(l, pred)?;
+    }
+    Ok(())
+}
+
+/// Per-slot staging for the wave-sharded entry points: one feature
+/// matrix and one logits vector per clip of a wave, grown once and then
+/// reused.
+#[derive(Default)]
+struct WaveArena {
+    mfcc: Vec<Mat<f32>>,
+    logits: Vec<Vec<f32>>,
+}
+
+impl WaveArena {
+    /// The one batch loop: extract up to [`Backend::batch_width`] clips
+    /// into the arena (one at a time on a serial backend), run them as a
+    /// wave, finish their predictions, repeat.
+    fn classify_clips(
+        &mut self,
+        frontend: &MfccExtractor,
+        scratch: &mut MfccScratch,
+        backend: &mut dyn Backend,
+        clips: &[impl AsRef<[f32]>],
+        out: &mut [Prediction],
+    ) -> Result<()> {
+        let width = backend.batch_width().max(1);
+        if self.mfcc.len() < width {
+            self.mfcc.resize_with(width, Mat::default);
+        }
+        for (chunk, preds) in clips.chunks(width).zip(out.chunks_mut(width)) {
+            for (slot, clip) in self.mfcc.iter_mut().zip(chunk) {
+                frontend.extract_padded_into(clip.as_ref(), slot, scratch)?;
+            }
+            infer_wave_predictions(backend, &self.mfcc[..chunk.len()], &mut self.logits, preds)?;
+        }
+        Ok(())
+    }
 }
 
 /// Softmax + arg-max of freshly produced logits into the reusable

@@ -17,10 +17,10 @@
 //! 2. **failover**: if the primary keeps faulting, the request is
 //!    served by the first healthy fallback (typically
 //!    `Rv32Sim → HostQuant → HostFloat`). Failover logits are
-//!    **identical** to running the fallback directly: the wrapper
-//!    always hands backends the same float MFCC matrix (it never
-//!    advertises an input exponent, so the engine never pre-quantises
-//!    features for one backend that another would then have to accept).
+//!    **identical** to running the fallback directly: every backend on
+//!    the ladder takes the same float MFCC matrix, and a device backend
+//!    quantises it inside its own session, so a failed-over request
+//!    hands the fallback exactly the input it would get on its own.
 //! 3. **quarantine**: after [`ResilientConfig::quarantine_after`]
 //!    consecutive failed requests the primary is no longer tried at all
 //!    until [`ResilientBackend::reset_health`].
@@ -210,8 +210,8 @@ impl ResilientBackend {
         }
     }
 
-    /// The ladder itself, shared by the float and (rejected) prequantised
-    /// entry points.
+    /// The ladder itself, behind [`Backend::infer_into`]: the primary
+    /// with bounded recovery, then the fallbacks in order.
     fn serve(&mut self, mfcc: &Mat<f32>, logits: &mut Vec<f32>) -> Result<()> {
         self.stats.requests += 1;
         let mut last_err: Option<EngineError> = None;
@@ -281,10 +281,11 @@ impl Backend for ResilientBackend {
         self.serve(mfcc, logits)
     }
 
-    // Deliberately *not* forwarding the primary's input exponent: the
-    // wrapper always takes float MFCCs so a failed-over request hands
-    // the fallback exactly the input it would get when run directly —
-    // that is what makes failover logits provably identical.
+    // The trait's unused pre-quantised-input defaults are not
+    // forwarded: every rung takes the float MFCCs, so a failed-over
+    // request hands the fallback exactly the input it would get when
+    // run directly — that is what makes failover logits provably
+    // identical.
 
     fn last_device_run(&self) -> Option<RunResult> {
         match self.served_by {

@@ -288,25 +288,12 @@ impl Backend for CacheProbe {
         self.publish();
         Ok(())
     }
-
-    fn input_exponent(&self) -> Option<i32> {
-        self.inner.input_exponent()
-    }
-
-    fn infer_prequantized_into(
-        &mut self,
-        input: &Mat<i8>,
-        logits: &mut Vec<f32>,
-    ) -> kwt_engine::Result<()> {
-        self.inner.infer_prequantized_into(input, logits)?;
-        self.publish();
-        Ok(())
-    }
 }
 
 #[test]
 fn rv32_sim_a8_steady_state_allocates_nothing() {
-    // The A8 device path: i8 MFCC emission, the input-mailbox write, the
+    // The A8 device path: MFCC extraction, quantisation into the
+    // session's reused i8 staging buffer, the input-mailbox write, the
     // simulated inference and the logits readback. After warm-up none
     // of it may allocate, and the per-call mailbox write must leave
     // every straight-line block of the simulator cached.

@@ -102,12 +102,13 @@ fn rv32_engine_matches_one_shot_image_run() {
 }
 
 #[test]
-fn a8_engine_prequantized_upload_matches_float_feature_path() {
-    // An A8 backend advertises its input exponent, so the engine feeds
-    // the device front-end-quantised i8 features directly. Logits must
-    // be bit-identical to running the session on the float features
-    // (both quantise the same f32 values by the same floor rule), for
-    // the serial, batch and parallel paths.
+fn a8_engine_classify_batch_and_parallel_match_session_run_on_float_features() {
+    // A8 engine classify/batch/parallel == `DeviceSession::run` on float
+    // features: the engine hands the A8 device the same float MFCCs as
+    // every other backend, and the session quantises them to i8 in its
+    // one input path. Logits must be bit-identical to a bare session on
+    // the front end's float features, on the serial, batch and parallel
+    // paths alike.
     use kwt_quant::{A8Config, A8Kwt};
     let params = trained_ish();
     let a8 = A8Kwt::quantize(&params, A8Config::paper_a8()).unwrap();
@@ -116,16 +117,19 @@ fn a8_engine_prequantized_upload_matches_float_feature_path() {
     let mut engine = Engine::rv32_sim(&image, fe.clone()).unwrap();
     let mut session = image.session().unwrap();
     let clips: Vec<Vec<f32>> = (0..4).map(clip).collect();
+    let mut wants = Vec::new();
     for (i, audio) in clips.iter().enumerate() {
         let pred = engine.classify(audio).unwrap();
         let mfcc = fe.extract_padded(audio).unwrap();
         let (want, _) = session.run(&mfcc).unwrap();
         assert_bits_eq(&pred.logits, &want, &format!("a8 engine clip {i}"));
+        wants.push(want);
     }
     let batch = engine.classify_batch(&clips).unwrap();
     let mut par = Vec::new();
     engine.classify_batch_parallel(&clips, 2, &mut par).unwrap();
-    for (i, (b, p)) in batch.iter().zip(&par).enumerate() {
+    for (i, ((b, p), want)) in batch.iter().zip(&par).zip(&wants).enumerate() {
+        assert_bits_eq(&b.logits, want, &format!("batch a8 clip {i}"));
         assert_eq!(b, p, "parallel a8 clip {i}");
     }
 }
@@ -246,8 +250,8 @@ fn cluster_engine_batch_identical_to_serial_rv32_engine() {
 
 #[test]
 fn cluster_engine_float_feature_path_matches_serial() {
-    // The non-A8 flavours exercise the float-feature wave path
-    // (infer_wave rather than infer_prequantized_wave).
+    // The i16 flavours exercise the cluster's other mailbox format
+    // (i16 quantisation in the shared input path, not A8's i8).
     let qm = quantized().with_nonlinearity(Nonlinearity::FixedLut);
     let image = InferenceImage::build_quant(&qm).unwrap();
     let fe = kwt_tiny_frontend().unwrap();

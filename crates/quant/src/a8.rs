@@ -97,12 +97,11 @@ impl A8Config {
         }
     }
 
-    /// The raw-feature input exponent — the scale a pre-quantising MFCC
-    /// front end emits `i8` features at (`kwt_audio`'s
-    /// `MfccExtractor::extract_a8_into`), and the scale the device
-    /// session's own host-side quantisation uses. Keeping both readers
-    /// on this one accessor is what makes the front-end-quantised and
-    /// host-quantised upload paths bit-identical.
+    /// The raw-feature input exponent: float MFCC features are
+    /// quantised to the device's `i8` input at `2^input_exponent`. Its
+    /// one reader is the bare-metal session's input path
+    /// (`kwt_baremetal`'s `write_clip_input`), the only place A8
+    /// features are quantised.
     pub fn input_exponent(&self) -> i32 {
         self.input_bits
     }
