@@ -19,19 +19,19 @@
 
 use crate::image::{
     fnv1a64, read_clip_logits, recover_machine, write_clip_input, Flavor, InferenceImage,
-    IntegrityBank, RecoveryReport,
+    InputStaging, IntegrityBank, RecoveryReport,
 };
 use crate::{BuildError, DeviceError, Result};
 use kwt_model::KwtConfig;
 use kwt_quant::{A8Config, QuantConfig};
-use kwt_rv32::{BankConfig, ClassHistogram, Cluster, HartStats, Machine, RunResult};
+use kwt_rv32::{BankConfig, ClassHistogram, Cluster, ClusterRun, HartStats, Machine, RunResult};
 use kwt_tensor::Mat;
 
 /// Per-run step budget, matching the serial session's `run_machine`.
 const MAX_STEPS: u64 = 2_000_000_000;
 
 /// Outcome of one [`ClusterSession::run_loaded`] wave.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ClusterWave {
     /// Per active hart: this run's cycle/instruction deltas (like
     /// [`DeviceSession::run_into`](crate::DeviceSession::run_into)), or
@@ -89,8 +89,13 @@ pub struct ClusterSession {
     logits_addr: u32,
     integrity: Vec<IntegrityBank>,
     runs: u64,
-    /// `i8` input staging reused by every A8 [`load_clip`](Self::load_clip).
-    staging: Mat<i8>,
+    /// Quantised-input staging reused by every
+    /// [`load_clip`](Self::load_clip).
+    staging: InputStaging,
+    /// The cluster's run buffers and the last wave, reused by every
+    /// [`run_loaded`](Self::run_loaded) (`None` before the first).
+    run: ClusterRun,
+    wave: Option<ClusterWave>,
 }
 
 impl InferenceImage {
@@ -127,7 +132,9 @@ impl InferenceImage {
             logits_addr: self.logits_addr(),
             integrity: self.integrity_banks(),
             runs: 0,
-            staging: Mat::default(),
+            staging: InputStaging::default(),
+            run: ClusterRun::default(),
+            wave: None,
         })
     }
 }
@@ -199,45 +206,46 @@ impl ClusterSession {
     /// Runs harts `0..n_active` (each must have a clip loaded) to
     /// completion on the shared banked memory, one inference per hart.
     /// Per-hart results carry this run's cycle/instruction deltas; the
-    /// wave's `soc_cycles` is the cluster-throughput denominator.
+    /// wave's `soc_cycles` is the cluster-throughput denominator. The
+    /// wave lives in the session (see [`last_wave`](Self::last_wave)),
+    /// so a warm session runs waves without allocating.
     ///
     /// # Panics
     ///
     /// Panics if `n_active` is zero or exceeds the hart count.
-    pub fn run_loaded(&mut self, n_active: usize) -> ClusterWave {
-        let cycles0: Vec<u64> = (0..n_active)
-            .map(|h| self.cluster.hart(h).cpu.cycles)
-            .collect();
-        let instret0: Vec<u64> = (0..n_active)
-            .map(|h| self.cluster.hart(h).cpu.instret)
-            .collect();
-        let run = self.cluster.run_active(n_active, MAX_STEPS);
-        let results: Vec<std::result::Result<RunResult, DeviceError>> = run
-            .results
-            .into_iter()
-            .enumerate()
-            .map(|(h, r)| match r {
+    pub fn run_loaded(&mut self, n_active: usize) -> &ClusterWave {
+        self.cluster
+            .run_active_into(n_active, MAX_STEPS, &mut self.run);
+        let wave = self.wave.get_or_insert_with(ClusterWave::default);
+        wave.results.clear();
+        for (h, (r, s)) in self.run.results.iter().zip(&self.run.stats).enumerate() {
+            // the stats hold this run's cycle and instruction deltas
+            wave.results.push(match *r {
                 Ok(rr) => {
                     self.runs += 1;
                     Ok(RunResult {
-                        cycles: rr.cycles - cycles0[h],
-                        instructions: rr.instructions - instret0[h],
+                        cycles: s.busy_cycles,
+                        instructions: s.instructions,
                         exit_code: rr.exit_code,
                     })
                 }
                 Err(trap) => Err(DeviceError {
                     trap,
                     pc: self.cluster.hart(h).cpu.pc,
-                    cycles: self.cluster.hart(h).cpu.cycles - cycles0[h],
+                    cycles: s.busy_cycles,
                     image_flavor: self.flavor,
                 }),
-            })
-            .collect();
-        ClusterWave {
-            results,
-            stats: run.stats,
-            soc_cycles: run.soc_cycles,
+            });
         }
+        wave.stats.clear();
+        wave.stats.extend_from_slice(&self.run.stats);
+        wave.soc_cycles = self.run.soc_cycles;
+        wave
+    }
+
+    /// The most recent [`run_loaded`](Self::run_loaded) wave, if any.
+    pub fn last_wave(&self) -> Option<&ClusterWave> {
+        self.wave.as_ref()
     }
 
     /// Reads hart `hart`'s float logits from its private logits mailbox
@@ -372,7 +380,7 @@ mod tests {
         for (i, clip) in clips.iter().enumerate() {
             cluster.load_clip(i, clip).unwrap();
         }
-        let wave = cluster.run_loaded(4);
+        let wave = cluster.run_loaded(4).clone();
         assert!(wave_all_ok(&wave));
         let mut logits = Vec::new();
         for (i, serial) in serial_logits.iter().enumerate() {
@@ -422,7 +430,7 @@ mod tests {
             cluster.load_clip(i, clipm).unwrap();
         }
         let base = cluster.run_loaded(3);
-        assert!(wave_all_ok(&base));
+        assert!(wave_all_ok(base));
         let mut clean = vec![Vec::new(); 3];
         for (i, c) in clean.iter_mut().enumerate() {
             cluster.read_logits(i, c);
@@ -435,7 +443,7 @@ mod tests {
         let trap = Trap::AccessOutOfBounds { addr: 0xBAD, pc: 0 };
         let pc = cluster.hart(1).cpu.pc;
         cluster.inject_faults(1, kwt_rv32::FaultPlan::new().force_trap_at_pc(pc, trap));
-        let wave = cluster.run_loaded(3);
+        let wave = cluster.run_loaded(3).clone();
         assert!(wave.results[1].is_err(), "hart 1 must trap");
         let mut logits = Vec::new();
         for i in [0usize, 2] {
@@ -452,7 +460,7 @@ mod tests {
             cluster.load_clip(i, clipm).unwrap();
         }
         let after = cluster.run_loaded(3);
-        assert!(wave_all_ok(&after));
+        assert!(wave_all_ok(after));
         cluster.read_logits(1, &mut logits);
         assert_eq!(logits, clean[1], "recovered hart must match fault-free");
     }

@@ -855,7 +855,7 @@ impl InferenceImage {
             logits_addr: self.logits_addr,
             runs: 0,
             integrity: self.integrity_banks(),
-            staging: Mat::default(),
+            staging: InputStaging::default(),
         })
     }
 }
@@ -879,9 +879,9 @@ pub struct DeviceSession {
     logits_addr: u32,
     runs: u64,
     integrity: Vec<IntegrityBank>,
-    /// `i8` input staging reused by every A8 run (see
+    /// Quantised-input staging reused by every run (see
     /// [`write_clip_input`]).
-    staging: Mat<i8>,
+    staging: InputStaging,
 }
 
 impl DeviceSession {
@@ -1112,12 +1112,20 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a64_update(FNV_OFFSET, bytes)
 }
 
+/// Session-owned buffers the quantised flavours stage their input in,
+/// reused across runs.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct InputStaging {
+    i16: Mat<i16>,
+    i8: Mat<i8>,
+}
+
 /// Quantises (flavour-appropriately) and writes one clip into a loaded
 /// machine's input mailbox — the single input path shared by
 /// [`DeviceSession`] and [`crate::ClusterSession`], so the two can never
-/// disagree on quantisation. This is the only place A8 features become
-/// `i8`: they are quantised at [`A8Config::input_exponent`] into the
-/// session-owned `staging` buffer, which is reused across runs.
+/// disagree on quantisation. This is the only place features become
+/// integers: i16 at the quant flavours' `input_bits`, A8 `i8` at
+/// [`A8Config::input_exponent`], each into the session-owned `staging`.
 pub(crate) fn write_clip_input(
     machine: &mut Machine,
     flavor: Flavor,
@@ -1125,21 +1133,21 @@ pub(crate) fn write_clip_input(
     a8config: Option<A8Config>,
     input_addr: u32,
     mfcc: &Mat<f32>,
-    staging: &mut Mat<i8>,
+    staging: &mut InputStaging,
 ) {
     match flavor {
         Flavor::Float => machine.write_f32s(input_addr, mfcc.as_slice()),
         Flavor::Quantized | Flavor::Accelerated => {
             let ya = qconfig.expect("quant flavours carry qconfig").input_bits;
-            let (q, _) = qops::quantize_i16(mfcc, ya);
-            machine.write_i16s(input_addr, q.as_slice());
+            qops::quantize_i16_into(mfcc, ya, &mut staging.i16);
+            machine.write_i16s(input_addr, staging.i16.as_slice());
         }
         Flavor::A8 => {
             let yi = a8config
                 .expect("A8 flavour carries a8config")
                 .input_exponent();
-            qops::quantize_i8_scaled_into(mfcc, yi, staging);
-            machine.write_i8s(input_addr, staging.as_slice());
+            qops::quantize_i8_scaled_into(mfcc, yi, &mut staging.i8);
+            machine.write_i8s(input_addr, staging.i8.as_slice());
         }
     }
 }
@@ -1156,17 +1164,27 @@ pub(crate) fn read_clip_logits(
     logits: &mut Vec<f32>,
 ) {
     logits.clear();
+    let n = config.num_classes;
     match flavor {
         Flavor::Float => {
-            logits.extend(machine.read_f32s(logits_addr, config.num_classes));
+            logits.extend(
+                machine
+                    .cpu
+                    .mem
+                    .read_bytes(logits_addr, n * 4)
+                    .chunks_exact(4)
+                    .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+            );
         }
         Flavor::Quantized | Flavor::Accelerated => {
             let ya = qconfig.expect("quant flavours carry qconfig").input_bits;
             logits.extend(
                 machine
-                    .read_i16s(logits_addr, config.num_classes)
-                    .into_iter()
-                    .map(|v| v as f32 / (1u32 << ya) as f32),
+                    .cpu
+                    .mem
+                    .read_bytes(logits_addr, n * 2)
+                    .chunks_exact(2)
+                    .map(|c| i16::from_le_bytes([c[0], c[1]]) as f32 / (1u32 << ya) as f32),
             );
         }
         Flavor::A8 => {
@@ -1181,7 +1199,7 @@ pub(crate) fn read_clip_logits(
                 machine
                     .cpu
                     .mem
-                    .read_bytes(logits_addr, config.num_classes)
+                    .read_bytes(logits_addr, n)
                     .iter()
                     .map(|&v| v as i8 as f32 * scale),
             );

@@ -123,6 +123,29 @@ impl Baseline<'_> {
         );
         (table, (label, delta))
     }
+
+    /// The exact-equality check next to [`Self::ceiling`]: every
+    /// `(label, committed, current)` row of a deterministic count (device
+    /// cycles, instructions, SoC cycles) must equal the committed value,
+    /// so a change in either direction fails until the collector
+    /// re-records it.
+    ///
+    /// # Panics
+    ///
+    /// At the first row whose current value differs, naming the command
+    /// that regenerates the artefact.
+    pub(crate) fn exact(&self, what: &str, rows: impl IntoIterator<Item = (String, u64, u64)>) {
+        for (label, committed, current) in rows {
+            assert!(
+                committed == current,
+                "{what} `{label}` is {current}, the committed `{}` says {committed}: simulated \
+                 counts are exact — investigate, or re-run `{}` and commit the new file if \
+                 the change is intended",
+                self.path,
+                self.regenerate
+            );
+        }
+    }
 }
 
 /// Relative change of `current` against `baseline` (`0.03` = 3 % above),
@@ -209,6 +232,21 @@ mod tests {
         );
         let over = std::panic::catch_unwind(|| ENGINE.ceiling("test", 0.03, rows(104)));
         assert!(over.is_err(), "+4 % fails the ceiling");
+    }
+
+    #[test]
+    fn exact_check_fails_either_way_and_names_the_collector() {
+        let rows = |current| [("a".to_string(), 100, 100), ("b".to_string(), 100, current)];
+        ENGINE.exact("test", rows(100));
+        for current in [99, 101] {
+            let err = std::panic::catch_unwind(|| ENGINE.exact("test", rows(current)))
+                .expect_err("a moved count fails");
+            let msg = err.downcast_ref::<String>().expect("formatted message");
+            assert!(
+                msg.contains("`b`") && msg.contains("`paper bench-engine`"),
+                "{msg}"
+            );
+        }
     }
 
     proptest! {

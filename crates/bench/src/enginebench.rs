@@ -184,6 +184,16 @@ pub struct ClusterRow {
     pub hart_utilisation: f64,
     /// Stall cycles / occupied cycles — the bank-conflict tax.
     pub stall_fraction: f64,
+    /// Host ns per hart-instruction to simulate the clips (median over
+    /// alternating rounds; 0 when the row was not timed).
+    pub host_ns_per_hart_inst: f64,
+    /// Median absolute deviation of `host_ns_per_hart_inst` across the
+    /// rounds.
+    pub host_mad_ns_per_hart_inst: f64,
+    /// Median over the rounds of `host_ns_per_hart_inst` divided by the
+    /// host ns per instruction of a single-core `Machine::run` over the
+    /// same clips in the same round. Recorded, not gated.
+    pub over_single_core: f64,
 }
 
 /// One row of the sharded-batch scaling table.
@@ -256,6 +266,15 @@ pub fn bench_clips(n: usize) -> Vec<Vec<f32>> {
                 .collect()
         })
         .collect()
+}
+
+/// The features every `device_cycles` row runs on: the first bench clip
+/// through the f64 reference front end. `paper bench-engine` records the
+/// rows on them and `paper check-cycles` re-measures on them, so even
+/// the images whose cycle counts depend on the data compare exactly.
+pub fn device_cycles_input(fe: &kwt_audio::MfccExtractor) -> kwt_tensor::Mat<f32> {
+    fe.extract_padded_reference(&bench_clips(1)[0])
+        .expect("mfcc")
 }
 
 /// The benchmark model: KWT-Tiny weights shrunk into a realistic
@@ -518,14 +537,13 @@ pub fn collect(smoke: bool) -> EngineBenchSummary {
     let sim_dispatch = vec![collect_sim_dispatch(smoke, &a8image, &fe)];
 
     // simulated-cluster scaling: the tuned A8 image at 1/2/4/8 harts
-    // against the banked shared memory, in deterministic SoC cycles
-    let cluster_scaling = collect_cluster(&a8image, &fe);
+    // against the banked shared memory, in deterministic SoC cycles, with
+    // the host cost of simulating it
+    let cluster_scaling = collect_cluster(&a8image, &fe, Some(smoke));
 
     // device-side cycle metrics: one inference per image variant, plus
     // the per-class attribution for the accelerated-image comparison.
-    let mfcc = fe
-        .extract_padded_reference(&bench_clips(1)[0])
-        .expect("mfcc");
+    let mfcc = device_cycles_input(&fe);
     let mut device_cycles = Vec::new();
     let mut rv32_cycle_classes = Vec::new();
     let mut device_kernel_cycles = Vec::new();
@@ -591,9 +609,7 @@ pub fn collect_sim_dispatch(
     a8image: &InferenceImage,
     fe: &kwt_audio::MfccExtractor,
 ) -> SimDispatchRow {
-    let mfcc = fe
-        .extract_padded_reference(&bench_clips(1)[0])
-        .expect("mfcc");
+    let mfcc = device_cycles_input(fe);
     let mut session = a8image.session().expect("session");
     let mut logits = Vec::new();
     let instructions = session
@@ -635,14 +651,24 @@ pub fn collect_sim_dispatch(
 /// Alternating run/step measurement rounds of the `sim_dispatch` row.
 const SIM_DISPATCH_ROUNDS: usize = 9;
 
+/// Alternating cluster/single-core measurement rounds of the
+/// `cluster_scaling` host timings.
+const CLUSTER_TIMING_ROUNDS: usize = 5;
+
 /// Measures the simulated-cluster scaling table: the tuned A8 image
 /// pushed through 1/2/4/8-hart clusters in waves (one clip per hart
 /// mailbox), against a sequential single-core `DeviceSession` baseline
-/// over the same clips. Everything here is *simulated* cycles, so the
-/// table is bit-reproducible run to run.
-pub fn collect_cluster(a8image: &InferenceImage, fe: &kwt_audio::MfccExtractor) -> Vec<ClusterRow> {
+/// over the same clips. The simulated cycles are bit-reproducible run to
+/// run. `timing` is `Some(smoke)` to also time the host cost per
+/// hart-instruction against single-core `Machine::run` in alternating
+/// rounds (one round of single calls when `smoke`); with `None` the
+/// host fields stay 0.
+pub fn collect_cluster(
+    a8image: &InferenceImage,
+    fe: &kwt_audio::MfccExtractor,
+    timing: Option<bool>,
+) -> Vec<ClusterRow> {
     use kwt_audio::MfccScratch;
-    use kwt_baremetal::cluster::wave_all_ok;
     use kwt_tensor::Mat;
     let clips = bench_clips(8);
     let mut scratch = MfccScratch::new();
@@ -665,19 +691,11 @@ pub fn collect_cluster(a8image: &InferenceImage, fe: &kwt_audio::MfccExtractor) 
     let mut rows = Vec::new();
     for harts in [1usize, 2, 4, 8] {
         let mut cs = a8image.cluster_session(harts).expect("cluster session");
-        let (mut soc, mut busy, mut stalled) = (0u64, 0u64, 0u64);
-        for wave_clips in mfccs.chunks(harts) {
-            for (h, m) in wave_clips.iter().enumerate() {
-                cs.load_clip(h, m).expect("load clip");
-            }
-            let wave = cs.run_loaded(wave_clips.len());
-            assert!(wave_all_ok(&wave), "cluster bench wave must not fault");
-            soc += wave.soc_cycles;
-            for s in &wave.stats {
-                busy += s.busy_cycles;
-                stalled += s.stall_cycles;
-            }
-        }
+        let pass = cluster_pass(&mut cs, &mfccs);
+        let (soc, busy, stalled) = (pass.soc_cycles, pass.busy_cycles, pass.stall_cycles);
+        let host = timing.map_or(HostCost::default(), |smoke| {
+            time_cluster(smoke, &mut cs, &mut session, &mfccs)
+        });
         rows.push(ClusterRow {
             harts,
             banks: cs.bank_config().banks,
@@ -689,9 +707,90 @@ pub fn collect_cluster(a8image: &InferenceImage, fe: &kwt_audio::MfccExtractor) 
             speedup_vs_serial: serial_cycles as f64 / soc as f64,
             hart_utilisation: busy as f64 / (soc as f64 * harts as f64),
             stall_fraction: stalled as f64 / (busy + stalled).max(1) as f64,
+            host_ns_per_hart_inst: host.per_inst.ns,
+            host_mad_ns_per_hart_inst: host.per_inst.mad_ns,
+            over_single_core: host.over_single_core,
         });
     }
     rows
+}
+
+/// Totals of one [`cluster_pass`].
+#[derive(Debug, Clone, Copy, Default)]
+struct ClusterPass {
+    soc_cycles: u64,
+    busy_cycles: u64,
+    stall_cycles: u64,
+    instructions: u64,
+}
+
+/// Pushes every clip through the cluster in waves of its hart count.
+fn cluster_pass(
+    cs: &mut kwt_baremetal::ClusterSession,
+    mfccs: &[kwt_tensor::Mat<f32>],
+) -> ClusterPass {
+    let mut pass = ClusterPass::default();
+    for wave_clips in mfccs.chunks(cs.num_harts()) {
+        for (h, m) in wave_clips.iter().enumerate() {
+            cs.load_clip(h, m).expect("load clip");
+        }
+        let wave = cs.run_loaded(wave_clips.len());
+        assert!(
+            kwt_baremetal::cluster::wave_all_ok(wave),
+            "cluster bench wave must not fault"
+        );
+        pass.soc_cycles += wave.soc_cycles;
+        for s in &wave.stats {
+            pass.busy_cycles += s.busy_cycles;
+            pass.stall_cycles += s.stall_cycles;
+            pass.instructions += s.instructions;
+        }
+    }
+    pass
+}
+
+/// The host cost of one `cluster_scaling` row.
+#[derive(Debug, Clone, Copy, Default)]
+struct HostCost {
+    per_inst: Timing,
+    over_single_core: f64,
+}
+
+/// Times every clip through the cluster in waves and, alternately,
+/// through the single-core `session`, as host ns per retired
+/// (hart-)instruction: the median and MAD over the rounds, and the
+/// median of the per-round ratios.
+fn time_cluster(
+    smoke: bool,
+    cs: &mut kwt_baremetal::ClusterSession,
+    session: &mut kwt_baremetal::DeviceSession,
+    mfccs: &[kwt_tensor::Mat<f32>],
+) -> HostCost {
+    let mut clustered = || cluster_pass(cs, mfccs).instructions;
+    let mut logits = Vec::new();
+    let mut serial_pass = || {
+        mfccs
+            .iter()
+            .map(|m| {
+                session
+                    .run_into(m, &mut logits)
+                    .expect("serial run")
+                    .instructions
+            })
+            .sum::<u64>()
+    };
+    let (hart_insts, insts) = (clustered() as f64, serial_pass() as f64);
+    let (mut cluster, mut ratios) = (Vec::new(), Vec::new());
+    for _ in 0..if smoke { 1 } else { CLUSTER_TIMING_ROUNDS } {
+        let c = time_ns(smoke, &mut clustered).per(hart_insts);
+        let s = time_ns(smoke, &mut serial_pass).per(insts);
+        ratios.push(c.ns / s.ns);
+        cluster.push(c.ns);
+    }
+    HostCost {
+        per_inst: Timing::of(&mut cluster),
+        over_single_core: Timing::of(&mut ratios).ns,
+    }
 }
 
 /// Runs [`collect`], writes `BENCH_engine.json` to the working directory,
@@ -744,7 +843,8 @@ pub fn run_and_write(smoke: bool) -> String {
     for c in &summary.cluster_scaling {
         out.push_str(&format!(
             "  {} harts x {} banks ({} clips) {:>12} soc cycles  {:>7.3} clips/Mcycle  \
-             {:.2}x vs serial  util {:.2}  stalls {:.3}\n",
+             {:.2}x vs serial  util {:.2}  stalls {:.3}  host {:.1} ± {:.1} ns/hart-inst \
+             ({:.2}x single-core)\n",
             c.harts,
             c.banks,
             c.clips,
@@ -752,7 +852,10 @@ pub fn run_and_write(smoke: bool) -> String {
             c.clips_per_mcycle,
             c.speedup_vs_serial,
             c.hart_utilisation,
-            c.stall_fraction
+            c.stall_fraction,
+            c.host_ns_per_hart_inst,
+            c.host_mad_ns_per_hart_inst,
+            c.over_single_core
         ));
     }
     out.push_str(

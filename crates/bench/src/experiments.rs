@@ -461,6 +461,7 @@ pub(crate) struct EngineBaseline {
 pub(crate) struct BaselineCycleRow {
     variant: String,
     cycles: u64,
+    instructions: u64,
 }
 
 /// One cluster-scaling row of [`EngineBaseline`].
@@ -471,15 +472,18 @@ pub(crate) struct BaselineClusterRow {
 }
 
 /// Device-cycle regression gate (wired into `scripts/verify.sh` and CI):
-/// re-measures one inference per image flavour and compares against the
-/// committed `BENCH_engine.json`. Simulated cycle counts are deterministic
-/// per build, so the gate fails hard at **> 3 % worse** — the margin only
-/// absorbs intentional, committed re-baselines, not noise.
+/// re-measures one inference per image flavour on the features the
+/// committed `BENCH_engine.json` rows were recorded on
+/// ([`device_cycles_input`](crate::enginebench::device_cycles_input)) and
+/// compares. A flavour more than **3 %** worse fails as a regression;
+/// simulated cycles are deterministic, so any other change of `cycles` or
+/// `instructions` fails too, until `paper bench-engine` records it.
 ///
 /// # Panics
 ///
 /// Panics (failing the verify run) if any flavour regresses by more than
-/// 3 %, or if the baseline file is missing or cannot be parsed.
+/// 3 %, if any row's cycles or instructions differ from the committed
+/// ones, or if the baseline file is missing or cannot be parsed.
 pub fn check_cycles(_ctx: &ExpContext) -> String {
     let doc: EngineBaseline = baseline::ENGINE.load().unwrap_or_else(|e| panic!("{e}"));
     let params = crate::enginebench::bench_params();
@@ -488,9 +492,7 @@ pub fn check_cycles(_ctx: &ExpContext) -> String {
     let a8 = kwt_quant::A8Kwt::quantize(&params, kwt_quant::A8Config::paper_a8())
         .expect("a8 exponents valid");
     let fe = kwt_audio::kwt_tiny_frontend().expect("preset is valid");
-    let mfcc = fe
-        .extract_padded(&crate::enginebench::bench_clips(1)[0])
-        .expect("mfcc");
+    let mfcc = crate::enginebench::device_cycles_input(&fe);
     let image_for = |variant: &str| -> InferenceImage {
         match variant {
             "float" => InferenceImage::build_float(&params).expect("float image"),
@@ -500,19 +502,37 @@ pub fn check_cycles(_ctx: &ExpContext) -> String {
             other => panic!("unknown image variant `{other}` in cycle baseline"),
         }
     };
+    let runs: Vec<_> = doc
+        .device_cycles
+        .iter()
+        .map(|b| {
+            let mut session = image_for(&b.variant).session().expect("session");
+            (b, session.run(&mfcc).expect("device run").1)
+        })
+        .collect();
     let (rows, (worst_variant, worst_delta)) = baseline::ENGINE.ceiling(
         "device cycle",
         0.03,
-        doc.device_cycles.iter().map(|b| {
-            let mut session = image_for(&b.variant).session().expect("session");
-            let (_, run) = session.run(&mfcc).expect("device run");
-            (b.variant.clone(), b.cycles, run.cycles)
+        runs.iter()
+            .map(|(b, run)| (b.variant.clone(), b.cycles, run.cycles)),
+    );
+    baseline::ENGINE.exact(
+        "device_cycles",
+        runs.iter().flat_map(|(b, run)| {
+            [
+                (format!("{} cycles", b.variant), b.cycles, run.cycles),
+                (
+                    format!("{} instructions", b.variant),
+                    b.instructions,
+                    run.instructions,
+                ),
+            ]
         }),
     );
     let table = markdown_table(&["Variant", "Baseline cycles", "Current", "Delta"], &rows);
     format!(
         "## Cycle regression gate\n\n{table}\nworst delta {:+.2}% (`{worst_variant}`), \
-         gate <= +3%\n",
+         gate <= +3%, every row's cycles and instructions exact\n",
         worst_delta * 100.0
     )
 }
@@ -529,7 +549,8 @@ pub fn check_cycles(_ctx: &ExpContext) -> String {
 ///    most 1/3 of the sequential single-core cycles (>= 3x
 ///    clips-per-SoC-cycle).
 /// 4. **Regression** — per-hart-count `soc_cycles` must stay within
-///    +3 % of the committed `BENCH_engine.json`.
+///    +3 % of the committed `BENCH_engine.json`, and equal it exactly
+///    unless `paper bench-engine` recorded the change.
 ///
 /// Simulated cycles are deterministic, so all four checks are
 /// noise-free.
@@ -537,8 +558,9 @@ pub fn check_cycles(_ctx: &ExpContext) -> String {
 /// # Panics
 ///
 /// Panics (failing the verify run) on any identity violation, a 4-hart
-/// speedup below 3x, a baseline regression beyond 3 %, or a baseline that
-/// is missing, unparseable or has no measured hart count.
+/// speedup below 3x, a baseline regression beyond 3 %, any `soc_cycles`
+/// differing from the committed one, or a baseline that is missing,
+/// unparseable or has no measured hart count.
 pub fn check_cluster(_ctx: &ExpContext) -> String {
     use kwt_quant::{A8Config, A8Kwt};
     let params = crate::enginebench::bench_params();
@@ -588,7 +610,7 @@ pub fn check_cluster(_ctx: &ExpContext) -> String {
     for (h, m) in mfccs.iter().enumerate() {
         four.load_clip(h, m).expect("load");
     }
-    let wave = four.run_loaded(4);
+    let wave = four.run_loaded(4).clone();
     for (h, serial) in serial_logits.iter().enumerate().take(4) {
         assert!(wave.results[h].is_ok(), "hart {h} must complete");
         four.read_logits(h, &mut logits);
@@ -599,7 +621,7 @@ pub fn check_cluster(_ctx: &ExpContext) -> String {
     }
 
     // 3. throughput: >= 3x clips-per-SoC-cycle at 4 harts
-    let rows = crate::enginebench::collect_cluster(&image, &fe);
+    let rows = crate::enginebench::collect_cluster(&image, &fe, None);
     let r4 = rows
         .iter()
         .find(|r| r.harts == 4)
@@ -614,13 +636,21 @@ pub fn check_cluster(_ctx: &ExpContext) -> String {
 
     // 4. committed-baseline regression
     let doc: EngineBaseline = baseline::ENGINE.load().unwrap_or_else(|e| panic!("{e}"));
-    let (table_rows, (worst_harts, worst_delta)) = baseline::ENGINE.ceiling(
-        "hart-count soc_cycles",
-        0.03,
-        doc.cluster_scaling.iter().filter_map(|b| {
+    let compared: Vec<(String, u64, u64)> = doc
+        .cluster_scaling
+        .iter()
+        .filter_map(|b| {
             let now = rows.iter().find(|r| r.harts == b.harts)?;
             Some((b.harts.to_string(), b.soc_cycles, now.soc_cycles))
-        }),
+        })
+        .collect();
+    let (table_rows, (worst_harts, worst_delta)) =
+        baseline::ENGINE.ceiling("hart-count soc_cycles", 0.03, compared.clone());
+    baseline::ENGINE.exact(
+        "cluster_scaling soc_cycles",
+        compared
+            .into_iter()
+            .map(|(harts, committed, now)| (format!("{harts} harts"), committed, now)),
     );
 
     let mut scaling_rows = Vec::new();
@@ -652,7 +682,8 @@ pub fn check_cluster(_ctx: &ExpContext) -> String {
     format!(
         "## Cluster gate\n\nsingle-hart cluster bit- and cycle-identical to the serial \
          session; 4-hart wave logits bit-identical to serial on all harts\n\n{scaling}\n\
-         {baseline_table}worst baseline delta {:+.2}% ({worst_harts} harts), gate <= +3%\n",
+         {baseline_table}worst baseline delta {:+.2}% ({worst_harts} harts), gate <= +3%, \
+         every soc_cycles exact\n",
         worst_delta * 100.0
     )
 }

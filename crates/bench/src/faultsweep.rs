@@ -277,7 +277,7 @@ fn cluster_fault_trial(
         cluster.load_clip(h, mfcc).expect("load clip");
     }
     cluster.inject_faults(victim, plan);
-    let wave = cluster.run_loaded(harts);
+    let wave = cluster.run_loaded(harts).clone();
     let mut logits = Vec::new();
     for h in (0..harts).filter(|&h| h != victim) {
         assert!(
@@ -302,7 +302,7 @@ fn cluster_fault_trial(
     for h in 0..harts {
         cluster.load_clip(h, mfcc).expect("load clip");
     }
-    let after = cluster.run_loaded(harts);
+    let after = cluster.run_loaded(harts).clone();
     for (h, clean_h) in clean.iter().enumerate().take(harts) {
         assert!(
             after.results[h].is_ok(),
@@ -445,7 +445,7 @@ pub fn run(ctx: &ExpContext, smoke: bool) -> String {
         for h in 0..harts {
             cluster.load_clip(h, &mfcc).expect("load clip");
         }
-        let base = cluster.run_loaded(harts);
+        let base = cluster.run_loaded(harts).clone();
         let mut clean = vec![Vec::new(); harts];
         for (h, c) in clean.iter_mut().enumerate() {
             assert!(base.results[h].is_ok(), "clean cluster wave must not fault");

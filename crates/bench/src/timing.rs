@@ -16,7 +16,7 @@ const MIN_BATCHES: usize = 5;
 
 /// One host timing: the median per-call time over the measured batches
 /// and the median absolute deviation of the batch times around it.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct Timing {
     /// Median ns per call.
     pub(crate) ns: f64,

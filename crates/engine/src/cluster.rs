@@ -32,7 +32,6 @@ pub struct Rv32ClusterBackend {
     session: ClusterSession,
     config: KwtConfig,
     last_run: Option<RunResult>,
-    last_wave: Option<ClusterWave>,
 }
 
 impl Rv32ClusterBackend {
@@ -59,7 +58,6 @@ impl Rv32ClusterBackend {
             session,
             config,
             last_run: None,
-            last_wave: None,
         })
     }
 
@@ -76,7 +74,7 @@ impl Rv32ClusterBackend {
     /// Timing accounting of the most recent wave: per-hart stats,
     /// bank-conflict stalls and the SoC finish time.
     pub fn last_wave(&self) -> Option<&ClusterWave> {
-        self.last_wave.as_ref()
+        self.session.last_wave()
     }
 
     /// The underlying cluster session.
@@ -94,7 +92,9 @@ impl Rv32ClusterBackend {
     /// outcomes: logits for every completed hart, the first device
     /// fault as the propagated error.
     fn finish_wave(&mut self, n: usize, logits: &mut [Vec<f32>]) -> Result<()> {
-        let wave = self.session.run_loaded(n);
+        self.session.run_loaded(n);
+        let session = &self.session;
+        let wave = session.last_wave().expect("a wave just ran");
         let mut first_err = None;
         for (h, r) in wave.results.iter().enumerate() {
             match r {
@@ -102,7 +102,7 @@ impl Rv32ClusterBackend {
                     if h == 0 {
                         self.last_run = Some(*rr);
                     }
-                    self.session.read_logits(h, &mut logits[h]);
+                    session.read_logits(h, &mut logits[h]);
                 }
                 Err(e) => {
                     if first_err.is_none() {
@@ -111,7 +111,6 @@ impl Rv32ClusterBackend {
                 }
             }
         }
-        self.last_wave = Some(wave);
         match first_err {
             Some(e) => Err(e),
             None => Ok(()),
@@ -153,7 +152,7 @@ impl Backend for Rv32ClusterBackend {
     }
 
     fn wave_device_cycles(&self) -> Option<u64> {
-        self.last_wave.as_ref().map(|w| w.soc_cycles)
+        self.last_wave().map(|w| w.soc_cycles)
     }
 
     fn clone_boxed(&self) -> Option<Box<dyn Backend>> {

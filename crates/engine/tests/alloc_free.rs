@@ -1,17 +1,18 @@
 //! Proof of the zero-allocation steady state: wraps the global allocator
 //! in a per-thread counter and asserts that, after warm-up, repeated
-//! host-side `classify_into` calls and streaming pushes perform **no heap
-//! allocation at all** — the property the scratch arenas and the bounded
-//! streaming ring exist for.
+//! host-side `classify_into` calls, streaming pushes and simulated-device
+//! inferences (every image flavour, one core or a 4-hart cluster) perform
+//! **no heap allocation at all** — the property the scratch arenas, the
+//! bounded streaming ring and the session-owned device buffers exist for.
 
 use kwt_audio::kwt_tiny_frontend;
 use kwt_baremetal::InferenceImage;
 use kwt_engine::{
-    Backend, BackendKind, Engine, Prediction, Rv32SimBackend, StreamDecision, StreamingConfig,
-    StreamingKws,
+    Backend, BackendKind, Engine, Prediction, Rv32ClusterBackend, Rv32SimBackend, StreamDecision,
+    StreamingConfig, StreamingKws,
 };
 use kwt_model::{KwtConfig, KwtParams};
-use kwt_quant::{A8Config, A8Kwt, QuantConfig, QuantizedKwt};
+use kwt_quant::{A8Config, A8Kwt, Nonlinearity, QuantConfig, QuantizedKwt};
 use kwt_rv32::DecodeCacheStats;
 use kwt_tensor::Mat;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -333,4 +334,47 @@ fn rv32_sim_a8_steady_state_allocates_nothing() {
     );
     assert_eq!(after.misses, warm.misses, "warm calls re-decoded code");
     assert!(after.hits > warm.hits);
+}
+
+#[test]
+fn rv32_sim_float_quant_accel_steady_state_allocates_nothing() {
+    // The non-A8 device paths: float features written as f32, the quant
+    // flavours' i16 quantisation into the session's reused staging, and
+    // the logits read back in place. One clip each: the float image
+    // retires millions of instructions per inference.
+    let params = trained_ish();
+    let qm = QuantizedKwt::quantize(&params, QuantConfig::paper_best());
+    let accel = qm.clone().with_nonlinearity(Nonlinearity::FixedLut);
+    let audio = clip(4);
+    for (name, image) in [
+        ("float", InferenceImage::build_float(&params).unwrap()),
+        ("quant", InferenceImage::build_quant(&qm).unwrap()),
+        ("accel", InferenceImage::build_quant(&accel).unwrap()),
+    ] {
+        let mut engine = Engine::rv32_sim(&image, kwt_tiny_frontend().unwrap()).unwrap();
+        let mut pred = Prediction::default();
+        engine.classify_into(&audio, &mut pred).unwrap();
+        let n = allocations(|| engine.classify_into(&audio, &mut pred).unwrap());
+        assert_eq!(n, 0, "rv32_sim {name} inference allocated {n} times");
+    }
+}
+
+#[test]
+fn rv32_cluster_a8_steady_state_allocates_nothing() {
+    // 4-hart waves: the per-hart runs, their grant logs, the access
+    // replay and the wave results all live in buffers the cluster and
+    // its session reuse, grown by the first wave.
+    let a8 = A8Kwt::quantize(&trained_ish(), A8Config::paper_a8()).unwrap();
+    let image = InferenceImage::build_a8(&a8).unwrap();
+    let backend = Rv32ClusterBackend::new(&image, 4).unwrap();
+    let mut engine = Engine::new(kwt_tiny_frontend().unwrap(), Box::new(backend)).unwrap();
+    let clips: Vec<Vec<f32>> = (0..4).map(clip).collect();
+    let mut out = Vec::new();
+    engine.classify_batch_into(&clips, &mut out).unwrap();
+    let n = allocations(|| {
+        for _ in 0..3 {
+            engine.classify_batch_into(&clips, &mut out).unwrap();
+        }
+    });
+    assert_eq!(n, 0, "4-hart cluster waves allocated {n} times");
 }

@@ -13,35 +13,64 @@
 //!   private, so replicating the image per hart is semantically
 //!   identical to mapping shared read-only banks: no hart can observe
 //!   another hart's writes in either formulation.
-//! * The *timing* layer is an event-driven scheduler that replays the
-//!   per-hart instruction streams onto a shared SoC timeline. Every
-//!   data access is routed to a memory bank (word-interleaved:
-//!   `bank = (addr >> 2) mod banks`); each bank has a busy-until
-//!   counter, and an access arriving while its bank is busy **stalls
-//!   the issuing hart** until the bank frees up. Ready-time ties are
-//!   broken by a rotating round-robin priority, so the schedule is
-//!   deterministic — two runs of the same workload produce identical
-//!   per-hart cycle and stall counts.
+//! * The *timing* layer places the per-hart instruction streams on a
+//!   shared SoC timeline. Every data access is routed to a memory bank
+//!   (word-interleaved: `bank = (addr >> 2) mod banks`); each bank has a
+//!   busy-until counter, and an access arriving while its bank is busy
+//!   **stalls the issuing hart** until the bank frees up. The arbiter
+//!   grants one instruction at a time to the live hart with the
+//!   earliest ready time; ties go round-robin from the hart after the
+//!   last grantee, so the schedule is deterministic — two runs of the
+//!   same workload produce identical per-hart cycle and stall counts.
 //!
 //! Because the timing layer only ever *delays* a hart (it never reorders
 //! or rewrites its stream), a single-hart cluster is provably bit- and
 //! cycle-identical to a plain [`Machine::run`]: with
 //! `service_cycles = 1` (the default) a bank frees up after one cycle,
-//! and every instruction costs at least one cycle, so a lone hart can
-//! never catch its own bank busy — zero stalls, and the SoC timeline
-//! collapses onto the hart's own cycle counter. The
-//! `tests/cluster_props.rs` proptests assert this over random programs.
+//! and every instruction of the default timing model costs at least one
+//! cycle, so a lone hart can never catch its own bank busy — zero
+//! stalls, and the SoC timeline collapses onto the hart's own cycle
+//! counter. The `tests/cluster_props.rs` proptests assert this over
+//! random programs.
 //!
-//! The per-hart instruction streams are mutually independent (private
-//! scratch, read-only shared banks), so the functional replay needs no
-//! cross-hart ordering — contention changes *when* an access happens,
-//! never *what* it reads.
+//! # Two phases: run each hart alone, then replay the accesses
+//!
+//! Timing never feeds back into function, so [`Cluster::run_active`]
+//! does not interleave the harts at all:
+//!
+//! 1. **Per-hart runs.** Each active hart runs alone to its halt, trap
+//!    or step budget through the same runner as [`Machine::run`] — block
+//!    dispatch, or one monitored step per instruction while a fault
+//!    plan, watchdog or class histogram is armed — and appends one byte
+//!    per arbiter grant to a log the cluster owns: the instruction's
+//!    cost and the bank of its data access, if any (a trap and the
+//!    budget check that ends an out-of-fuel run are grants too). Costs
+//!    or banks too large for the byte spill to a side list.
+//! 2. **Access replay.** Only data accesses touch shared state, so the
+//!    replay merges the harts' accesses in SoC-time order and skips
+//!    everything between them: a hart's issue times are prefix sums of
+//!    its logged costs plus its stalls. The round-robin pointer the
+//!    arbiter moves on every grant matters only when two accesses reach
+//!    the same bank at the same time. There the replay rebuilds it: it
+//!    walks every hart's issue times backwards and composes each earlier
+//!    same-time group's round-robin map (`r ↦ 1 + the group's last
+//!    grantee counting from r`) until the composition is constant or
+//!    reaches the last tie it resolved. A custom [`crate::TimingModel`]
+//!    that charges some instruction nothing lets one hart take several
+//!    grants at one time; under one, a run replays grant by grant
+//!    instead.
+//!
+//! Both replays reproduce the interleaved arbiter exactly — per-hart
+//! results, [`HartStats`], `soc_cycles` and registers — which the
+//! test-local per-`Cpu::step` reference arbiter in
+//! `tests/cluster_props.rs` pins. The logs, the replay state and the
+//! run results live in buffers the cluster reuses, grown on the first
+//! run, so [`Cluster::run_active_into`] allocates nothing once warm.
 
-use crate::cpu::StepOutcome;
+use crate::cpu::RetireSink;
 use crate::machine::{Machine, RunResult};
 use crate::profile::ClassHistogram;
 use crate::trap::Trap;
-use kwt_rvasm::Reg;
 
 /// Geometry and service time of the shared banked memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,7 +131,7 @@ impl HartStats {
 }
 
 /// Outcome of one [`Cluster::run_active`] call.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ClusterRun {
     /// Per active hart: the same [`RunResult`] / [`Trap`] a solo
     /// [`Machine::run`] would produce (cycle counters included).
@@ -151,6 +180,7 @@ impl ClusterRun {
 pub struct Cluster {
     harts: Vec<Machine>,
     cfg: BankConfig,
+    arbiter: Arbiter,
 }
 
 impl Cluster {
@@ -166,7 +196,11 @@ impl Cluster {
             "bank count must be a power of two, got {}",
             cfg.banks
         );
-        let mut cluster = Cluster { harts, cfg };
+        let mut cluster = Cluster {
+            harts,
+            cfg,
+            arbiter: Arbiter::default(),
+        };
         for hart in &mut cluster.harts {
             hart.cpu.set_data_trace_enabled(true);
         }
@@ -241,104 +275,486 @@ impl Cluster {
     ///
     /// Panics if `n_active` is zero or exceeds the hart count.
     pub fn run_active(&mut self, n_active: usize, max_steps: u64) -> ClusterRun {
+        let mut run = ClusterRun::default();
+        self.run_active_into(n_active, max_steps, &mut run);
+        run
+    }
+
+    /// [`run_active`](Self::run_active) into a caller-owned
+    /// [`ClusterRun`], whose vectors are cleared and refilled. With the
+    /// cluster's own buffers grown by an earlier run of the same work,
+    /// it allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_active` is zero or exceeds the hart count.
+    pub fn run_active_into(&mut self, n_active: usize, max_steps: u64, run: &mut ClusterRun) {
         assert!(
             (1..=self.harts.len()).contains(&n_active),
             "n_active {} out of range 1..={}",
             n_active,
             self.harts.len()
         );
-        let n = n_active;
-        // Per-hart SoC time at which the next instruction may issue.
-        let mut hart_ready = vec![0u64; n];
-        // Per-bank SoC time at which the bank is free again.
-        let mut bank_ready = vec![0u64; self.cfg.banks];
-        let mut steps = vec![0u64; n];
-        let mut stats = vec![HartStats::default(); n];
-        let mut results: Vec<Option<Result<RunResult, Trap>>> = vec![None; n];
-        // Cycle counters at run start: watchdog base and busy-cycle base.
-        let cycles0: Vec<u64> = (0..n).map(|h| self.harts[h].cpu.cycles).collect();
-        let instret0: Vec<u64> = (0..n).map(|h| self.harts[h].cpu.instret).collect();
-        let mut live = n;
-        // Rotating round-robin priority for ready-time ties.
-        let mut rr_next = 0usize;
+        let arbiter = &mut self.arbiter;
+        arbiter.prepare(self.harts.len(), self.cfg);
+        run.results.clear();
+        run.stats.clear();
+        // phase 1: every hart alone, logging its grants
+        let mut free_grants = false;
+        let mut sized = 0;
+        for (hart, log) in self.harts[..n_active].iter_mut().zip(&mut arbiter.logs) {
+            // size a cold log like the previous hart's rather than
+            // doubling up to it, which would leave the smaller copies behind
+            log.bytes.reserve_exact(sized);
+            let (cycles0, instret0) = (hart.cpu.cycles, hart.cpu.instret);
+            free_grants |= !hart.cpu.timing().charges_every_instruction();
+            run.results.push(hart.run_logged(max_steps, log));
+            sized = log.bytes.len();
+            run.stats.push(HartStats {
+                busy_cycles: hart.cpu.cycles - cycles0,
+                instructions: hart.cpu.instret - instret0,
+                ..HartStats::default()
+            });
+        }
+        // phase 2: the shared timeline
+        run.soc_cycles = arbiter.replay(
+            n_active,
+            self.cfg.service_cycles,
+            free_grants,
+            &mut run.stats,
+        );
+    }
+}
 
-        while live > 0 {
-            // Grant the hart with the earliest ready time; break ties in
-            // round-robin order starting from the hart after the last
-            // grantee.
-            let mut chosen = usize::MAX;
-            let mut best = u64::MAX;
-            for off in 0..n {
-                let h = (rr_next + off) % n;
-                if results[h].is_none() && hart_ready[h] < best {
-                    best = hart_ready[h];
-                    chosen = h;
+/// Log byte flag of a grant that made a data access.
+const ACCESS: u8 = 0x80;
+/// Log byte of a grant whose cost or bank does not fit the byte; its
+/// values are the next [`Spill`] of the log.
+const SPILLED: u8 = 0xFF;
+
+/// A grant too large for its log byte.
+#[derive(Debug, Clone, Copy)]
+struct Spill {
+    /// Index of the grant in the log.
+    entry: usize,
+    cost: u64,
+    bank: Option<usize>,
+}
+
+/// One hart's grants for one run, a byte each in issue order:
+/// `0x00..=0x7F` is an access-free grant of that many cycles,
+/// `0x80..=0xFE` an access whose low seven bits hold
+/// `cost << bank_bits | bank`, and [`SPILLED`] anything larger.
+#[derive(Debug, Clone, Default)]
+struct HartLog {
+    bytes: Vec<u8>,
+    spills: Vec<Spill>,
+    /// `(grant, stall cycles)` of every access the replay stalled, in
+    /// grant order: the walk-back needs them to recover issue times.
+    stalls: Vec<(usize, u64)>,
+    bank_bits: u32,
+}
+
+impl RetireSink for HartLog {
+    const ON: bool = true;
+
+    #[inline(always)]
+    fn retire(&mut self, cost: u64, access: Option<u32>) {
+        let byte = match access {
+            None if cost < u64::from(ACCESS) => cost as u8,
+            Some(addr) if self.bank_bits < 7 && cost < 0x80 >> self.bank_bits => {
+                let bank = (addr >> 2) & ((1 << self.bank_bits) - 1);
+                let code = (cost as u32) << self.bank_bits | bank;
+                if code < 0x7F {
+                    ACCESS | code as u8
+                } else {
+                    self.spill(cost, access)
                 }
             }
-            let h = chosen;
-            rr_next = (h + 1) % n;
+            _ => self.spill(cost, access),
+        };
+        self.bytes.push(byte);
+    }
+}
 
-            if steps[h] >= max_steps {
-                results[h] = Some(Err(Trap::OutOfFuel {
-                    executed: self.harts[h].cpu.instret,
-                }));
-                live -= 1;
+impl HartLog {
+    fn clear(&mut self, bank_bits: u32) {
+        self.bytes.clear();
+        self.spills.clear();
+        self.stalls.clear();
+        self.bank_bits = bank_bits;
+    }
+
+    #[cold]
+    fn spill(&mut self, cost: u64, access: Option<u32>) -> u8 {
+        let mask = (1usize << self.bank_bits) - 1;
+        self.spills.push(Spill {
+            entry: self.bytes.len(),
+            cost,
+            bank: access.map(|addr| (addr >> 2) as usize & mask),
+        });
+        SPILLED
+    }
+
+    /// Cost and bank (if it made an access) of grant `i`.
+    #[inline(always)]
+    fn grant(&self, i: usize) -> (u64, Option<usize>) {
+        match self.bytes[i] {
+            b if b < ACCESS => (u64::from(b), None),
+            SPILLED => self.spilled(i),
+            b => {
+                let code = usize::from(b & !ACCESS);
+                let bank = code & ((1 << self.bank_bits) - 1);
+                ((code >> self.bank_bits) as u64, Some(bank))
+            }
+        }
+    }
+
+    #[cold]
+    fn spilled(&self, i: usize) -> (u64, Option<usize>) {
+        let s = self.spills[self.spills.partition_point(|s| s.entry < i)];
+        (s.cost, s.bank)
+    }
+}
+
+/// A hart's replay position: its next unreplayed grant and that grant's
+/// issue time, and while that grant is an access its cost and bank; plus
+/// the hart's access accounting so far.
+#[derive(Debug, Clone, Copy, Default)]
+struct Lane {
+    time: u64,
+    cost: u64,
+    pos: usize,
+    bank: usize,
+    accesses: u64,
+    conflicts: u64,
+    stall_cycles: u64,
+}
+
+impl Lane {
+    /// Moves past the access-free grants to the next access (or the
+    /// log's end), setting `due` to its issue time (`u64::MAX` once no
+    /// access is left).
+    #[inline(always)]
+    fn advance(&mut self, log: &HartLog, due: &mut u64) {
+        let bytes = &log.bytes[..];
+        let (mut pos, mut time) = (self.pos, self.time);
+        *due = u64::MAX;
+        loop {
+            if let Some(chunk) = bytes.get(pos..pos + 8) {
+                // eight grants at once: add the costs before the first
+                // access (all eight when there is none)
+                let word = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+                let access = word & 0x8080_8080_8080_8080;
+                let below = ((access & access.wrapping_neg()) >> 7).wrapping_sub(1);
+                time += byte_sum(word & below);
+                if access == 0 {
+                    pos += 8;
+                    continue;
+                }
+                pos += access.trailing_zeros() as usize / 8;
+            } else {
+                match bytes.get(pos) {
+                    None => break,
+                    Some(&b) if b < ACCESS => {
+                        time += u64::from(b);
+                        pos += 1;
+                        continue;
+                    }
+                    Some(_) => {}
+                }
+            }
+            match log.grant(pos) {
+                (cost, Some(bank)) => {
+                    (self.cost, self.bank, *due) = (cost, bank, time);
+                    break;
+                }
+                (cost, None) => {
+                    time += cost;
+                    pos += 1;
+                }
+            }
+        }
+        (self.pos, self.time) = (pos, time);
+    }
+
+    /// Grants the due access against its bank (busy until `*ready`),
+    /// books the bank for `service` cycles, records any stall, and
+    /// advances to the next access.
+    #[inline(always)]
+    fn access(&mut self, log: &mut HartLog, ready: &mut u64, service: u64, due: &mut u64) {
+        let grant = self.time.max(*ready);
+        *ready = grant + service;
+        self.accesses += 1;
+        let stall = grant - self.time;
+        if stall > 0 {
+            self.conflicts += 1;
+            self.stall_cycles += stall;
+            log.stalls.push((self.pos, stall));
+        }
+        self.time = grant + self.cost;
+        self.pos += 1;
+        self.advance(log, due);
+    }
+
+    /// Adds the access accounting to `stats`.
+    fn account(&self, stats: &mut HartStats) {
+        stats.accesses += self.accesses;
+        stats.conflicts += self.conflicts;
+        stats.stall_cycles += self.stall_cycles;
+    }
+}
+
+/// Sum of the eight bytes of `word`, each below 0x80.
+#[inline(always)]
+fn byte_sum(word: u64) -> u64 {
+    let pairs = (word & 0x00FF_00FF_00FF_00FF) + ((word >> 8) & 0x00FF_00FF_00FF_00FF);
+    pairs.wrapping_mul(0x0001_0001_0001_0001) >> 48
+}
+
+/// A hart's position in a walk-back: a grant, its issue time, and how
+/// many of the hart's stall records lie before it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cursor {
+    pos: usize,
+    time: u64,
+    stalls: usize,
+    /// Issue time of the grant the walk stands on, `None` past the
+    /// hart's first grant.
+    at: Option<u64>,
+}
+
+impl Cursor {
+    /// Steps back to the hart's previous grant, returning its issue
+    /// time: the later issue time minus the grant's cost and stall.
+    fn back(&mut self, log: &HartLog) -> Option<u64> {
+        if self.pos == 0 {
+            return None;
+        }
+        self.pos -= 1;
+        let (cost, bank) = log.grant(self.pos);
+        let mut stall = 0;
+        if bank.is_some() {
+            while self.stalls > 0 && log.stalls[self.stalls - 1].0 > self.pos {
+                self.stalls -= 1;
+            }
+            if self.stalls > 0 && log.stalls[self.stalls - 1].0 == self.pos {
+                self.stalls -= 1;
+                stall = log.stalls[self.stalls].1;
+            }
+        }
+        self.time -= cost + stall;
+        Some(self.time)
+    }
+}
+
+/// The timing layer's reusable state: per-hart logs and replay
+/// positions, per-bank busy-until times and the walk-back scratch.
+#[derive(Debug, Clone, Default)]
+struct Arbiter {
+    logs: Vec<HartLog>,
+    lanes: Vec<Lane>,
+    /// Issue time of each hart's next access, `u64::MAX` once none is
+    /// left: the merge key of the replay.
+    due: Vec<u64>,
+    bank_ready: Vec<u64>,
+    walk: Vec<Cursor>,
+    map: Vec<usize>,
+    scratch: Vec<usize>,
+}
+
+impl Arbiter {
+    /// Sizes every buffer for `harts` harts and clears the logs; only the
+    /// first call (or a bigger cluster) allocates.
+    fn prepare(&mut self, harts: usize, cfg: BankConfig) {
+        self.logs.resize_with(harts, HartLog::default);
+        self.lanes.resize(harts, Lane::default());
+        self.due.resize(harts, u64::MAX);
+        self.walk.resize(harts, Cursor::default());
+        self.map.resize(harts, 0);
+        self.scratch.resize(harts, 0);
+        self.bank_ready.resize(cfg.banks, 0);
+        for log in &mut self.logs {
+            log.clear(cfg.banks.trailing_zeros());
+        }
+    }
+
+    /// Replays the logged grants of harts `0..n` on the shared timeline,
+    /// accumulating stalls into `stats`; returns the SoC cycles.
+    /// `free_grants` says a grant before a log's end may cost nothing.
+    fn replay(
+        &mut self,
+        n: usize,
+        service: u64,
+        free_grants: bool,
+        stats: &mut [HartStats],
+    ) -> u64 {
+        self.bank_ready.fill(0);
+        if free_grants {
+            return self.replay_grants(n, service, stats);
+        }
+        for ((lane, log), due) in self.lanes[..n]
+            .iter_mut()
+            .zip(&self.logs)
+            .zip(&mut self.due)
+        {
+            *lane = Lane::default();
+            lane.advance(log, due);
+        }
+        // the last same-time group whose round-robin pointer is known:
+        // every hart issues its first grant at time 0, from pointer 0
+        let mut known = (0, 0);
+        loop {
+            // the earliest due access, and the next due time after it
+            let (mut t, mut next, mut first) = (u64::MAX, u64::MAX, 0);
+            for (h, &d) in self.due[..n].iter().enumerate() {
+                let earlier = d < t;
+                next = if earlier { t } else { next.min(d) };
+                t = if earlier { d } else { t };
+                first = if earlier { h } else { first };
+            }
+            if t == u64::MAX {
+                break;
+            }
+            // same-time accesses go in round-robin order, which matters
+            // only between accesses to the same bank
+            if t < next || !self.shares_bank(n, first) {
+                self.access(first, service);
                 continue;
             }
-            let before = self.harts[h].cpu.cycles;
-            let outcome = self.harts[h].step_monitored(steps[h], cycles0[h]);
-            steps[h] += 1;
-            let cost = self.harts[h].cpu.cycles - before;
-
-            // Route the instruction's data access (if any) through the
-            // bank arbiter; the losing side of a conflict stalls.
-            match self.harts[h].cpu.take_data_access() {
-                Some(addr) => {
-                    let bank = self.cfg.bank_of(addr);
-                    let want = hart_ready[h];
-                    let grant = want.max(bank_ready[bank]);
-                    let stall = grant - want;
-                    bank_ready[bank] = grant + self.cfg.service_cycles;
-                    hart_ready[h] = grant + cost;
-                    stats[h].accesses += 1;
-                    if stall > 0 {
-                        stats[h].conflicts += 1;
-                        stats[h].stall_cycles += stall;
-                    }
-                }
-                None => hart_ready[h] += cost,
-            }
-
-            match outcome {
-                Ok(StepOutcome::Continue) => {}
-                Ok(StepOutcome::Halted) => {
-                    results[h] = Some(Ok(RunResult {
-                        cycles: self.harts[h].cpu.cycles,
-                        instructions: self.harts[h].cpu.instret,
-                        exit_code: self.harts[h].cpu.reg(Reg::A0),
-                    }));
-                    live -= 1;
-                }
-                Err(trap) => {
-                    results[h] = Some(Err(trap));
-                    live -= 1;
+            let rr = self.rr_at(n, t, known);
+            known = (t, rr);
+            for h in (rr..n).chain(0..rr) {
+                if self.due[h] == t {
+                    self.access(h, service);
                 }
             }
         }
+        for (lane, s) in self.lanes[..n].iter().zip(stats) {
+            lane.account(s);
+        }
+        self.lanes[..n].iter().map(|l| l.time).max().unwrap_or(0)
+    }
 
-        for h in 0..n {
-            stats[h].busy_cycles = self.harts[h].cpu.cycles - cycles0[h];
-            stats[h].instructions = self.harts[h].cpu.instret - instret0[h];
+    /// Grants hart `h`'s due access.
+    #[inline(always)]
+    fn access(&mut self, h: usize, service: u64) {
+        let lane = &mut self.lanes[h];
+        let ready = &mut self.bank_ready[lane.bank];
+        lane.access(&mut self.logs[h], ready, service, &mut self.due[h]);
+    }
+
+    /// Whether another hart's access is due with hart `h`'s, at the
+    /// same time on the same bank.
+    fn shares_bank(&self, n: usize, h: usize) -> bool {
+        let (due, lanes) = (&self.due[..n], &self.lanes[..n]);
+        (0..n).any(|o| o != h && due[o] == due[h] && lanes[o].bank == lanes[h].bank)
+    }
+
+    /// The round-robin pointer at the start of the grants issued at `t`:
+    /// one past the last hart granted before `t`. Walks every hart's
+    /// issue times back from its replay position, composing the
+    /// round-robin map of each earlier same-time group of grants, until
+    /// the composition is constant or reaches `known`, a group whose
+    /// starting pointer is known.
+    fn rr_at(&mut self, n: usize, t: u64, known: (u64, usize)) -> usize {
+        if t == known.0 {
+            return known.1;
         }
-        let soc_cycles = hart_ready.iter().copied().max().unwrap_or(0);
-        ClusterRun {
-            results: results
-                .into_iter()
-                .map(|r| r.expect("hart finished"))
-                .collect(),
-            stats,
-            soc_cycles,
+        for ((c, lane), log) in self.walk[..n].iter_mut().zip(&self.lanes).zip(&self.logs) {
+            *c = Cursor {
+                pos: lane.pos,
+                time: lane.time,
+                stalls: log.stalls.len(),
+                at: None,
+            };
+            while let Some(at) = c.back(log) {
+                if at < t {
+                    c.at = Some(at);
+                    break;
+                }
+            }
         }
+        for (r, m) in self.map[..n].iter_mut().enumerate() {
+            *m = r;
+        }
+        loop {
+            let t1 = self.walk[..n]
+                .iter()
+                .filter_map(|c| c.at)
+                .max()
+                .expect("the known group precedes every later one");
+            debug_assert!(t1 >= known.0, "the walk passed the known group");
+            let member = |h: usize| self.walk[h].at == Some(t1);
+            let (members, mut last) = (0..n)
+                .filter(|&h| member(h))
+                .fold((0, 0), |(k, _), h| (k + 1, h));
+            let next = |h: usize| if h + 1 == n { 0 } else { h + 1 };
+            if members == 1 {
+                // a lone grant hands on one past itself, from any pointer
+                return self.map[next(last)];
+            }
+            // a group starting at pointer r ends with its member at or
+            // cyclically before r - 1 and hands on one past it; compose
+            // that map under the later groups' map
+            for r in 0..n {
+                self.scratch[r] = self.map[next(last)];
+                if member(r) {
+                    last = r;
+                }
+            }
+            std::mem::swap(&mut self.map, &mut self.scratch);
+            let map = &self.map[..n];
+            if t1 == known.0 {
+                return map[known.1];
+            }
+            if map.iter().all(|&m| m == map[0]) {
+                return map[0];
+            }
+            for (c, log) in self.walk[..n].iter_mut().zip(&self.logs) {
+                if c.at == Some(t1) {
+                    c.at = c.back(log);
+                }
+            }
+        }
+    }
+
+    /// The arbiter grant by grant over the logs: the earliest-ready live
+    /// hart, ties round-robin from the hart after the last grantee.
+    /// Exact for any log; the access replay is its fast path.
+    fn replay_grants(&mut self, n: usize, service: u64, stats: &mut [HartStats]) -> u64 {
+        for lane in &mut self.lanes[..n] {
+            *lane = Lane::default();
+        }
+        let mut rr = 0;
+        loop {
+            let mut chosen = None;
+            let mut best = u64::MAX;
+            for h in (rr..n).chain(0..rr) {
+                let lane = &self.lanes[h];
+                if lane.pos < self.logs[h].bytes.len() && (chosen.is_none() || lane.time < best) {
+                    (best, chosen) = (lane.time, Some(h));
+                }
+            }
+            let Some(h) = chosen else { break };
+            rr = (h + 1) % n;
+            let lane = &mut self.lanes[h];
+            let (cost, bank) = self.logs[h].grant(lane.pos);
+            if let Some(bank) = bank {
+                let ready = &mut self.bank_ready[bank];
+                let grant = lane.time.max(*ready);
+                *ready = grant + service;
+                stats[h].accesses += 1;
+                if grant > lane.time {
+                    stats[h].conflicts += 1;
+                    stats[h].stall_cycles += grant - lane.time;
+                }
+                lane.time = grant;
+            }
+            lane.time += cost;
+            lane.pos += 1;
+        }
+        self.lanes[..n].iter().map(|l| l.time).max().unwrap_or(0)
     }
 }
 

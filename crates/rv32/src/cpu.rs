@@ -36,6 +36,24 @@ use kwt_quant::{LutSet, Q8_24};
 use kwt_rvasm::{expand_compressed, CustomOp, Inst, PackedOp, Reg};
 use std::collections::BTreeMap;
 
+/// Receives one entry per instruction [`Cpu::run_blocks`] retires (or
+/// traps on): the cycles it cost and the data address it touched. The
+/// no-op sink `()` is the plain block runner behind
+/// [`crate::Machine::run`]; the cluster's per-hart grant log is the
+/// recording one.
+pub(crate) trait RetireSink {
+    /// Whether entries are recorded; `false` compiles every call away.
+    const ON: bool;
+    /// Records one instruction's cycle cost and data access, if any.
+    fn retire(&mut self, cost: u64, access: Option<u32>);
+}
+
+impl RetireSink for () {
+    const ON: bool = false;
+    #[inline(always)]
+    fn retire(&mut self, _cost: u64, _access: Option<u32>) {}
+}
+
 /// Result of executing one instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepOutcome {
@@ -275,6 +293,11 @@ impl Cpu {
         }
     }
 
+    /// The cycle model this hart charges.
+    pub(crate) fn timing(&self) -> &TimingModel {
+        &self.timing
+    }
+
     /// The LUT ROMs backing the custom instructions.
     pub fn luts(&self) -> &LutSet {
         &self.luts
@@ -388,15 +411,25 @@ impl Cpu {
     /// charged just before that instruction runs, so CSR reads and
     /// profiler pushes/pops see the counters `step` would show; a load
     /// fault mid-block rolls the counters back to the faulting
-    /// instruction. The class histogram is not updated and the
-    /// data-access trace would keep only a block's last access — callers
-    /// use `step` while either is armed.
+    /// instruction. The class histogram is not updated, so callers use
+    /// `step` while it is armed.
+    ///
+    /// A recording `sink` ([`RetireSink::ON`]) gets one entry per
+    /// instruction, a trapping one included: its cycles (a taken branch
+    /// with its upgrade) and, with the data-access trace armed, the
+    /// address it touched. With the no-op sink `()` every recording
+    /// branch compiles away, and the data-access trace would keep only a
+    /// block's last access.
     ///
     /// # Errors
     ///
     /// Returns the [`Trap`] `step` would raise, with the hart left at the
     /// faulting instruction.
-    pub(crate) fn run_blocks(&mut self, budget: u64) -> Result<StepOutcome, Trap> {
+    pub(crate) fn run_blocks<S: RetireSink>(
+        &mut self,
+        budget: u64,
+        sink: &mut S,
+    ) -> Result<StepOutcome, Trap> {
         let mut left = budget;
         while left > 0 {
             let pc0 = self.pc;
@@ -404,7 +437,12 @@ impl Cpu {
                 Some((idx, b)) if u64::from(b.insts) <= left => (idx, b),
                 _ => {
                     left -= 1;
-                    if self.step()? == StepOutcome::Halted {
+                    let before = self.cycles;
+                    let outcome = self.step();
+                    if S::ON {
+                        sink.retire(self.cycles - before, self.last_daccess.take());
+                    }
+                    if outcome? == StepOutcome::Halted {
                         return Ok(StepOutcome::Halted);
                     }
                     continue;
@@ -414,7 +452,7 @@ impl Cpu {
             left -= u64::from(n);
             let (mut idx, mut pc) = (idx0, pc0);
             for k in 0..n - 1 {
-                let (inst, len) = self.icache.block_inst(idx);
+                let (inst, len, cost) = self.icache.block_inst(idx);
                 if let Err(trap) = self.exec_straight(inst, pc) {
                     // as `step` leaves it: the faulting instruction's
                     // cost charged and looked up, the earlier ones retired
@@ -422,7 +460,13 @@ impl Cpu {
                     self.instret += u64::from(k);
                     self.icache.count_hits(k + 1);
                     self.pc = pc;
+                    if S::ON {
+                        sink.retire(cost, None);
+                    }
                     return Err(trap);
+                }
+                if S::ON {
+                    sink.retire(cost, self.last_daccess.take());
                 }
                 pc = pc.wrapping_add(len);
                 idx += len as usize >> 1;
@@ -430,9 +474,15 @@ impl Cpu {
             self.cycles += u64::from(block.cost);
             self.instret += u64::from(n - 1);
             self.icache.count_hits(n);
-            let (inst, len) = self.icache.block_inst(idx);
+            let (inst, len, cost) = self.icache.block_inst(idx);
             self.pc = pc;
-            if self.exec_last(inst, len, pc)? == StepOutcome::Halted {
+            let before = self.cycles;
+            let outcome = self.exec_last(inst, len, pc);
+            if S::ON {
+                // plus the taken-branch upgrade, if any
+                sink.retire(cost + self.cycles - before, self.last_daccess.take());
+            }
+            if outcome? == StepOutcome::Halted {
                 return Ok(StepOutcome::Halted);
             }
         }

@@ -299,16 +299,17 @@ impl DecodeCache {
         Some(block)
     }
 
-    /// The filled slot `idx` inside a block: instruction and length.
+    /// The filled slot `idx` inside a block: instruction, length and
+    /// static cost.
     ///
     /// # Panics
     ///
     /// Panics if the slot is empty — invalidation drops every block
     /// before any of its slots, so a live block's slots are all filled.
     #[inline(always)]
-    pub(crate) fn block_inst(&self, idx: usize) -> (Inst, u32) {
+    pub(crate) fn block_inst(&self, idx: usize) -> (Inst, u32, u64) {
         match self.entries[idx] {
-            Some((inst, len, _, _)) => (inst, len as u32),
+            Some((inst, len, _, cost)) => (inst, len as u32, u64::from(cost)),
             None => unreachable!("live block over an empty decode slot"),
         }
     }

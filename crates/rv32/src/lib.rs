@@ -53,6 +53,14 @@
 //! x86-64 VM (the `sim_dispatch` row of `BENCH_engine.json`). Disabling
 //! the decode cache disables blocks too.
 //!
+//! The block runner is generic over a sink that receives one entry per
+//! instruction — its cycles and the data address it touched. `run` uses
+//! the no-op sink, which compiles every recording branch away. The
+//! [`cluster`] runs each hart alone through the same runner with a
+//! recording sink, so cluster harts get block dispatch too; only a fault
+//! plan, watchdog or class histogram moves a hart onto the monitored
+//! step loop, which records the same entries.
+//!
 //! # Custom-instruction encoding map
 //!
 //! | opcode | funct3 | form | mnemonic | unit | semantics |
@@ -99,12 +107,15 @@
 //!   exactly the stream it would retire alone. Shared code/weight banks
 //!   are read-only and scratch/IO is per-hart private, so hart streams
 //!   are independent by construction.
-//! * **Timing model**: an event-driven scheduler replays those streams
-//!   on one SoC timeline, routing every data access (captured by the
-//!   opt-in [`Cpu::take_data_access`] probe) to a word-interleaved bank
-//!   with a busy-until counter; conflicting accesses stall the losing
-//!   hart, ties resolve round-robin, and the whole schedule is
-//!   deterministic.
+//! * **Timing model**: a round-robin arbiter places those streams on one
+//!   SoC timeline, routing every data access (captured by the opt-in
+//!   [`Cpu::take_data_access`] probe) to a word-interleaved bank with a
+//!   busy-until counter; conflicting accesses stall the losing hart,
+//!   ties resolve round-robin, and the whole schedule is deterministic.
+//!   The cluster computes it in two phases: each hart runs alone and
+//!   logs a cost and a bank per arbiter grant, then a replay merges only
+//!   the data accesses in SoC-time order and rebuilds the round-robin
+//!   pointer where two accesses meet one bank at one time.
 //!
 //! Timing never feeds back into function — contention changes *when* an
 //! access happens, never *what* it reads — which is what makes a
@@ -328,6 +339,13 @@ impl TimingModel {
             InstClass::PackedCvt => self.kcvt,
             InstClass::PackedFloat => self.kfloat,
         }
+    }
+
+    /// Whether every instruction costs at least one cycle, a taken
+    /// branch included (true of both presets). Otherwise a hart can
+    /// retire several instructions at one cycle count.
+    pub(crate) fn charges_every_instruction(&self) -> bool {
+        self.branch_taken >= 1 && InstClass::ALL.iter().all(|&c| self.class_cost(c) >= 1)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Program loading and run-to-completion harness.
 
-use crate::cpu::{Cpu, StepOutcome};
+use crate::cpu::{Cpu, RetireSink, StepOutcome};
 use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultRecord};
 use crate::mem::Memory;
 use crate::profile::ProfileReport;
@@ -155,19 +155,34 @@ impl Machine {
     /// [`Trap::WatchdogExpired`] when the cycle watchdog fires, and any
     /// trap forced or provoked by an armed fault plan.
     pub fn run(&mut self, max_steps: u64) -> Result<RunResult, Trap> {
-        if self.watchdog.is_some() || self.faults.as_ref().is_some_and(|p| !p.is_empty()) {
-            return self.run_monitored(max_steps);
+        self.run_logged(max_steps, &mut ())
+    }
+
+    /// [`run`](Self::run) reporting every grant a cluster arbiter would
+    /// make to `sink`: one entry per executed instruction (a trapping one
+    /// included, at the cycles it charged, zero for a forced trap) and,
+    /// when the step budget runs out, one zero-cost entry for the budget
+    /// check that ends the run. A recording sink keeps block dispatch
+    /// unless a fault plan, watchdog or class histogram is armed; the
+    /// no-op sink `()` is `run` itself.
+    pub(crate) fn run_logged<S: RetireSink>(
+        &mut self,
+        max_steps: u64,
+        sink: &mut S,
+    ) -> Result<RunResult, Trap> {
+        let monitored = self.watchdog.is_some()
+            || self.faults.as_ref().is_some_and(|p| !p.is_empty())
+            || self.cpu.class_histogram_enabled()
+            || (!S::ON && self.cpu.data_trace_enabled());
+        let outcome = if monitored {
+            self.run_monitored(max_steps, sink)?
+        } else {
+            self.cpu.run_blocks(max_steps, sink)?
+        };
+        if S::ON && outcome == StepOutcome::Continue {
+            sink.retire(0, None);
         }
-        if !self.cpu.class_histogram_enabled() && !self.cpu.data_trace_enabled() {
-            let outcome = self.cpu.run_blocks(max_steps)?;
-            return self.finish_run(outcome);
-        }
-        for _ in 0..max_steps {
-            if self.cpu.step()? == StepOutcome::Halted {
-                return self.finish_run(StepOutcome::Halted);
-            }
-        }
-        self.finish_run(StepOutcome::Continue)
+        self.finish_run(outcome)
     }
 
     /// The [`RunResult`] of a halted run (finishing the profiler, which is
@@ -189,39 +204,39 @@ impl Machine {
         }
     }
 
-    /// The monitored twin of the [`run`](Self::run) loop: applies due
-    /// fault events before each step and enforces the cycle watchdog
-    /// after it. Architecturally identical to `run` when the plan is
-    /// empty and the budget unreachable.
-    fn run_monitored(&mut self, max_steps: u64) -> Result<RunResult, Trap> {
+    /// The monitored twin of the block runner: one
+    /// [`step_monitored`](Self::step_monitored) per instruction, which
+    /// applies due fault events before the step and enforces the cycle
+    /// watchdog after it, each step reported to `sink`. Architecturally
+    /// identical to block dispatch when the plan is empty and the budget
+    /// unreachable.
+    fn run_monitored<S: RetireSink>(
+        &mut self,
+        max_steps: u64,
+        sink: &mut S,
+    ) -> Result<StepOutcome, Trap> {
         let cycles0 = self.cpu.cycles;
-        let budget = self.watchdog;
         for step in 0..max_steps {
-            self.apply_due_faults(step)?;
-            if self.cpu.step()? == StepOutcome::Halted {
-                return self.finish_run(StepOutcome::Halted);
+            let before = self.cpu.cycles;
+            let outcome = self.step_monitored(step, cycles0);
+            if S::ON {
+                sink.retire(self.cpu.cycles - before, self.cpu.take_data_access());
             }
-            if let Some(b) = budget {
-                let used = self.cpu.cycles - cycles0;
-                if used > b {
-                    return Err(Trap::WatchdogExpired {
-                        budget: b,
-                        cycles: used,
-                    });
-                }
+            if outcome? == StepOutcome::Halted {
+                return Ok(StepOutcome::Halted);
             }
         }
-        self.finish_run(StepOutcome::Continue)
+        Ok(StepOutcome::Continue)
     }
 
     /// One iteration of the monitored run loop, exposed so an external
-    /// scheduler (the [`crate::cluster`] arbiter) can interleave harts
-    /// instruction by instruction: applies due fault events, steps the
-    /// hart once, finishes the profiler on halt, and enforces the cycle
-    /// watchdog against `cycles0` (the cycle counter at run start).
+    /// scheduler can interleave harts instruction by instruction: applies
+    /// due fault events, steps the hart once, finishes the profiler on
+    /// halt, and enforces the cycle watchdog against `cycles0` (the cycle
+    /// counter at run start).
     ///
     /// `run` with the monitors armed is exactly this in a loop, so a
-    /// cluster driving every hart through `step_monitored` retires the
+    /// scheduler driving every hart through `step_monitored` retires the
     /// same instruction stream at the same per-hart cycle counts as N
     /// independent [`Machine::run`] calls.
     ///

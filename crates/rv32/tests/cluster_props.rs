@@ -12,10 +12,18 @@
 //!   `Cpu::take_data_access` — exactly: per-hart results, `HartStats`,
 //!   `soc_cycles` and registers, with harts drifting out of lockstep,
 //!   running out of fuel, or one of them trapping. Any rewrite of the
-//!   cluster's timing layer must keep this oracle green.
+//!   cluster's timing layer must keep this oracle green. The cluster
+//!   runs each hart alone and replays only its data accesses, so the
+//!   oracle is driven hardest where that replay must rebuild the
+//!   arbiter's round-robin pointer: one to eight harts, every access on
+//!   one bank with the harts in lockstep, step budgets that expire,
+//!   traps that cost a grant nothing or something, monitors that move a
+//!   hart off block dispatch, costs and banks too large for the log's
+//!   bytes, zero-cost instructions, and the real A8 image.
 
 use kwt_rv32::{
-    BankConfig, Cluster, FaultPlan, HartStats, Machine, Platform, RunResult, StepOutcome, Trap,
+    BankConfig, Cluster, FaultPlan, HartStats, Machine, Platform, RunResult, StepOutcome,
+    TimingModel, Trap,
 };
 use kwt_rvasm::{Asm, Inst, Program, Reg};
 use proptest::prelude::*;
@@ -416,4 +424,423 @@ fn contended_cluster_matches_reference_arbiter() {
         run.stats.iter().any(|s| s.stall_cycles > 0),
         "the hammer loop must contend"
     );
+}
+
+/// `assemble_loop` over a scratch base of `0x9000 + t3`, set per hart
+/// (past RAM, it makes the hart's first memory op trap after charging
+/// its cycles). With `one_word`, every memory op touches the base word,
+/// so every access of every hart hits one bank.
+fn assemble_shared_loop(insts: &[RandInst], passes: i32, one_word: bool) -> Program {
+    let mut asm = Asm::new(0, 0x8000);
+    asm.here("entry");
+    asm.li(Reg::T5, 0x9000);
+    asm.emit(Inst::Add {
+        rd: Reg::T5,
+        rs1: Reg::T5,
+        rs2: Reg::T3,
+    });
+    asm.li(Reg::T4, passes);
+    asm.emit(Inst::Add {
+        rd: Reg::T4,
+        rs1: Reg::T4,
+        rs2: Reg::T6,
+    });
+    let top = asm.here("top");
+    for ri in insts {
+        let memory_op = ri.op >= 6;
+        let imm = if one_word && memory_op { 0 } else { ri.imm };
+        emit_rand(&mut asm, &RandInst { imm, ..ri.clone() });
+    }
+    asm.emit(Inst::Addi {
+        rd: Reg::T4,
+        rs1: Reg::T4,
+        imm: -1,
+    });
+    asm.branch_to(
+        Inst::Bne {
+            rs1: Reg::T4,
+            rs2: Reg::Zero,
+            offset: 0,
+        },
+        top,
+    );
+    asm.emit(Inst::Ebreak);
+    asm.finish().expect("loop program assembles")
+}
+
+/// Everything a reference comparison varies besides the program.
+#[derive(Debug, Clone)]
+struct Setup {
+    harts: usize,
+    cfg: BankConfig,
+    /// Hart `h` runs `h * drift` extra loop passes.
+    drift: u32,
+    max_steps: u64,
+    timing: Option<TimingModel>,
+    /// Hart forced to trap at the loop top: a grant that costs nothing.
+    forced_hart: Option<usize>,
+    /// Hart whose scratch base lies past RAM: its first memory op traps.
+    faulting_hart: Option<usize>,
+    /// Hart with its class histogram armed.
+    histogram_hart: Option<usize>,
+    /// Hart with a cycle watchdog armed (too generous to fire).
+    watchdog_hart: Option<usize>,
+}
+
+impl Setup {
+    fn harts(harts: usize) -> Self {
+        Setup {
+            harts,
+            cfg: BankConfig::default8(),
+            drift: 1,
+            max_steps: 100_000,
+            timing: None,
+            forced_hart: None,
+            faulting_hart: None,
+            histogram_hart: None,
+            watchdog_hart: None,
+        }
+    }
+}
+
+/// Runs `p` (an `assemble_shared_loop` program) on a cluster and on the
+/// reference arbiter under `s` and asserts they agree exactly: results,
+/// `HartStats`, `soc_cycles`, registers and the armed class histogram.
+fn check_against_reference(p: &Program, s: &Setup) {
+    let mut template = Machine::load(p, Platform::ibex()).expect("fits");
+    if let Some(timing) = s.timing {
+        template = template.with_timing(timing);
+    }
+    let mut cluster = Cluster::replicate(&template, s.harts, s.cfg);
+    let mut reference: Vec<Machine> = (0..s.harts).map(|_| template.clone()).collect();
+    for (h, solo) in reference.iter_mut().enumerate() {
+        let base = if s.faulting_hart == Some(h) {
+            0x10_0000
+        } else {
+            0
+        };
+        for m in [cluster.hart_mut(h), solo] {
+            m.cpu.set_reg(Reg::T6, h as u32 * s.drift);
+            m.cpu.set_reg(Reg::T3, base);
+            m.set_class_histogram_enabled(s.histogram_hart == Some(h));
+        }
+    }
+    if let Some(h) = s.watchdog_hart {
+        cluster.hart_mut(h).set_cycle_watchdog(Some(u64::MAX / 2));
+    }
+    let top = p.symbol("top").expect("loop top");
+    let trap = Trap::AccessOutOfBounds {
+        addr: 0xBAD,
+        pc: top,
+    };
+    let forced = s.forced_hart.map(|h| {
+        cluster
+            .hart_mut(h)
+            .set_fault_plan(FaultPlan::new().force_trap_at_pc(top, trap));
+        (h, top, trap)
+    });
+    let run = cluster.run_all(s.max_steps);
+    let want = reference_schedule(&mut reference, s.cfg, s.max_steps, forced);
+    assert_eq!(run.results, want.results, "{s:?}");
+    assert_eq!(run.stats, want.stats, "{s:?}");
+    assert_eq!(run.soc_cycles, want.soc_cycles, "{s:?}");
+    for (h, r) in reference.iter().enumerate() {
+        assert_eq!(
+            cluster.hart(h).cpu.regs,
+            r.cpu.regs,
+            "hart {h} registers, {s:?}"
+        );
+        assert_eq!(
+            cluster.hart(h).class_histogram(),
+            r.class_histogram(),
+            "hart {h} class histogram, {s:?}"
+        );
+    }
+    if let Some(h) = s.faulting_hart {
+        assert!(
+            matches!(run.results[h], Err(Trap::AccessOutOfBounds { .. })),
+            "{s:?}"
+        );
+    }
+}
+
+/// A random timing model with every cost in `min..max` (a taken branch
+/// never cheaper than a not-taken one).
+fn timing_model(min: u64, max: u64) -> impl Strategy<Value = TimingModel> {
+    proptest::collection::vec(min..max, 13).prop_map(|c| TimingModel {
+        alu: c[0],
+        mul: c[1],
+        div: c[2],
+        load: c[3],
+        store: c[4],
+        branch_taken: c[5].max(c[6]),
+        branch_not_taken: c[5].min(c[6]),
+        jump: c[7],
+        custom: c[8],
+        kdot: c[9],
+        ksat: c[10],
+        kcvt: c[11],
+        kfloat: c[12],
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// One to eight harts, drifting apart or in lockstep.
+    #[test]
+    fn one_to_eight_harts_match_reference(
+        insts in proptest::collection::vec(rand_inst(), 1..20),
+        passes in 1i32..5,
+        harts in 1usize..9,
+        drift in 0u32..3,
+    ) {
+        let p = assemble_shared_loop(&insts, passes, false);
+        check_against_reference(&p, &Setup { drift, ..Setup::harts(harts) });
+    }
+
+    /// Every access on one bank, harts in lockstep (drift 0) or one pass
+    /// apart (drift 1): same-bank, same-time ties on nearly every access.
+    #[test]
+    fn tie_heavy_same_bank_programs_match_reference(
+        insts in proptest::collection::vec(rand_inst(), 1..16),
+        passes in 1i32..6,
+        harts in 2usize..9,
+        drift in 0u32..2,
+    ) {
+        let p = assemble_shared_loop(&insts, passes, true);
+        check_against_reference(&p, &Setup { drift, ..Setup::harts(harts) });
+    }
+
+    /// Step budgets expiring on some or all harts: the grant that finds
+    /// a hart out of fuel costs nothing yet moves the round-robin pointer.
+    #[test]
+    fn expiring_budgets_match_reference(
+        insts in proptest::collection::vec(rand_inst(), 1..16),
+        harts in 2usize..9,
+        max_steps in 0u64..240,
+        drift in 0u32..2,
+        one_word in any::<bool>(),
+    ) {
+        let p = assemble_shared_loop(&insts, 4, one_word);
+        check_against_reference(&p, &Setup { drift, max_steps, ..Setup::harts(harts) });
+    }
+
+    /// A hart forced to trap at its loop top (a zero-cost grant), or one
+    /// whose first memory op faults (a grant charged its cycles), while
+    /// the others run on.
+    #[test]
+    fn traps_match_reference(
+        insts in proptest::collection::vec(rand_inst(), 1..16),
+        harts in 2usize..9,
+        victim in 0usize..8,
+        forced in any::<bool>(),
+        one_word in any::<bool>(),
+    ) {
+        // a load the faulting hart is sure to reach
+        let mut insts = insts;
+        insts.push(RandInst { op: 7, rd: 0, rs1: 0, rs2: 0, imm: 0 });
+        let p = assemble_shared_loop(&insts, 3, one_word);
+        let victim = Some(victim % harts);
+        let s = if forced {
+            Setup { forced_hart: victim, ..Setup::harts(harts) }
+        } else {
+            Setup { faulting_hart: victim, ..Setup::harts(harts) }
+        };
+        check_against_reference(&p, &s);
+    }
+
+    /// A class histogram or a watchdog armed on one hart moves that hart
+    /// off block dispatch onto the monitored step loop.
+    #[test]
+    fn monitored_harts_match_reference(
+        insts in proptest::collection::vec(rand_inst(), 1..16),
+        harts in 2usize..9,
+        histogram in 0usize..8,
+        watchdog in 0usize..8,
+        one_word in any::<bool>(),
+    ) {
+        let p = assemble_shared_loop(&insts, 3, one_word);
+        check_against_reference(&p, &Setup {
+            histogram_hart: Some(histogram % harts),
+            watchdog_hart: Some(watchdog % harts),
+            ..Setup::harts(harts)
+        });
+    }
+
+    /// Costs and bank numbers too large for a log byte, slow banks, and
+    /// budgets that may expire.
+    #[test]
+    fn spilled_costs_and_banks_match_reference(
+        insts in proptest::collection::vec(rand_inst(), 1..16),
+        harts in 1usize..9,
+        timing in timing_model(1, 300),
+        bank_bits in 0u32..9,
+        service_cycles in 1u64..5,
+        max_steps in 1u64..400,
+    ) {
+        let p = assemble_shared_loop(&insts, 3, bank_bits % 2 == 0);
+        let cfg = BankConfig { banks: 1 << bank_bits, service_cycles };
+        check_against_reference(&p, &Setup {
+            cfg,
+            max_steps,
+            timing: Some(timing),
+            ..Setup::harts(harts)
+        });
+    }
+
+    /// Timing models that charge some instructions nothing, so one hart
+    /// takes several grants at one SoC time.
+    #[test]
+    fn zero_cost_instructions_match_reference(
+        insts in proptest::collection::vec(rand_inst(), 1..16),
+        harts in 2usize..9,
+        timing in timing_model(0, 4),
+        drift in 0u32..2,
+        one_word in any::<bool>(),
+    ) {
+        let p = assemble_shared_loop(&insts, 3, one_word);
+        check_against_reference(&p, &Setup {
+            drift,
+            timing: Some(timing),
+            ..Setup::harts(harts)
+        });
+    }
+}
+
+/// The real A8 inference image: 4- and 8-hart waves of distinct clips
+/// against the reference arbiter, every hart on a full inference.
+#[test]
+fn a8_waves_match_reference() {
+    use kwt_baremetal::InferenceImage;
+    use kwt_model::{KwtConfig, KwtParams};
+    use kwt_quant::{A8Config, A8Kwt};
+    use kwt_tensor::Mat;
+
+    let mut params = KwtParams::init(KwtConfig::kwt_tiny(), 77).expect("valid preset");
+    params.visit_mut(|s| s.iter_mut().for_each(|v| *v *= 0.6));
+    let a8 = A8Kwt::quantize(&params, A8Config::paper_a8()).expect("a8 exponents valid");
+    let image = InferenceImage::build_a8(&a8).expect("a8 image builds");
+    let c = image.config;
+    for harts in [4, 8] {
+        let mut session = image.cluster_session(harts).expect("cluster session");
+        for h in 0..harts {
+            let mut state = (h as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let clip = Mat::from_fn(c.input_time, c.input_freq, |_, _| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                ((state >> 40) as i32 - (1 << 23)) as f32 / (1 << 25) as f32
+            });
+            session.load_clip(h, &clip).expect("load clip");
+        }
+        let mut reference: Vec<Machine> = (0..harts).map(|h| session.hart(h).clone()).collect();
+        let cycles0: Vec<u64> = reference.iter().map(|m| m.cpu.cycles).collect();
+        let wave = session.run_loaded(harts).clone();
+        let want = reference_schedule(&mut reference, session.bank_config(), 2_000_000_000, None);
+        assert_eq!(wave.soc_cycles, want.soc_cycles, "{harts} harts");
+        assert_eq!(wave.stats, want.stats, "{harts} harts");
+        assert!(
+            want.stats.iter().any(|s| s.conflicts > 0),
+            "{harts}-hart A8 waves contend"
+        );
+        for (h, (got, want)) in wave.results.iter().zip(&want.results).enumerate() {
+            let got = got.as_ref().expect("cluster hart completes");
+            let want = want.as_ref().expect("reference hart completes");
+            assert_eq!(got.cycles, want.cycles - cycles0[h], "hart {h} of {harts}");
+            assert_eq!(got.exit_code, want.exit_code, "hart {h} of {harts}");
+            assert_eq!(
+                session.hart(h).cpu.regs,
+                reference[h].cpu.regs,
+                "hart {h} of {harts}"
+            );
+        }
+    }
+}
+
+/// Hart 0 spins on `addi` + `j` until its step budget runs out. Harts 1
+/// and 2 each run two `div`s and some `nop`s (`nops.0` and `nops.1`),
+/// then hart 1 a `mul` and hart 2 a `div`, and each loads the same word.
+/// Their loads can meet at one time with hart 0 out of fuel in between:
+/// then the grant that finds it so is the last before the tie, and it
+/// alone decides which of harts 1 and 2 stalls.
+fn out_of_fuel_race(nops: (usize, usize)) -> Program {
+    let mut asm = Asm::new(0, 0x8000);
+    asm.here("entry");
+    asm.here("top");
+    asm.li(Reg::T5, 0x9000);
+    let (spin, hart1) = (asm.new_label(), asm.new_label());
+    asm.branch_to(
+        Inst::Beq {
+            rs1: Reg::T6,
+            rs2: Reg::Zero,
+            offset: 0,
+        },
+        spin,
+    );
+    asm.li(Reg::T0, 1);
+    asm.branch_to(
+        Inst::Beq {
+            rs1: Reg::T6,
+            rs2: Reg::T0,
+            offset: 0,
+        },
+        hart1,
+    );
+    let div = Inst::Div {
+        rd: Reg::A0,
+        rs1: Reg::A1,
+        rs2: Reg::A2,
+    };
+    let mul = Inst::Mul {
+        rd: Reg::A0,
+        rs1: Reg::A1,
+        rs2: Reg::A2,
+    };
+    let load = Inst::Lw {
+        rd: Reg::A3,
+        rs1: Reg::T5,
+        imm: 0,
+    };
+    for (label, nops, last) in [(None, nops.1, div), (Some(hart1), nops.0, mul)] {
+        if let Some(label) = label {
+            asm.bind(label).expect("fresh label");
+        }
+        asm.emit(div);
+        asm.emit(div);
+        for _ in 0..nops {
+            asm.nop();
+        }
+        asm.emit(last);
+        asm.emit(load);
+        asm.emit(Inst::Ebreak);
+    }
+    asm.bind(spin).expect("fresh label");
+    asm.emit(Inst::Addi {
+        rd: Reg::A0,
+        rs1: Reg::A0,
+        imm: 1,
+    });
+    asm.jump_to(spin);
+    asm.finish().expect("race program assembles")
+}
+
+/// The grant that finds a hart out of fuel costs nothing, yet it moves
+/// the round-robin pointer like any other grant.
+#[test]
+fn out_of_fuel_grant_moves_the_round_robin_pointer() {
+    for hart2 in 0..4 {
+        for hart1 in 30..38 {
+            let p = out_of_fuel_race((hart1, hart2));
+            for max_steps in 50..62 {
+                check_against_reference(
+                    &p,
+                    &Setup {
+                        max_steps,
+                        ..Setup::harts(3)
+                    },
+                );
+            }
+        }
+    }
 }
