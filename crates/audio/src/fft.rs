@@ -304,39 +304,23 @@ impl RealFftPlan {
     /// `(32, 64)`, ... run pairwise with all four butterfly operands held
     /// in registers. Fusing only reorders *independent* butterflies, so
     /// the result is bit-identical to running the stages separately.
+    ///
+    /// Every pass is a lane-wise loop over equal-length slices (block
+    /// quarters and their twiddles), so no index check survives and LLVM
+    /// vectorises the butterflies without changing any element's
+    /// operation order.
     fn fft_half_f32(&self, re: &mut [f32], im: &mut [f32]) {
         let m = self.half;
-        for i in 0..m {
-            let j = self.bitrev[i] as usize;
+        let (re, im) = (&mut re[..m], &mut im[..m]);
+        for (i, &j) in self.bitrev.iter().enumerate() {
+            let j = j as usize;
             if i < j {
                 re.swap(i, j);
                 im.swap(i, j);
             }
         }
-        // Pass 1: stages len = 2 and len = 4 fused (twiddles 1 and -i —
-        // multiplier-free; w = -i maps (vr, vi) to (vi, -vr)).
         if m >= 4 {
-            for (rc, ic) in re.chunks_exact_mut(4).zip(im.chunks_exact_mut(4)) {
-                let (a0r, a0i) = (rc[0], ic[0]);
-                let (a1r, a1i) = (rc[1], ic[1]);
-                let (a2r, a2i) = (rc[2], ic[2]);
-                let (a3r, a3i) = (rc[3], ic[3]);
-                // stage 2
-                let (b0r, b0i) = (a0r + a1r, a0i + a1i);
-                let (b1r, b1i) = (a0r - a1r, a0i - a1i);
-                let (b2r, b2i) = (a2r + a3r, a2i + a3i);
-                let (b3r, b3i) = (a2r - a3r, a2i - a3i);
-                // stage 4: (b0, b2) with w = 1, (b1, b3) with w = -i
-                rc[0] = b0r + b2r;
-                ic[0] = b0i + b2i;
-                rc[2] = b0r - b2r;
-                ic[2] = b0i - b2i;
-                let (vr, vi) = (b3i, -b3r);
-                rc[1] = b1r + vr;
-                ic[1] = b1i + vi;
-                rc[3] = b1r - vr;
-                ic[3] = b1i - vi;
-            }
+            first_pass(re, im);
         } else if m == 2 {
             let (ur, ui) = (re[0], im[0]);
             let (vr, vi) = (re[1], im[1]);
@@ -350,10 +334,8 @@ impl RealFftPlan {
         let mut len = 8;
         while 2 * len <= m {
             let hl = len / 2;
-            let tw1r = &self.tw_re32[hl - 1..hl - 1 + hl];
-            let tw1i = &self.tw_im32[hl - 1..hl - 1 + hl];
-            let tw2r = &self.tw_re32[len - 1..len - 1 + len];
-            let tw2i = &self.tw_im32[len - 1..len - 1 + len];
+            let w1 = self.twiddles(hl - 1, hl);
+            let (w2, w3) = (self.twiddles(len - 1, hl), self.twiddles(len - 1 + hl, hl));
             for (rc, ic) in re
                 .chunks_exact_mut(2 * len)
                 .zip(im.chunks_exact_mut(2 * len))
@@ -365,51 +347,27 @@ impl RealFftPlan {
                 let (i0, i1) = ih0.split_at_mut(hl);
                 let (r2, r3) = rh1.split_at_mut(hl);
                 let (i2, i3) = ih1.split_at_mut(hl);
-                for k in 0..hl {
-                    let (w1r, w1i) = (tw1r[k], tw1i[k]);
-                    // stage len on (q0, q1) and (q2, q3)
-                    let (vr, vi) = (r1[k] * w1r - i1[k] * w1i, r1[k] * w1i + i1[k] * w1r);
-                    let (b0r, b0i) = (r0[k] + vr, i0[k] + vi);
-                    let (b1r, b1i) = (r0[k] - vr, i0[k] - vi);
-                    let (vr, vi) = (r3[k] * w1r - i3[k] * w1i, r3[k] * w1i + i3[k] * w1r);
-                    let (b2r, b2i) = (r2[k] + vr, i2[k] + vi);
-                    let (b3r, b3i) = (r2[k] - vr, i2[k] - vi);
-                    // stage 2len: (b0, b2) with tw2[k], (b1, b3) with tw2[k + hl]
-                    let (w2r, w2i) = (tw2r[k], tw2i[k]);
-                    let (ur, ui) = (b2r * w2r - b2i * w2i, b2r * w2i + b2i * w2r);
-                    r0[k] = b0r + ur;
-                    i0[k] = b0i + ui;
-                    r2[k] = b0r - ur;
-                    i2[k] = b0i - ui;
-                    let (w2r, w2i) = (tw2r[hl + k], tw2i[hl + k]);
-                    let (ur, ui) = (b3r * w2r - b3i * w2i, b3r * w2i + b3i * w2r);
-                    r1[k] = b1r + ur;
-                    i1[k] = b1i + ui;
-                    r3[k] = b1r - ur;
-                    i3[k] = b1i - ui;
-                }
+                fused_stages(r0, i0, r1, i1, r2, i2, r3, i3, w1, w2, w3);
             }
             len *= 4;
         }
         // Lone final stage when the stage count past len = 4 is odd.
         if len <= m {
             let hl = len / 2;
-            let tr = &self.tw_re32[hl - 1..hl - 1 + hl];
-            let ti = &self.tw_im32[hl - 1..hl - 1 + hl];
+            let w = self.twiddles(hl - 1, hl);
             for (rc, ic) in re.chunks_exact_mut(len).zip(im.chunks_exact_mut(len)) {
                 let (r0, r1) = rc.split_at_mut(hl);
                 let (i0, i1) = ic.split_at_mut(hl);
-                for k in 0..hl {
-                    let (ur, ui) = (r0[k], i0[k]);
-                    let (vr0, vi0) = (r1[k], i1[k]);
-                    let vr = vr0 * tr[k] - vi0 * ti[k];
-                    let vi = vr0 * ti[k] + vi0 * tr[k];
-                    r0[k] = ur + vr;
-                    i0[k] = ui + vi;
-                    r1[k] = ur - vr;
-                    i1[k] = ui - vi;
-                }
+                radix2_stage(r0, i0, r1, i1, w);
             }
+        }
+    }
+
+    /// `len` stage twiddles of the `f32` table from flat offset `off`.
+    fn twiddles(&self, off: usize, len: usize) -> Twiddles<'_> {
+        Twiddles {
+            re: &self.tw_re32[off..off + len],
+            im: &self.tw_im32[off..off + len],
         }
     }
 
@@ -496,12 +454,13 @@ impl RealFftPlan {
         for t in 0..n_frames {
             let src = &samples[t * hop..t * hop + win];
             // window + pack x[2j] + i·x[2j+1], zero-padding past `win`
-            let full = win / 2;
-            for j in 0..full {
-                re[j] = src[2 * j] * window[2 * j];
-                im[j] = src[2 * j + 1] * window[2 * j + 1];
+            let pairs = src.chunks_exact(2).zip(window.chunks_exact(2));
+            for ((r, i), (x, w)) in re.iter_mut().zip(im.iter_mut()).zip(pairs) {
+                *r = x[0] * w[0];
+                *i = x[1] * w[1];
             }
             if win % 2 == 1 {
+                let full = win / 2;
                 re[full] = src[win - 1] * window[win - 1];
                 im[full] = 0.0;
             }
@@ -519,7 +478,8 @@ impl RealFftPlan {
     /// Bins `k` and `m - k` share every intermediate (their even/odd
     /// parts are conjugates and `w_{m-k} = -conj(w_k)`), so the loop
     /// computes the pair together at just over half the cost of two
-    /// independent bins.
+    /// independent bins: a lane-wise pass over `k = 1 .. m/2` reading and
+    /// writing the mirrored bins `m - k` through reversed slices.
     fn untangle_power(&self, re: &[f32], im: &[f32], orow: &mut [f32]) {
         let m = self.half;
         // bins 0 and m from Z_0 alone (E = (re, 0), O = (0, im))
@@ -532,34 +492,24 @@ impl RealFftPlan {
         };
         orow[0] = bin0(self.un_re32[0], self.un_im32[0]);
         orow[m] = bin0(self.un_re32[m], self.un_im32[m]);
-        for k in 1..m.div_ceil(2) {
-            let kc = m - k;
-            let (zr, zi) = (re[k], im[k]);
-            let (cr, ci) = (re[kc], im[kc]);
-            let (er, ei) = ((zr + cr) * 0.5, (zi - ci) * 0.5);
-            let (or_, oi) = ((zr - cr) * 0.5, (zi + ci) * 0.5);
-            let (wr, wi) = (self.un_re32[k], self.un_im32[k]);
-            let (tr, ti) = (or_ * wr - oi * wi, or_ * wi + oi * wr);
-            // X_k = E + (-i) w O
-            let xr = er + ti;
-            let xi = ei - tr;
-            orow[k] = xr * xr + xi * xi;
-            // X_{m-k} = conj(E) + (-i) conj(w O)
-            let xr = er - ti;
-            let xi = -(ei + tr);
-            orow[kc] = xr * xr + xi * xi;
+        if m < 2 {
+            return;
         }
-        if m >= 2 {
-            // middle bin k = m/2 pairs with itself
-            let k = m / 2;
-            let (zr, zi) = (re[k], im[k]);
-            let (er, oi) = (zr, zi); // E = (zr, 0), O = (0, zi)
-            let (wr, wi) = (self.un_re32[k], self.un_im32[k]);
-            let (tr, ti) = (-oi * wi, oi * wr);
-            let xr = er + ti;
-            let xi = -tr;
-            orow[k] = xr * xr + xi * xi;
-        }
+        let mid = m / 2;
+        // k = 1 + t and its mirror m - k = m - 1 - t, for t < mid - 1
+        let (lo, hi) = orow[1..m].split_at_mut(mid - 1);
+        let (centre, hi) = hi.split_first_mut().expect("m >= 2 leaves the middle bin");
+        let (zr, zi) = (&re[1..mid], &im[1..mid]);
+        let (cr, ci) = (&re[mid + 1..m], &im[mid + 1..m]);
+        let (wr, wi) = (&self.un_re32[1..mid], &self.un_im32[1..mid]);
+        untangle_pairs(zr, zi, cr, ci, wr, wi, lo, hi);
+        // middle bin k = m/2 pairs with itself: E = (zr, 0), O = (0, zi)
+        let (er, oi) = (re[mid], im[mid]);
+        let (wr, wi) = (self.un_re32[mid], self.un_im32[mid]);
+        let (tr, ti) = (-oi * wi, oi * wr);
+        let xr = er + ti;
+        let xi = -tr;
+        *centre = xr * xr + xi * xi;
     }
 
     /// One-sided power spectrum of a real frame (zero-padded / truncated
@@ -604,6 +554,322 @@ impl RealFftPlan {
             let xr = er + ti;
             let xi = ei - tr;
             out.push(xr * xr + xi * xi);
+        }
+    }
+}
+
+/// A stage's twiddle factors `e^{-2πik/len}`, real and imaginary parts.
+#[derive(Debug, Clone, Copy)]
+struct Twiddles<'a> {
+    re: &'a [f32],
+    im: &'a [f32],
+}
+
+/// Stages `len = 2` and `len = 4` of the half-size FFT, fused, over every
+/// 4-point block: twiddles 1 and -i, multiplier-free (w = -i maps
+/// `(vr, vi)` to `(vi, -vr)`). Each lane is one block, so the adds run
+/// across blocks.
+fn first_pass(re: &mut [f32], im: &mut [f32]) {
+    for (rc, ic) in re.chunks_exact_mut(4).zip(im.chunks_exact_mut(4)) {
+        let (a0r, a0i) = (rc[0], ic[0]);
+        let (a1r, a1i) = (rc[1], ic[1]);
+        let (a2r, a2i) = (rc[2], ic[2]);
+        let (a3r, a3i) = (rc[3], ic[3]);
+        // stage 2
+        let (b0r, b0i) = (a0r + a1r, a0i + a1i);
+        let (b1r, b1i) = (a0r - a1r, a0i - a1i);
+        let (b2r, b2i) = (a2r + a3r, a2i + a3i);
+        let (b3r, b3i) = (a2r - a3r, a2i - a3i);
+        // stage 4: (b0, b2) with w = 1, (b1, b3) with w = -i
+        rc[0] = b0r + b2r;
+        ic[0] = b0i + b2i;
+        rc[2] = b0r - b2r;
+        ic[2] = b0i - b2i;
+        let (vr, vi) = (b3i, -b3r);
+        rc[1] = b1r + vr;
+        ic[1] = b1i + vi;
+        rc[3] = b1r - vr;
+        ic[3] = b1i - vi;
+    }
+}
+
+/// Stages `len` and `2 len` fused over one `2 len` block held as four
+/// `len / 2` quarters: stage `len` on `(q0, q1)` and `(q2, q3)` with
+/// twiddles `w1`, then stage `2 len` on `(q0, q2)` with `w2` and `(q1, q3)`
+/// with `w3`. The quarters arrive as separate arguments so LLVM knows
+/// they do not overlap, and every slice is cut to the quarter length.
+#[allow(clippy::too_many_arguments)] // four quarters, split re/im
+#[inline(always)]
+fn fused_stages(
+    r0: &mut [f32],
+    i0: &mut [f32],
+    r1: &mut [f32],
+    i1: &mut [f32],
+    r2: &mut [f32],
+    i2: &mut [f32],
+    r3: &mut [f32],
+    i3: &mut [f32],
+    w1: Twiddles<'_>,
+    w2: Twiddles<'_>,
+    w3: Twiddles<'_>,
+) {
+    let n = r0.len();
+    let (i0, r1, i1) = (&mut i0[..n], &mut r1[..n], &mut i1[..n]);
+    let (r2, i2, r3, i3) = (&mut r2[..n], &mut i2[..n], &mut r3[..n], &mut i3[..n]);
+    let (w1r, w1i, w2r, w2i) = (&w1.re[..n], &w1.im[..n], &w2.re[..n], &w2.im[..n]);
+    let (w3r, w3i) = (&w3.re[..n], &w3.im[..n]);
+    for k in 0..n {
+        let (w1r, w1i) = (w1r[k], w1i[k]);
+        // stage len on (q0, q1) and (q2, q3)
+        let (vr, vi) = (r1[k] * w1r - i1[k] * w1i, r1[k] * w1i + i1[k] * w1r);
+        let (b0r, b0i) = (r0[k] + vr, i0[k] + vi);
+        let (b1r, b1i) = (r0[k] - vr, i0[k] - vi);
+        let (vr, vi) = (r3[k] * w1r - i3[k] * w1i, r3[k] * w1i + i3[k] * w1r);
+        let (b2r, b2i) = (r2[k] + vr, i2[k] + vi);
+        let (b3r, b3i) = (r2[k] - vr, i2[k] - vi);
+        // stage 2len: (b0, b2) with w2[k], (b1, b3) with w3[k] = tw2[k + hl]
+        let (w2r, w2i) = (w2r[k], w2i[k]);
+        let (ur, ui) = (b2r * w2r - b2i * w2i, b2r * w2i + b2i * w2r);
+        r0[k] = b0r + ur;
+        i0[k] = b0i + ui;
+        r2[k] = b0r - ur;
+        i2[k] = b0i - ui;
+        let (w3r, w3i) = (w3r[k], w3i[k]);
+        let (ur, ui) = (b3r * w3r - b3i * w3i, b3r * w3i + b3i * w3r);
+        r1[k] = b1r + ur;
+        i1[k] = b1i + ui;
+        r3[k] = b1r - ur;
+        i3[k] = b1i - ui;
+    }
+}
+
+/// One radix-2 stage over one block held as two halves, with twiddles `w`.
+#[inline(always)]
+fn radix2_stage(r0: &mut [f32], i0: &mut [f32], r1: &mut [f32], i1: &mut [f32], w: Twiddles<'_>) {
+    let n = r0.len();
+    let (i0, r1, i1) = (&mut i0[..n], &mut r1[..n], &mut i1[..n]);
+    let (tr, ti) = (&w.re[..n], &w.im[..n]);
+    for k in 0..n {
+        let (ur, ui) = (r0[k], i0[k]);
+        let (vr0, vi0) = (r1[k], i1[k]);
+        let vr = vr0 * tr[k] - vi0 * ti[k];
+        let vi = vr0 * ti[k] + vi0 * tr[k];
+        r0[k] = ur + vr;
+        i0[k] = ui + vi;
+        r1[k] = ur - vr;
+        i1[k] = ui - vi;
+    }
+}
+
+/// The paired bins of [`RealFftPlan::untangle_power`]: lane `t` is bin
+/// `k = 1 + t` from `Z_k = (zr, zi)[t]`, `Z_{m-k} = (cr, ci)[n - 1 - t]`
+/// and `w_k = (wr, wi)[t]`, written to `lo[t]`, and its mirror bin
+/// `m - k`, written to `hi[n - 1 - t]`.
+#[allow(clippy::too_many_arguments)] // split re/im inputs, two outputs
+#[inline(always)]
+fn untangle_pairs(
+    zr: &[f32],
+    zi: &[f32],
+    cr: &[f32],
+    ci: &[f32],
+    wr: &[f32],
+    wi: &[f32],
+    lo: &mut [f32],
+    hi: &mut [f32],
+) {
+    let n = lo.len();
+    let (zr, zi, cr, ci) = (&zr[..n], &zi[..n], &cr[..n], &ci[..n]);
+    let (wr, wi, hi) = (&wr[..n], &wi[..n], &mut hi[..n]);
+    for t in 0..n {
+        let r = n - 1 - t;
+        let (zr, zi) = (zr[t], zi[t]);
+        let (cr, ci) = (cr[r], ci[r]);
+        let (er, ei) = ((zr + cr) * 0.5, (zi - ci) * 0.5);
+        let (or_, oi) = ((zr - cr) * 0.5, (zi + ci) * 0.5);
+        let (wr, wi) = (wr[t], wi[t]);
+        let (tr, ti) = (or_ * wr - oi * wi, or_ * wi + oi * wr);
+        // X_k = E + (-i) w O
+        let xr = er + ti;
+        let xi = ei - tr;
+        lo[t] = xr * xr + xi * xi;
+        // X_{m-k} = conj(E) + (-i) conj(w O)
+        let xr = er - ti;
+        let xi = -(ei + tr);
+        hi[r] = xr * xr + xi * xi;
+    }
+}
+
+/// The scalar `f32` kernels this module ran before its passes were
+/// rewritten as lane-wise loops — the oracle the bit-identity tests hold
+/// the vectorised kernels to.
+#[cfg(test)]
+mod scalar {
+    use super::RealFftPlan;
+
+    impl RealFftPlan {
+        /// In-place half-size complex `f32` FFT — the fixed-point front
+        /// end's transform. Identical butterfly arithmetic to the radix-2
+        /// `f64` path, but stages are **fused in pairs** so the data makes
+        /// half as many passes through memory: the multiplier-free `len = 2`
+        /// and `len = 4` stages run as one pass, then stages `(8, 16)`,
+        /// `(32, 64)`, ... run pairwise with all four butterfly operands held
+        /// in registers. Fusing only reorders *independent* butterflies, so
+        /// the result is bit-identical to running the stages separately.
+        pub(super) fn scalar_fft_half_f32(&self, re: &mut [f32], im: &mut [f32]) {
+            let m = self.half;
+            for i in 0..m {
+                let j = self.bitrev[i] as usize;
+                if i < j {
+                    re.swap(i, j);
+                    im.swap(i, j);
+                }
+            }
+            // Pass 1: stages len = 2 and len = 4 fused (twiddles 1 and -i —
+            // multiplier-free; w = -i maps (vr, vi) to (vi, -vr)).
+            if m >= 4 {
+                for (rc, ic) in re.chunks_exact_mut(4).zip(im.chunks_exact_mut(4)) {
+                    let (a0r, a0i) = (rc[0], ic[0]);
+                    let (a1r, a1i) = (rc[1], ic[1]);
+                    let (a2r, a2i) = (rc[2], ic[2]);
+                    let (a3r, a3i) = (rc[3], ic[3]);
+                    // stage 2
+                    let (b0r, b0i) = (a0r + a1r, a0i + a1i);
+                    let (b1r, b1i) = (a0r - a1r, a0i - a1i);
+                    let (b2r, b2i) = (a2r + a3r, a2i + a3i);
+                    let (b3r, b3i) = (a2r - a3r, a2i - a3i);
+                    // stage 4: (b0, b2) with w = 1, (b1, b3) with w = -i
+                    rc[0] = b0r + b2r;
+                    ic[0] = b0i + b2i;
+                    rc[2] = b0r - b2r;
+                    ic[2] = b0i - b2i;
+                    let (vr, vi) = (b3i, -b3r);
+                    rc[1] = b1r + vr;
+                    ic[1] = b1i + vi;
+                    rc[3] = b1r - vr;
+                    ic[3] = b1i - vi;
+                }
+            } else if m == 2 {
+                let (ur, ui) = (re[0], im[0]);
+                let (vr, vi) = (re[1], im[1]);
+                re[0] = ur + vr;
+                im[0] = ui + vi;
+                re[1] = ur - vr;
+                im[1] = ui - vi;
+            }
+            // Fused double stages (len, 2 * len) from len = 8 upward. The
+            // flat twiddle table stores stage `len` at offset `len / 2 - 1`.
+            let mut len = 8;
+            while 2 * len <= m {
+                let hl = len / 2;
+                let tw1r = &self.tw_re32[hl - 1..hl - 1 + hl];
+                let tw1i = &self.tw_im32[hl - 1..hl - 1 + hl];
+                let tw2r = &self.tw_re32[len - 1..len - 1 + len];
+                let tw2i = &self.tw_im32[len - 1..len - 1 + len];
+                for (rc, ic) in re
+                    .chunks_exact_mut(2 * len)
+                    .zip(im.chunks_exact_mut(2 * len))
+                {
+                    // quarters: q0 = [0, hl), q1 = [hl, 2hl), q2, q3
+                    let (rh0, rh1) = rc.split_at_mut(len);
+                    let (ih0, ih1) = ic.split_at_mut(len);
+                    let (r0, r1) = rh0.split_at_mut(hl);
+                    let (i0, i1) = ih0.split_at_mut(hl);
+                    let (r2, r3) = rh1.split_at_mut(hl);
+                    let (i2, i3) = ih1.split_at_mut(hl);
+                    for k in 0..hl {
+                        let (w1r, w1i) = (tw1r[k], tw1i[k]);
+                        // stage len on (q0, q1) and (q2, q3)
+                        let (vr, vi) = (r1[k] * w1r - i1[k] * w1i, r1[k] * w1i + i1[k] * w1r);
+                        let (b0r, b0i) = (r0[k] + vr, i0[k] + vi);
+                        let (b1r, b1i) = (r0[k] - vr, i0[k] - vi);
+                        let (vr, vi) = (r3[k] * w1r - i3[k] * w1i, r3[k] * w1i + i3[k] * w1r);
+                        let (b2r, b2i) = (r2[k] + vr, i2[k] + vi);
+                        let (b3r, b3i) = (r2[k] - vr, i2[k] - vi);
+                        // stage 2len: (b0, b2) with tw2[k], (b1, b3) with tw2[k + hl]
+                        let (w2r, w2i) = (tw2r[k], tw2i[k]);
+                        let (ur, ui) = (b2r * w2r - b2i * w2i, b2r * w2i + b2i * w2r);
+                        r0[k] = b0r + ur;
+                        i0[k] = b0i + ui;
+                        r2[k] = b0r - ur;
+                        i2[k] = b0i - ui;
+                        let (w2r, w2i) = (tw2r[hl + k], tw2i[hl + k]);
+                        let (ur, ui) = (b3r * w2r - b3i * w2i, b3r * w2i + b3i * w2r);
+                        r1[k] = b1r + ur;
+                        i1[k] = b1i + ui;
+                        r3[k] = b1r - ur;
+                        i3[k] = b1i - ui;
+                    }
+                }
+                len *= 4;
+            }
+            // Lone final stage when the stage count past len = 4 is odd.
+            if len <= m {
+                let hl = len / 2;
+                let tr = &self.tw_re32[hl - 1..hl - 1 + hl];
+                let ti = &self.tw_im32[hl - 1..hl - 1 + hl];
+                for (rc, ic) in re.chunks_exact_mut(len).zip(im.chunks_exact_mut(len)) {
+                    let (r0, r1) = rc.split_at_mut(hl);
+                    let (i0, i1) = ic.split_at_mut(hl);
+                    for k in 0..hl {
+                        let (ur, ui) = (r0[k], i0[k]);
+                        let (vr0, vi0) = (r1[k], i1[k]);
+                        let vr = vr0 * tr[k] - vi0 * ti[k];
+                        let vi = vr0 * ti[k] + vi0 * tr[k];
+                        r0[k] = ur + vr;
+                        i0[k] = ui + vi;
+                        r1[k] = ur - vr;
+                        i1[k] = ui - vi;
+                    }
+                }
+            }
+        }
+
+        /// Untangles one transformed frame into its `n/2 + 1` power bins:
+        /// `X_k = (Z_k + conj(Z_{m-k}))/2 - (i/2) e^{-2πik/n} (Z_k - conj(Z_{m-k}))`.
+        /// Bins `k` and `m - k` share every intermediate (their even/odd
+        /// parts are conjugates and `w_{m-k} = -conj(w_k)`), so the loop
+        /// computes the pair together at just over half the cost of two
+        /// independent bins.
+        pub(super) fn scalar_untangle_power(&self, re: &[f32], im: &[f32], orow: &mut [f32]) {
+            let m = self.half;
+            // bins 0 and m from Z_0 alone (E = (re, 0), O = (0, im))
+            let bin0 = |wr: f32, wi: f32| -> f32 {
+                let (er, oi) = (re[0], im[0]);
+                let (tr, ti) = (-oi * wi, oi * wr);
+                let xr = er + ti;
+                let xi = -tr;
+                xr * xr + xi * xi
+            };
+            orow[0] = bin0(self.un_re32[0], self.un_im32[0]);
+            orow[m] = bin0(self.un_re32[m], self.un_im32[m]);
+            for k in 1..m.div_ceil(2) {
+                let kc = m - k;
+                let (zr, zi) = (re[k], im[k]);
+                let (cr, ci) = (re[kc], im[kc]);
+                let (er, ei) = ((zr + cr) * 0.5, (zi - ci) * 0.5);
+                let (or_, oi) = ((zr - cr) * 0.5, (zi + ci) * 0.5);
+                let (wr, wi) = (self.un_re32[k], self.un_im32[k]);
+                let (tr, ti) = (or_ * wr - oi * wi, or_ * wi + oi * wr);
+                // X_k = E + (-i) w O
+                let xr = er + ti;
+                let xi = ei - tr;
+                orow[k] = xr * xr + xi * xi;
+                // X_{m-k} = conj(E) + (-i) conj(w O)
+                let xr = er - ti;
+                let xi = -(ei + tr);
+                orow[kc] = xr * xr + xi * xi;
+            }
+            if m >= 2 {
+                // middle bin k = m/2 pairs with itself
+                let k = m / 2;
+                let (zr, zi) = (re[k], im[k]);
+                let (er, oi) = (zr, zi); // E = (zr, 0), O = (0, zi)
+                let (wr, wi) = (self.un_re32[k], self.un_im32[k]);
+                let (tr, ti) = (-oi * wi, oi * wr);
+                let xr = er + ti;
+                let xi = -tr;
+                orow[k] = xr * xr + xi * xi;
+            }
         }
     }
 }
@@ -809,6 +1075,94 @@ mod tests {
                 .enumerate()
             {
                 assert_eq!(a.to_bits(), b.to_bits(), "frame {t} bin {k}");
+            }
+        }
+    }
+
+    /// Deterministic values spanning large, ordinary, tiny and subnormal
+    /// magnitudes of both signs.
+    fn wild(i: usize, salt: usize) -> f32 {
+        let h = ((i * 2_654_435_761) ^ (salt * 40_503)).wrapping_mul(0x9E37_79B9) >> 7;
+        let unit = (h % 10_007) as f32 / 10_007.0 - 0.5;
+        match h % 11 {
+            0 => unit * 1e12,
+            1 => unit * 1e-30,
+            2 => unit * 1e-41, // subnormal
+            3 => 0.0,
+            _ => unit,
+        }
+    }
+
+    #[test]
+    fn vectorised_fft_half_is_bit_identical_to_scalar() {
+        for log in 1..=12 {
+            let n = 1usize << log;
+            let plan = RealFftPlan::new(n).unwrap();
+            for salt in 0..3 {
+                let re: Vec<f32> = (0..n / 2).map(|i| wild(i, salt)).collect();
+                let im: Vec<f32> = (0..n / 2).map(|i| wild(i + n, salt)).collect();
+                let (mut vr, mut vi) = (re.clone(), im.clone());
+                let (mut sr, mut si) = (re, im);
+                plan.fft_half_f32(&mut vr, &mut vi);
+                plan.scalar_fft_half_f32(&mut sr, &mut si);
+                for k in 0..n / 2 {
+                    assert_eq!(vr[k].to_bits(), sr[k].to_bits(), "n={n} re[{k}]");
+                    assert_eq!(vi[k].to_bits(), si[k].to_bits(), "n={n} im[{k}]");
+                }
+            }
+        }
+    }
+
+    /// [`RealFftPlan::power_spectra_windowed_into`] over the scalar
+    /// kernels: the same window and pack, then the scalar transform and
+    /// untangle.
+    fn scalar_windowed(
+        plan: &RealFftPlan,
+        samples: &[f32],
+        window: &[f32],
+        hop: usize,
+        n_frames: usize,
+    ) -> Vec<f32> {
+        let (half, win) = (plan.n / 2, window.len());
+        let mut out = vec![0.0; n_frames * (half + 1)];
+        for (t, orow) in out.chunks_exact_mut(half + 1).enumerate() {
+            let (mut re, mut im) = (vec![0.0f32; half], vec![0.0f32; half]);
+            for i in 0..win {
+                let x = samples[t * hop + i] * window[i];
+                if i % 2 == 0 {
+                    re[i / 2] = x;
+                } else {
+                    im[i / 2] = x;
+                }
+            }
+            plan.scalar_fft_half_f32(&mut re, &mut im);
+            plan.scalar_untangle_power(&re, &im, orow);
+        }
+        out
+    }
+
+    #[test]
+    fn vectorised_windowed_spectra_are_bit_identical_to_scalar() {
+        for log in 1..=12 {
+            let n = 1usize << log;
+            let plan = RealFftPlan::new(n).unwrap();
+            // odd and even windows, full and partial
+            for win in [n, n - 1, n / 2 + 1, 1] {
+                let hop = win.div_ceil(3);
+                let n_frames = 3;
+                let samples: Vec<f32> = (0..(n_frames - 1) * hop + win)
+                    .map(|i| wild(i, win))
+                    .collect();
+                let window: Vec<f32> = (0..win).map(|i| 0.5 + wild(i, 7) / 4.0).collect();
+                let (mut re, mut im, mut got) = (Vec::new(), Vec::new(), Vec::new());
+                plan.power_spectra_windowed_into(
+                    &samples, &window, hop, n_frames, &mut re, &mut im, &mut got,
+                );
+                let want = scalar_windowed(&plan, &samples, &window, hop, n_frames);
+                assert_eq!(got.len(), want.len());
+                for (k, (a, b)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "n={n} win={win} bin {k}");
+                }
             }
         }
     }

@@ -58,6 +58,17 @@ const SPEC_TARGET_EXP: i32 = 29;
 /// extended band representation stays inside `i64`).
 const MAX_SPEC_SHIFT: i32 = 75;
 
+/// One power bin block-scaled into its hi word and 28-bit residual: one
+/// exact product and one floor, the top word the hi spectrum, the low 28
+/// bits the residual. The frame's shift keeps `0 <= p · 2^(shift + 28) <=
+/// 2^58`, where the floor `as i64` is the floor `as u64`: the signed
+/// conversion compiles to one instruction, the unsigned one to a branch.
+#[inline(always)]
+fn block_scale(p: f32, scale28: f64) -> (i32, i32) {
+    let full = (p as f64 * scale28) as i64;
+    ((full >> 28) as i32, (full & ((1 << 28) - 1)) as i32)
+}
+
 /// Reusable work buffers for the MFCC pipeline — one arena shared by every
 /// frame an extractor computes. [`MfccExtractor::extract_into`] and
 /// [`MfccExtractor::compute_frame_into`] thread one of these
@@ -413,14 +424,10 @@ impl MfccExtractor {
                 0
             };
             s.shifts.push(shift);
-            // One exact product and one u64 floor per bin: the top word
-            // is the hi spectrum, the low 28 bits the residual.
             let scale28 = pow2_f64(shift + 28);
             let (hrow, lrow) = (s.spec_q.row_mut(t), s.spec_lo.row_mut(t));
             for ((q, lo), &p) in hrow.iter_mut().zip(lrow.iter_mut()).zip(row) {
-                let full = (p as f64 * scale28) as u64; // <= 2^58
-                *q = (full >> 28) as i32;
-                *lo = (full & ((1 << 28) - 1)) as i32;
+                (*q, *lo) = block_scale(p, scale28);
             }
         }
 
@@ -651,6 +658,42 @@ mod tests {
                 (2.0 * std::f64::consts::PI * cycles).sin() as f32
             })
             .collect()
+    }
+
+    #[test]
+    fn block_scale_matches_the_unsigned_floor() {
+        let unsigned = |p: f32, scale28: f64| {
+            let full = (p as f64 * scale28) as u64;
+            ((full >> 28) as i32, (full & ((1 << 28) - 1)) as i32)
+        };
+        // every shift a frame maximum of any f32 exponent gets, up to the
+        // cap, with the maximum itself, the bins below it, and 0
+        for shift in SPEC_TARGET_EXP - 127..=MAX_SPEC_SHIFT {
+            let scale28 = pow2_f64(shift + 28);
+            let e = SPEC_TARGET_EXP - shift;
+            let low = f32::from_bits(((e + 127) as u32) << 23);
+            let top = f32::from_bits(((e + 127) as u32) << 23 | 0x7F_FFFF);
+            let full = top as f64 * scale28;
+            assert!(full < (1u64 << 58) as f64 && full > (1u64 << 57) as f64);
+            for p in [
+                0.0,
+                f32::from_bits(1),
+                f32::MIN_POSITIVE,
+                low / 3.0,
+                low,
+                top,
+            ] {
+                assert_eq!(
+                    block_scale(p, scale28),
+                    unsigned(p, scale28),
+                    "p = {p:e}, shift {shift}"
+                );
+            }
+        }
+        // non-finite bins (an overflowed spectrum) agree too
+        for p in [f32::INFINITY, f32::NAN] {
+            assert_eq!(block_scale(p, 1.0), unsigned(p, 1.0), "p = {p}");
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! who owns the packed weights and the activation arena.
 
 use crate::{KwtConfig, KwtParams, ModelError, PackedKwtWeights, Result};
+use kwt_tensor::packed::{matrix_multiply_packed_into, Epilogue};
 use kwt_tensor::{ops, Mat};
 
 /// Reusable activation arena for [`forward_into`]: every intermediate of
@@ -33,11 +34,10 @@ pub struct Scratch {
     tokens: Mat<f32>,
     x: Mat<f32>,
     qkv: Mat<f32>,
-    scores: Mat<f32>,
+    /// Attention work: one head's `Kᵀ` and a row of scores.
+    attn_work: Mat<f32>,
     sa: Mat<f32>,
-    attn: Mat<f32>,
     hidden: Mat<f32>,
-    mlp: Mat<f32>,
     cls: Mat<f32>,
     logits: Mat<f32>,
 }
@@ -52,11 +52,9 @@ impl Scratch {
             tokens: Mat::zeros(t, config.dim),
             x: Mat::zeros(s, config.dim),
             qkv: Mat::zeros(s, 3 * inner),
-            scores: Mat::zeros(s, s),
+            attn_work: Mat::zeros(config.dim_head + 1, s),
             sa: Mat::zeros(s, inner),
-            attn: Mat::zeros(s, config.dim),
             hidden: Mat::zeros(s, config.mlp_dim),
-            mlp: Mat::zeros(s, config.dim),
             cls: Mat::zeros(1, config.dim),
             logits: Mat::zeros(1, config.num_classes),
         }
@@ -160,18 +158,19 @@ pub fn forward_into(
             &scratch.qkv,
             c.heads,
             c.dim_head,
-            &mut scratch.scores,
+            &mut scratch.attn_work,
             &mut scratch.sa,
         )?;
-        ops::linear_packed_into(&scratch.sa, &pl.w_out, &layer.b_out, &mut scratch.attn)?;
-        ops::add_assign(&mut scratch.x, &scratch.attn)?;
+        // x += SA W_out + b_out, in the GEMM's epilogue
+        let residual = Epilogue::BiasResidual(&layer.b_out);
+        matrix_multiply_packed_into(&scratch.sa, &pl.w_out, residual, &mut scratch.x)?;
         ops::layer_norm_rows(&mut scratch.x, &layer.ln1_gamma, &layer.ln1_beta, c.ln_eps)?;
 
         // MLP branch (eq. 6): GELU(x W1 + b1) W2 + b2.
         ops::linear_packed_into(&scratch.x, &pl.w_mlp1, &layer.b_mlp1, &mut scratch.hidden)?;
         ops::gelu(scratch.hidden.as_mut_slice());
-        ops::linear_packed_into(&scratch.hidden, &pl.w_mlp2, &layer.b_mlp2, &mut scratch.mlp)?;
-        ops::add_assign(&mut scratch.x, &scratch.mlp)?;
+        let residual = Epilogue::BiasResidual(&layer.b_mlp2);
+        matrix_multiply_packed_into(&scratch.hidden, &pl.w_mlp2, residual, &mut scratch.x)?;
         ops::layer_norm_rows(&mut scratch.x, &layer.ln2_gamma, &layer.ln2_beta, c.ln_eps)?;
     }
 

@@ -202,21 +202,7 @@ pub fn gelu(x: &mut [f32]) {
 /// Returns [`TensorError::ShapeMismatch`] if `x.cols() != w.rows()` or
 /// `b.len() != w.cols()`.
 pub fn linear(x: &Mat<f32>, w: &Mat<f32>, b: &[f32]) -> Result<Mat<f32>> {
-    if b.len() != w.cols() {
-        return Err(TensorError::ShapeMismatch {
-            op: "linear",
-            lhs: (1, b.len()),
-            rhs: w.shape(),
-        });
-    }
-    let mut y = matrix_multiply(x, w)?;
-    for r in 0..y.rows() {
-        let row = y.row_mut(r);
-        for (j, bv) in b.iter().enumerate() {
-            row[j] += bv;
-        }
-    }
-    Ok(y)
+    linear_packed(x, &crate::PackedMat::pack(w), b)
 }
 
 /// [`linear`] over a pre-packed weight matrix — the amortised fast path
@@ -245,21 +231,7 @@ pub fn linear_packed_into(
     b: &[f32],
     out: &mut Mat<f32>,
 ) -> Result<()> {
-    if b.len() != w.cols() {
-        return Err(TensorError::ShapeMismatch {
-            op: "linear",
-            lhs: (1, b.len()),
-            rhs: w.shape(),
-        });
-    }
-    crate::packed::matrix_multiply_packed_into(x, w, out)?;
-    for r in 0..out.rows() {
-        let row = out.row_mut(r);
-        for (j, bv) in b.iter().enumerate() {
-            row[j] += bv;
-        }
-    }
-    Ok(())
+    crate::packed::matrix_multiply_packed_into(x, w, crate::packed::Epilogue::Bias(b), out)
 }
 
 /// Splits the fused QKV projection output into per-head query, key and
@@ -349,19 +321,23 @@ pub fn scaled_dot_product_attention(q: &Mat<f32>, k: &Mat<f32>, v: &Mat<f32>) ->
 /// Propagates errors from [`split_into_qkv`] and
 /// [`scaled_dot_product_attention`].
 pub fn multi_head_attention(x_qkv: &Mat<f32>, heads: usize, dim_head: usize) -> Result<Mat<f32>> {
-    let mut scores = Mat::default();
+    let mut work = Mat::default();
     let mut out = Mat::default();
-    multi_head_attention_into(x_qkv, heads, dim_head, &mut scores, &mut out)?;
+    multi_head_attention_into(x_qkv, heads, dim_head, &mut work, &mut out)?;
     Ok(out)
 }
 
-/// [`multi_head_attention`] over caller-provided score and output buffers
+/// [`multi_head_attention`] over a caller-provided work matrix and output
 /// (both resized in place) — the allocation-free kernel behind the model
-/// scratch arena. Reads the per-head `Q`/`K`/`V` blocks directly out of
-/// the fused activation instead of materialising [`split_into_qkv`]'s
-/// copies; every output element accumulates its products in the same
-/// ascending order as the packed matmuls, so results are **bit-identical**
-/// to [`multi_head_attention`]'s original split + per-head
+/// scratch arena. `work` becomes `(dim_head + 1) x S`: each head's `Kᵀ`
+/// staged from the fused activation, then one row of scores.
+///
+/// Both products run lane-wise: a query row's scores accumulate over
+/// `Kᵀ` rows across all keys at once, and its output accumulates
+/// `score · V` rows across `dim_head`. Every score still sums its
+/// `dim_head` products in ascending order and every output its `S` keys in
+/// ascending order, the orders of the packed matmuls, so results are
+/// **bit-identical** to the split + per-head
 /// [`scaled_dot_product_attention`] composition.
 ///
 /// # Errors
@@ -371,7 +347,7 @@ pub fn multi_head_attention_into(
     x_qkv: &Mat<f32>,
     heads: usize,
     dim_head: usize,
-    scores: &mut Mat<f32>,
+    work: &mut Mat<f32>,
     out: &mut Mat<f32>,
 ) -> Result<()> {
     if heads == 0 || dim_head == 0 {
@@ -391,37 +367,36 @@ pub fn multi_head_attention_into(
     let section = heads * dim_head;
     let scale = 1.0 / (dim_head as f32).sqrt();
     out.resize(s, section);
-    scores.resize(s, s);
+    work.resize(dim_head + 1, s);
+    let (kt, scores) = work.as_mut_slice().split_at_mut(dim_head * s);
     for h in 0..heads {
         let qoff = h * dim_head;
-        let koff = section + h * dim_head;
-        let voff = 2 * section + h * dim_head;
-        // scores = (Q Kᵀ) * 1/sqrt(dh), accumulating ascending over dh.
-        for i in 0..s {
-            for j in 0..s {
-                let qrow = &x_qkv.row(i)[qoff..qoff + dim_head];
-                let krow = &x_qkv.row(j)[koff..koff + dim_head];
-                let mut acc = 0.0f32;
-                for d in 0..dim_head {
-                    acc += qrow[d] * krow[d];
-                }
-                scores[(i, j)] = acc * scale;
+        let koff = section + qoff;
+        let voff = 2 * section + qoff;
+        for (d, kt_row) in kt.chunks_exact_mut(s.max(1)).enumerate() {
+            for (slot, row) in kt_row.iter_mut().zip(x_qkv.iter_rows()) {
+                *slot = row[koff + d];
             }
         }
         for i in 0..s {
-            softmax_normalized(scores.row_mut(i))?;
-        }
-        // out block = scores · V, accumulating ascending over the S keys.
-        for i in 0..s {
-            out.row_mut(i)[qoff..qoff + dim_head].fill(0.0);
-        }
-        for i in 0..s {
-            for j in 0..s {
-                let sij = scores[(i, j)];
-                let vrow = &x_qkv.row(j)[voff..voff + dim_head];
-                let orow = &mut out.row_mut(i)[qoff..qoff + dim_head];
-                for d in 0..dim_head {
-                    orow[d] += sij * vrow[d];
+            // scores = (q_i Kᵀ) * 1/sqrt(dh), accumulating ascending over dh
+            scores.fill(0.0);
+            let q = &x_qkv.row(i)[qoff..qoff + dim_head];
+            for (&qd, kt_row) in q.iter().zip(kt.chunks_exact(s)) {
+                for (sc, &kv) in scores.iter_mut().zip(kt_row) {
+                    *sc += qd * kv;
+                }
+            }
+            for sc in scores.iter_mut() {
+                *sc *= scale;
+            }
+            softmax_normalized(scores)?;
+            // out row = scores · V, accumulating ascending over the S keys
+            let orow = &mut out.row_mut(i)[qoff..qoff + dim_head];
+            orow.fill(0.0);
+            for (&sij, row) in scores.iter().zip(x_qkv.iter_rows()) {
+                for (o, &v) in orow.iter_mut().zip(&row[voff..voff + dim_head]) {
+                    *o += sij * v;
                 }
             }
         }

@@ -377,6 +377,42 @@ pub fn matmul_i16_i16_packed_into(
     Ok(stats)
 }
 
+/// What the float GEMM does with each finished accumulator `acc` of
+/// output element `(i, j)` — the bias and residual adds of a linear layer,
+/// folded into the one pass that stores the product.
+#[derive(Debug, Clone, Copy)]
+pub enum Epilogue<'a> {
+    /// `out[(i, j)] = acc`.
+    Store,
+    /// `out[(i, j)] = acc + bias[j]`.
+    Bias(&'a [f32]),
+    /// `out[(i, j)] = out[(i, j)] + (acc + bias[j])`: a residual
+    /// connection; `out` must already hold `M x N` values.
+    BiasResidual(&'a [f32]),
+}
+
+impl Epilogue<'_> {
+    /// Applies the epilogue to the `acc.len()` outputs starting at column
+    /// `col0` of one row.
+    #[inline(always)]
+    fn apply(self, acc: &[f32], col0: usize, out: &mut [f32]) {
+        let out = &mut out[col0..col0 + acc.len()];
+        match self {
+            Epilogue::Store => out.copy_from_slice(acc),
+            Epilogue::Bias(b) => {
+                for ((o, &a), &bv) in out.iter_mut().zip(acc).zip(&b[col0..]) {
+                    *o = a + bv;
+                }
+            }
+            Epilogue::BiasResidual(b) => {
+                for ((o, &a), &bv) in out.iter_mut().zip(acc).zip(&b[col0..]) {
+                    *o += a + bv;
+                }
+            }
+        }
+    }
+}
+
 /// Blocked float product `C = A · B` over a pre-packed right operand.
 /// Bit-identical to [`crate::ops::reference::matrix_multiply`]: every
 /// output element accumulates its products in ascending-`k` order, the
@@ -388,25 +424,51 @@ pub fn matmul_i16_i16_packed_into(
 /// packed operand's inner dimension.
 pub fn matrix_multiply_packed(a: &Mat<f32>, b: &PackedMat<f32>) -> Result<Mat<f32>> {
     let mut out = Mat::default();
-    matrix_multiply_packed_into(a, b, &mut out)?;
+    matrix_multiply_packed_into(a, b, Epilogue::Store, &mut out)?;
     Ok(out)
 }
 
 /// [`matrix_multiply_packed`] writing into a caller-provided output matrix
-/// (resized to `M x N` in place; allocation-free at steady state). Outputs
-/// stay bit-identical to the reference kernel.
+/// through `epilogue` — allocation-free at steady state. [`Epilogue::Store`]
+/// and [`Epilogue::Bias`] resize `out` to `M x N` in place;
+/// [`Epilogue::BiasResidual`] adds into its current contents. Each output
+/// is `acc`, `acc + b` or `out + (acc + b)`, the values the separate
+/// product, bias pass and residual [`crate::ops::add_assign`] store, so
+/// outputs stay bit-identical to the reference kernel followed by those
+/// passes.
 ///
 /// # Errors
 ///
-/// Same contract as [`matrix_multiply_packed`].
+/// Returns [`TensorError::ShapeMismatch`] unless `a.cols()` matches the
+/// packed operand's inner dimension, a bias holds `N` values, and a
+/// residual `out` is `M x N`.
 pub fn matrix_multiply_packed_into(
     a: &Mat<f32>,
     b: &PackedMat<f32>,
+    epilogue: Epilogue<'_>,
     out: &mut Mat<f32>,
 ) -> Result<()> {
     check_inner("matrix_multiply", a.shape(), b.shape())?;
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    out.resize(m, n);
+    match epilogue {
+        Epilogue::Store => out.resize(m, n),
+        Epilogue::Bias(bias) | Epilogue::BiasResidual(bias) if bias.len() != n => {
+            return Err(TensorError::ShapeMismatch {
+                op: "linear",
+                lhs: (1, bias.len()),
+                rhs: b.shape(),
+            });
+        }
+        Epilogue::Bias(_) => out.resize(m, n),
+        Epilogue::BiasResidual(_) if out.shape() != (m, n) => {
+            return Err(TensorError::ShapeMismatch {
+                op: "add_assign",
+                lhs: out.shape(),
+                rhs: (m, n),
+            });
+        }
+        Epilogue::BiasResidual(_) => {}
+    }
     // MR independent rows per pass hide the float-add latency; each output
     // element still accumulates in ascending-k order (bit-exactness).
     let mut i = 0;
@@ -426,7 +488,7 @@ pub fn matrix_multiply_packed_into(
                 }
             }
             for (r, acc_row) in acc.iter().enumerate() {
-                out.row_mut(i + r)[col0..col0 + width].copy_from_slice(&acc_row[..width]);
+                epilogue.apply(&acc_row[..width], col0, out.row_mut(i + r));
             }
         }
         i += MR;
@@ -444,7 +506,7 @@ pub fn matrix_multiply_packed_into(
                     acc[j] += av * brow[j];
                 }
             }
-            out.row_mut(i)[col0..col0 + width].copy_from_slice(&acc[..width]);
+            epilogue.apply(&acc[..width], col0, out.row_mut(i));
         }
         i += 1;
     }
@@ -571,6 +633,43 @@ mod tests {
     }
 
     #[test]
+    fn f32_epilogues_match_separate_passes() {
+        for (m, k, n) in [(1, 1, 1), (27, 8, 12), (5, 24, 9), (4, 3, 17)] {
+            let a = Mat::from_fn(m, k, |r, c| ((r * k + c) as f32 * 0.731).sin() * 3.0);
+            let w = Mat::from_fn(k, n, |r, c| ((r * n + c) as f32 * 0.377).cos() * 2.0);
+            let bias: Vec<f32> = (0..n).map(|j| (j as f32 * 1.3).sin()).collect();
+            let x0 = Mat::from_fn(m, n, |r, c| ((r * n + c) as f32 * 0.53).cos() * 5.0);
+            let p = PackedMat::pack(&w);
+            let mut want = crate::ops::reference::matrix_multiply(&a, &w).unwrap();
+            for r in 0..m {
+                for (v, b) in want.row_mut(r).iter_mut().zip(&bias) {
+                    *v += b;
+                }
+            }
+            let mut got = Mat::default();
+            matrix_multiply_packed_into(&a, &p, Epilogue::Bias(&bias), &mut got).unwrap();
+            assert_eq!(got.shape(), want.shape());
+            for (x, y) in got.as_slice().iter().zip(want.as_slice()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "bias m={m} k={k} n={n}");
+            }
+            let mut residual = x0.clone();
+            matrix_multiply_packed_into(&a, &p, Epilogue::BiasResidual(&bias), &mut residual)
+                .unwrap();
+            let mut want_residual = x0.clone();
+            crate::ops::add_assign(&mut want_residual, &want).unwrap();
+            for (x, y) in residual.as_slice().iter().zip(want_residual.as_slice()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "residual m={m} k={k} n={n}");
+            }
+            // a short bias or a misshapen residual is refused
+            let short = &bias[..n - 1];
+            assert!(matrix_multiply_packed_into(&a, &p, Epilogue::Bias(short), &mut got).is_err());
+            let mut wrong = Mat::zeros(m + 1, n);
+            let residual = Epilogue::BiasResidual(&bias);
+            assert!(matrix_multiply_packed_into(&a, &p, residual, &mut wrong).is_err());
+        }
+    }
+
+    #[test]
     fn into_variants_match_allocating_across_reused_buffers() {
         // One set of output/pack buffers reused across several shapes must
         // reproduce the allocating entry points exactly (stale contents
@@ -602,7 +701,7 @@ mod tests {
 
             let pf = PackedMat::pack(&bf);
             let want = matrix_multiply_packed(&af, &pf).unwrap();
-            matrix_multiply_packed_into(&af, &pf, &mut outf).unwrap();
+            matrix_multiply_packed_into(&af, &pf, Epilogue::Store, &mut outf).unwrap();
             assert_eq!(outf, want);
         }
     }

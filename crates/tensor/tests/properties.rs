@@ -289,6 +289,42 @@ proptest! {
     }
 
     #[test]
+    fn fused_attention_bit_identical_to_split_oracle(
+        heads in 1usize..5,
+        dim_head in 1usize..18,
+        s in 1usize..41,
+        magnitude in 0usize..5,
+        seed in 0u64..1000,
+    ) {
+        // ordinary, large (one-hot softmax rows), tiny, subnormal, and a
+        // per-element mix of all four
+        let scales = [4.0f32, 300.0, 1e-20, 1e-39];
+        let x = Mat::from_fn(s, 3 * heads * dim_head, |r, c| {
+            let h = seed
+                .wrapping_add((r * 3 * heads * dim_head + c) as u64)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let unit = (h >> 40) as f32 / (1u64 << 24) as f32 - 0.5;
+            unit * scales.get(magnitude).copied().unwrap_or(scales[(h & 3) as usize])
+        });
+        let (q, k, v) = ops::split_into_qkv(&x, heads, dim_head).unwrap();
+        let (mut work, mut out) = (Mat::default(), Mat::default());
+        ops::multi_head_attention_into(&x, heads, dim_head, &mut work, &mut out).unwrap();
+        prop_assert_eq!(out.shape(), (s, heads * dim_head));
+        for h in 0..heads {
+            let head = ops::scaled_dot_product_attention(&q[h], &k[h], &v[h]).unwrap();
+            for r in 0..s {
+                for d in 0..dim_head {
+                    prop_assert_eq!(
+                        out[(r, h * dim_head + d)].to_bits(),
+                        head[(r, d)].to_bits(),
+                        "head {} row {} col {}", h, r, d
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn pack_transposed_equals_pack_of_transpose(
         rows in 1usize..30,
         cols in 1usize..30,

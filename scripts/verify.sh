@@ -13,12 +13,12 @@
 # benchmark package's tests (`kwsbench/` is its own workspace, so a plain
 # `cargo test` would not notice a public-API break it depends on).
 # The smoke pass then runs `paper bench-engine --smoke` (one call per
-# timing, the simulator's `sim_dispatch` block-vs-step row included) and
-# `paper bench-serve --smoke` in a scratch directory (so the
-# committed BENCH_*.json artefacts are not overwritten with smoke-mode
-# numbers), and the regression gates. The gates that compare against a
-# committed artefact run from the repository root, where the files are,
-# and fail if one is missing or does not parse:
+# timing, the simulator's `sim_dispatch` block-vs-step row included),
+# `paper bench-serve --smoke` and, last, `paper bench-cascade --smoke` in a
+# scratch directory (so the committed BENCH_*.json artefacts are not
+# overwritten with smoke-mode numbers), and the regression gates. The
+# gates that compare against a committed artefact run from the repository
+# root, where the files are, and fail if one is missing or does not parse:
 #
 #   * `paper check-a8`       — A8-vs-i16 top-1 agreement (>= 99 %) and
 #                              device/host bit-identity;
