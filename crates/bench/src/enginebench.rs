@@ -23,11 +23,6 @@
 //! host ns per thousand retired instructions through `Machine::run`
 //! (straight-line block dispatch) and through a plain `Cpu::step` loop,
 //! measured in the same run.
-//!
-//! The `host_kernels` rows time the host serving path's two kernels on
-//! KWT-Tiny: `host_forward` (one `forward_into` per window) and
-//! `frontend_frame` (one `compute_frame_into` per frame), in alternating
-//! rounds, each the median over rounds with the MAD across them.
 
 use crate::baseline;
 use crate::timing::{time_ns, Timing};
@@ -152,29 +147,12 @@ pub struct FrontendRow {
     pub clips: usize,
     /// ns per clip of MFCC extraction.
     pub ns_per_clip: f64,
-    /// Median absolute deviation of the batch ns per clip.
-    pub mad_ns_per_clip: f64,
     /// ms per clip (the paper-facing unit; the PR 5 acceptance gate is
     /// `fixed <= 0.1 ms` for the KWT-Tiny geometry).
     pub ms_per_clip: f64,
     /// Throughput multiple over the `reference` row of the same
     /// geometry.
     pub speedup_vs_reference: f64,
-}
-
-/// The cost of one host serving-path kernel, timed in rounds that
-/// alternate with the other kernel's (each figure the median over rounds,
-/// with the MAD across rounds). Recorded, not gated.
-#[derive(Debug, Clone, Serialize)]
-pub struct HostKernelRow {
-    /// `host_forward` (one KWT-Tiny `forward_into` on a window of
-    /// features, on the benchmark weights) or `frontend_frame` (one
-    /// KWT-Tiny `compute_frame_into` on a 400-sample window).
-    pub kernel: String,
-    /// Median ns per call.
-    pub ns_per_call: f64,
-    /// Median absolute deviation of `ns_per_call` across the rounds.
-    pub mad_ns_per_call: f64,
 }
 
 /// One row of the simulated-cluster scaling table: the tuned A8 image
@@ -251,9 +229,6 @@ pub struct EngineBenchSummary {
     /// MFCC front-end throughput per geometry and path (the PR 5
     /// `fixed`-path budget for KWT-Tiny is 0.1 ms/clip).
     pub frontend: Vec<FrontendRow>,
-    /// Per-call cost of the host serving path's two kernels: the float
-    /// forward pass per window and the front end per frame.
-    pub host_kernels: Vec<HostKernelRow>,
     /// Per-backend speedups of the engine paths over the seed path.
     pub speedups: Vec<EngineSpeedup>,
     /// Sharded `classify_batch_parallel` throughput over the rv32 A8
@@ -498,30 +473,27 @@ pub fn collect(smoke: bool) -> EngineBenchSummary {
                 fe.extract_padded_into(c, &mut feat, &mut scratch)
                     .expect("mfcc");
             }
-            let n = clips.len() as f64;
-            let reference = time_ns(smoke, || {
+            let per_clip = |t: Timing| t.ns / clips.len() as f64;
+            let reference_ns = per_clip(time_ns(smoke, || {
                 for c in &clips {
                     black_box(fe.extract_padded_reference(black_box(c)).expect("mfcc"));
                 }
-            })
-            .per(n);
-            let fixed = time_ns(smoke, || {
+            }));
+            let fixed_ns = per_clip(time_ns(smoke, || {
                 for c in &clips {
                     fe.extract_padded_into(black_box(c), &mut feat, &mut scratch)
                         .expect("mfcc");
                     black_box(&feat);
                 }
-            })
-            .per(n);
-            for (path, t) in [("reference", reference), ("fixed", fixed)] {
+            }));
+            for (path, ns) in [("reference", reference_ns), ("fixed", fixed_ns)] {
                 frontend.push(FrontendRow {
                     geometry: geometry.to_string(),
                     path: path.to_string(),
                     clips: clips.len(),
-                    ns_per_clip: t.ns,
-                    mad_ns_per_clip: t.mad_ns,
-                    ms_per_clip: t.ns / 1e6,
-                    speedup_vs_reference: reference.ns / t.ns,
+                    ns_per_clip: ns,
+                    ms_per_clip: ns / 1e6,
+                    speedup_vs_reference: reference_ns / ns,
                 });
             }
         }
@@ -562,7 +534,6 @@ pub fn collect(smoke: bool) -> EngineBenchSummary {
         }
     }
 
-    let host_kernels = collect_host_kernels(smoke, &params, &fe);
     let sim_dispatch = vec![collect_sim_dispatch(smoke, &a8image, &fe)];
 
     // simulated-cluster scaling: the tuned A8 image at 1/2/4/8 harts
@@ -620,7 +591,6 @@ pub fn collect(smoke: bool) -> EngineBenchSummary {
         rows,
         sim_dispatch,
         frontend,
-        host_kernels,
         speedups,
         parallel_scaling,
         cluster_scaling,
@@ -629,69 +599,6 @@ pub fn collect(smoke: bool) -> EngineBenchSummary {
         device_kernel_cycles,
     }
 }
-
-/// Times the host serving path's kernels on KWT-Tiny in alternating
-/// rounds: `forward_into` over the features of a benchmark clip and
-/// `compute_frame_into` over that clip's windows in turn, each with warm
-/// arenas.
-pub fn collect_host_kernels(
-    smoke: bool,
-    params: &KwtParams,
-    fe: &kwt_audio::MfccExtractor,
-) -> Vec<HostKernelRow> {
-    use kwt_audio::MfccScratch;
-    let clip = &bench_clips(1)[0];
-    let packed = params.pack_weights();
-    let mut fe_scratch = MfccScratch::new();
-    let mut mfcc = kwt_tensor::Mat::default();
-    fe.extract_padded_into(clip, &mut mfcc, &mut fe_scratch)
-        .expect("mfcc");
-    let mut model_scratch = kwt_model::Scratch::new(&params.config);
-    let mut logits = Vec::new();
-    let mut forward = || {
-        kwt_model::forward_into(
-            params,
-            &packed,
-            black_box(&mfcc),
-            &mut model_scratch,
-            &mut logits,
-        )
-        .expect("forward")
-    };
-    let c = fe.config();
-    let windows: Vec<&[f32]> = (0..fe.frames_per_clip())
-        .map(|t| &clip[t * c.hop_length..t * c.hop_length + c.win_length])
-        .collect();
-    let mut row = vec![0.0f32; c.n_mfcc];
-    let mut frames = || {
-        for w in &windows {
-            fe.compute_frame_into(black_box(w), &mut row, &mut fe_scratch)
-                .expect("frame");
-        }
-    };
-    forward();
-    frames();
-    let (mut fwd, mut frame) = (Vec::new(), Vec::new());
-    for _ in 0..if smoke { 1 } else { HOST_KERNEL_ROUNDS } {
-        fwd.push(time_ns(smoke, &mut forward).ns);
-        frame.push(time_ns(smoke, &mut frames).per(windows.len() as f64).ns);
-    }
-    [("host_forward", fwd), ("frontend_frame", frame)]
-        .into_iter()
-        .map(|(kernel, mut samples)| {
-            let t = Timing::of(&mut samples);
-            HostKernelRow {
-                kernel: kernel.to_string(),
-                ns_per_call: t.ns,
-                mad_ns_per_call: t.mad_ns,
-            }
-        })
-        .collect()
-}
-
-/// Alternating forward/frame measurement rounds of the `host_kernels`
-/// rows.
-const HOST_KERNEL_ROUNDS: usize = 9;
 
 /// Times one A8 inference through `Machine::run` and through a
 /// hand-written `Cpu::step` loop on the same warm machine (input
@@ -914,19 +821,8 @@ pub fn run_and_write(smoke: bool) -> String {
     out.push_str("mfcc front end, ms/clip (PR 5 budget: fixed <= 0.1 ms on kwt_tiny):\n");
     for r in &summary.frontend {
         out.push_str(&format!(
-            "  {:<15} {:<10} {:>10.4} ± {:.4} ms/clip  {:>6.2}x vs reference\n",
-            r.geometry,
-            r.path,
-            r.ms_per_clip,
-            r.mad_ns_per_clip / 1e6,
-            r.speedup_vs_reference
-        ));
-    }
-    out.push_str("host serving-path kernels (KWT-Tiny), ns per call:\n");
-    for k in &summary.host_kernels {
-        out.push_str(&format!(
-            "  {:<15} {:>10.0} ± {:.0}\n",
-            k.kernel, k.ns_per_call, k.mad_ns_per_call
+            "  {:<15} {:<10} {:>10.4} ms/clip  {:>6.2}x vs reference\n",
+            r.geometry, r.path, r.ms_per_clip, r.speedup_vs_reference
         ));
     }
     out.push_str("engine vs one-shot seed path:\n");

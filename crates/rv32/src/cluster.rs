@@ -60,11 +60,6 @@
 //!    grants at one time; under one, a run replays grant by grant
 //!    instead.
 //!
-//! A lone active hart skips both the log and the replay when no stall is
-//! possible (`service_cycles <= 1` under a timing model that charges
-//! every instruction): it runs with a sink that only counts its data
-//! accesses, and the SoC timeline is its own busy cycles.
-//!
 //! Both replays reproduce the interleaved arbiter exactly — per-hart
 //! results, [`HartStats`], `soc_cycles` and registers — which the
 //! test-local per-`Cpu::step` reference arbiter in
@@ -300,13 +295,10 @@ impl Cluster {
             n_active,
             self.harts.len()
         );
-        run.results.clear();
-        run.stats.clear();
-        if n_active == 1 && self.run_lone_into(max_steps, run) {
-            return;
-        }
         let arbiter = &mut self.arbiter;
         arbiter.prepare(self.harts.len(), self.cfg);
+        run.results.clear();
+        run.stats.clear();
         // phase 1: every hart alone, logging its grants
         let mut free_grants = false;
         let mut sized = 0;
@@ -331,44 +323,6 @@ impl Cluster {
             free_grants,
             &mut run.stats,
         );
-    }
-
-    /// Runs hart 0 alone, with no log and no replay, if it can never
-    /// stall; returns whether it ran. A lone hart spends at least a cycle
-    /// per instruction under a timing model that charges every one, and a
-    /// bank frees after at most one cycle, so its timeline is its own
-    /// cycle count and only its accesses need counting.
-    #[inline(never)] // keeps the replay's code as it is without this path
-    fn run_lone_into(&mut self, max_steps: u64, run: &mut ClusterRun) -> bool {
-        let hart = &mut self.harts[0];
-        if self.cfg.service_cycles > 1 || !hart.cpu.timing().charges_every_instruction() {
-            return false;
-        }
-        let (cycles0, instret0) = (hart.cpu.cycles, hart.cpu.instret);
-        let mut accesses = AccessCount(0);
-        run.results.push(hart.run_logged(max_steps, &mut accesses));
-        let busy_cycles = hart.cpu.cycles - cycles0;
-        run.stats.push(HartStats {
-            busy_cycles,
-            instructions: hart.cpu.instret - instret0,
-            accesses: accesses.0,
-            ..HartStats::default()
-        });
-        run.soc_cycles = busy_cycles;
-        true
-    }
-}
-
-/// The sink of a lone hart's run: counts the grants that made a data
-/// access.
-struct AccessCount(u64);
-
-impl RetireSink for AccessCount {
-    const ON: bool = true;
-
-    #[inline(always)]
-    fn retire(&mut self, _cost: u64, access: Option<u32>) {
-        self.0 += u64::from(access.is_some());
     }
 }
 
