@@ -192,8 +192,13 @@ pub struct ClusterRow {
     pub host_mad_ns_per_hart_inst: f64,
     /// Median over the rounds of `host_ns_per_hart_inst` divided by the
     /// host ns per instruction of a single-core `Machine::run` over the
-    /// same clips in the same round. Recorded, not gated.
+    /// same clips in the same round. Recorded, not gated. Both are wall
+    /// time, and the cluster runs its harts alone on up to `host_cpus`
+    /// threads, so read it against `host_cpus`.
     pub over_single_core: f64,
+    /// Host CPUs visible to the process (the thread budget of the
+    /// cluster's per-hart runs).
+    pub host_cpus: usize,
 }
 
 /// One row of the sharded-batch scaling table.
@@ -688,6 +693,7 @@ pub fn collect_cluster(
         serial_cycles += session.run_into(m, &mut logits).expect("serial run").cycles;
     }
 
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut rows = Vec::new();
     for harts in [1usize, 2, 4, 8] {
         let mut cs = a8image.cluster_session(harts).expect("cluster session");
@@ -710,6 +716,7 @@ pub fn collect_cluster(
             host_ns_per_hart_inst: host.per_inst.ns,
             host_mad_ns_per_hart_inst: host.per_inst.mad_ns,
             over_single_core: host.over_single_core,
+            host_cpus,
         });
     }
     rows
@@ -844,7 +851,7 @@ pub fn run_and_write(smoke: bool) -> String {
         out.push_str(&format!(
             "  {} harts x {} banks ({} clips) {:>12} soc cycles  {:>7.3} clips/Mcycle  \
              {:.2}x vs serial  util {:.2}  stalls {:.3}  host {:.1} ± {:.1} ns/hart-inst \
-             ({:.2}x single-core)\n",
+             ({:.2}x single-core, {} cpus)\n",
             c.harts,
             c.banks,
             c.clips,
@@ -855,7 +862,8 @@ pub fn run_and_write(smoke: bool) -> String {
             c.stall_fraction,
             c.host_ns_per_hart_inst,
             c.host_mad_ns_per_hart_inst,
-            c.over_single_core
+            c.over_single_core,
+            c.host_cpus
         ));
     }
     out.push_str(

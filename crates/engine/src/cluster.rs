@@ -140,7 +140,19 @@ impl Backend for Rv32ClusterBackend {
     }
 
     fn infer_wave(&mut self, mfccs: &[Mat<f32>], logits: &mut [Vec<f32>]) -> Result<()> {
-        debug_assert!(mfccs.len() <= self.session.num_harts());
+        if mfccs.is_empty() {
+            return Ok(());
+        }
+        if mfccs.len() > self.harts() || logits.len() < mfccs.len() {
+            return Err(EngineError::Config {
+                why: format!(
+                    "a wave of {} clips with {} logit slots on {} harts",
+                    mfccs.len(),
+                    logits.len(),
+                    self.harts()
+                ),
+            });
+        }
         for (h, m) in mfccs.iter().enumerate() {
             self.session.load_clip(h, m)?;
         }
@@ -183,5 +195,49 @@ impl Backend for Rv32ClusterBackend {
         // available through `session_mut().inject_faults(hart, plan)`
         self.session.inject_faults(0, plan);
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kwt_model::KwtParams;
+    use kwt_quant::{A8Config, A8Kwt};
+
+    fn backend() -> Rv32ClusterBackend {
+        let params = KwtParams::init(KwtConfig::kwt_tiny(), 77).expect("valid preset");
+        let a8 = A8Kwt::quantize(&params, A8Config::paper_a8()).expect("a8 exponents valid");
+        let image = InferenceImage::build_a8(&a8).expect("a8 image builds");
+        Rv32ClusterBackend::new(&image, 4).expect("cluster session")
+    }
+
+    fn clips(n: usize) -> Vec<Mat<f32>> {
+        let c = KwtConfig::kwt_tiny();
+        vec![Mat::zeros(c.input_time, c.input_freq); n]
+    }
+
+    #[test]
+    fn empty_wave_is_a_no_op() {
+        let mut b = backend();
+        assert!(b.infer_wave(&[], &mut []).is_ok());
+        assert!(b.last_wave().is_none(), "no wave ran");
+    }
+
+    #[test]
+    fn wave_wider_than_the_cluster_is_a_config_error() {
+        let mut b = backend();
+        let mut logits = vec![Vec::new(); 5];
+        let r = b.infer_wave(&clips(5), &mut logits);
+        assert!(matches!(r, Err(EngineError::Config { .. })), "{r:?}");
+        assert!(b.last_wave().is_none(), "no wave ran");
+    }
+
+    #[test]
+    fn too_few_logit_slots_is_a_config_error() {
+        let mut b = backend();
+        let mut logits = vec![Vec::new(); 2];
+        let r = b.infer_wave(&clips(3), &mut logits);
+        assert!(matches!(r, Err(EngineError::Config { .. })), "{r:?}");
+        assert!(b.last_wave().is_none(), "no wave ran");
     }
 }

@@ -45,7 +45,16 @@
 //!    per arbiter grant to a log the cluster owns: the instruction's
 //!    cost and the bank of its data access, if any (a trap and the
 //!    budget check that ends an out-of-fuel run are grants too). Costs
-//!    or banks too large for the byte spill to a side list.
+//!    or banks too large for the byte spill to a side list. No hart sees
+//!    another in this phase, so the harts run on several host threads:
+//!    the calling thread and persistent workers, one fewer than the
+//!    host CPUs or harts (at least one), spawned by the first wave of
+//!    two or more harts and joined when the cluster drops. With `t`
+//!    threads, hart `h` runs on thread `h % t` — worker harts and their
+//!    logs move to the worker and back within the call — and a panic
+//!    there comes back to the caller once every hart is home. Each hart
+//!    and log is the same whichever thread runs it, so results do not
+//!    depend on the thread count.
 //! 2. **Access replay.** Only data accesses touch shared state, so the
 //!    replay merges the harts' accesses in SoC-time order and skips
 //!    everything between them: a hart's issue times are prefix sums of
@@ -63,14 +72,20 @@
 //! Both replays reproduce the interleaved arbiter exactly — per-hart
 //! results, [`HartStats`], `soc_cycles` and registers — which the
 //! test-local per-`Cpu::step` reference arbiter in
-//! `tests/cluster_props.rs` pins. The logs, the replay state and the
-//! run results live in buffers the cluster reuses, grown on the first
-//! run, so [`Cluster::run_active_into`] allocates nothing once warm.
+//! `tests/cluster_props.rs` pins. The logs, the replay state, the
+//! workers' job slots and the run results live in buffers the cluster
+//! reuses, grown on the first run, so [`Cluster::run_active_into`]
+//! allocates nothing once warm, on any thread.
 
 use crate::cpu::RetireSink;
 use crate::machine::{Machine, RunResult};
 use crate::profile::ClassHistogram;
 use crate::trap::Trap;
+use std::any::Any;
+use std::num::NonZeroUsize;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, JoinHandle};
 
 /// Geometry and service time of the shared banked memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,12 +190,14 @@ impl ClusterRun {
 /// arbiter uses to route accesses to banks); everything else about the
 /// harts — fault plans, watchdogs, histograms, typed memory IO — is
 /// reachable through [`Cluster::hart_mut`] and behaves exactly as on a
-/// solo [`Machine`].
+/// solo [`Machine`]. Between runs every hart is home; a clone spawns
+/// phase-1 workers of its own on its first multi-hart run.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     harts: Vec<Machine>,
     cfg: BankConfig,
     arbiter: Arbiter,
+    workers: Workers,
 }
 
 impl Cluster {
@@ -200,6 +217,7 @@ impl Cluster {
             harts,
             cfg,
             arbiter: Arbiter::default(),
+            workers: Workers::default(),
         };
         for hart in &mut cluster.harts {
             hart.cpu.set_data_trace_enabled(true);
@@ -295,34 +313,262 @@ impl Cluster {
             n_active,
             self.harts.len()
         );
-        let arbiter = &mut self.arbiter;
-        arbiter.prepare(self.harts.len(), self.cfg);
+        self.arbiter.prepare(self.harts.len(), self.cfg);
+        let free_grants = self.harts[..n_active]
+            .iter()
+            .any(|hart| !hart.cpu.timing().charges_every_instruction());
         run.results.clear();
+        run.results.resize(n_active, PENDING);
         run.stats.clear();
-        // phase 1: every hart alone, logging its grants
-        let mut free_grants = false;
-        let mut sized = 0;
-        for (hart, log) in self.harts[..n_active].iter_mut().zip(&mut arbiter.logs) {
-            // size a cold log like the previous hart's rather than
-            // doubling up to it, which would leave the smaller copies behind
-            log.bytes.reserve_exact(sized);
-            let (cycles0, instret0) = (hart.cpu.cycles, hart.cpu.instret);
-            free_grants |= !hart.cpu.timing().charges_every_instruction();
-            run.results.push(hart.run_logged(max_steps, log));
-            sized = log.bytes.len();
-            run.stats.push(HartStats {
-                busy_cycles: hart.cpu.cycles - cycles0,
-                instructions: hart.cpu.instret - instret0,
-                ..HartStats::default()
-            });
-        }
+        run.stats.resize(n_active, HartStats::default());
+        self.run_alone(n_active, max_steps, run);
         // phase 2: the shared timeline
-        run.soc_cycles = arbiter.replay(
+        run.soc_cycles = self.arbiter.replay(
             n_active,
             self.cfg.service_cycles,
             free_grants,
             &mut run.stats,
         );
+    }
+
+    /// Phase 1: runs harts `0..n_active` alone, each into its grant log,
+    /// filling `run`'s results and busy accounting. With `t` threads,
+    /// hart `h` runs on thread `h % t`: thread 0 is the caller, thread
+    /// `w + 1` worker `w`, which holds its harts and logs only until this
+    /// returns.
+    fn run_alone(&mut self, n_active: usize, max_steps: u64, run: &mut ClusterRun) {
+        let threads = (self.workers.spawn(n_active, self.harts.len()) + 1).min(n_active);
+        let crew = &self.workers.crew[..threads - 1];
+        // highest hart first, so every lower hart keeps its index
+        for h in (0..n_active).rev().filter(|h| h % threads != 0) {
+            crew[h % threads - 1].slot.lock().tasks.push(Task {
+                hart: self.harts.remove(h),
+                log: std::mem::take(&mut self.arbiter.logs[h]),
+                result: PENDING,
+                stats: HartStats::default(),
+            });
+        }
+        for worker in crew {
+            worker.slot.post(max_steps);
+        }
+        // the caller's harts 0, t, 2t, .. now sit at 0, 1, 2, ..
+        let logs = &mut self.arbiter.logs;
+        let harts = &mut self.harts[..n_active.div_ceil(threads)];
+        let mine = panic::catch_unwind(AssertUnwindSafe(|| {
+            // size a cold log like the previous one rather than doubling
+            // up to it, which would leave the smaller copies behind
+            let mut sized = 0;
+            for (k, hart) in harts.iter_mut().enumerate() {
+                let h = k * threads;
+                logs[h].bytes.reserve_exact(sized);
+                (run.results[h], run.stats[h]) = run_hart(hart, &mut logs[h], max_steps);
+                sized = logs[h].bytes.len();
+            }
+        }));
+        // every hart comes home before any panic goes on
+        let mut panicked = mine.err();
+        for worker in crew {
+            if let Some(payload) = worker.slot.wait() {
+                panicked.get_or_insert(payload);
+            }
+        }
+        // a worker's tasks pop lowest hart first, so insertion in
+        // ascending order puts each hart back at its index
+        for h in (0..n_active).filter(|h| h % threads != 0) {
+            let task = crew[h % threads - 1]
+                .slot
+                .lock()
+                .tasks
+                .pop()
+                .expect("a worker hands back every hart it was given");
+            self.harts.insert(h, task.hart);
+            self.arbiter.logs[h] = task.log;
+            (run.results[h], run.stats[h]) = (task.result, task.stats);
+        }
+        if let Some(payload) = panicked {
+            panic::resume_unwind(payload);
+        }
+    }
+}
+
+/// Placeholder result of a hart that has not run yet.
+const PENDING: Result<RunResult, Trap> = Err(Trap::OutOfFuel { executed: 0 });
+
+/// Runs `hart` alone to its halt, trap or `max_steps`, logging its
+/// grants into `log`; returns the result and the busy accounting.
+fn run_hart(
+    hart: &mut Machine,
+    log: &mut HartLog,
+    max_steps: u64,
+) -> (Result<RunResult, Trap>, HartStats) {
+    let (cycles0, instret0) = (hart.cpu.cycles, hart.cpu.instret);
+    let result = hart.run_logged(max_steps, log);
+    let stats = HartStats {
+        busy_cycles: hart.cpu.cycles - cycles0,
+        instructions: hart.cpu.instret - instret0,
+        ..HartStats::default()
+    };
+    (result, stats)
+}
+
+/// One hart lent to a worker for one phase 1: the hart, its grant log
+/// and, once run, its result and busy accounting.
+#[derive(Debug)]
+struct Task {
+    hart: Machine,
+    log: HartLog,
+    result: Result<RunResult, Trap>,
+    stats: HartStats,
+}
+
+/// Where a worker's job stands.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+enum State {
+    /// No tasks, or tasks run and handed back: the worker waits.
+    #[default]
+    Idle,
+    /// Tasks handed over: the worker runs them.
+    Posted,
+    /// The cluster is gone: the worker returns.
+    Exit,
+}
+
+/// A worker's job slot: the tasks, the step budget and, if running
+/// them panicked, the panic, reused from wave to wave.
+#[derive(Debug, Default)]
+struct Job {
+    state: State,
+    max_steps: u64,
+    tasks: Vec<Task>,
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+/// The one place a caller and a worker meet: a [`Job`] behind a mutex,
+/// and a condition variable either side waits on for the other's turn.
+#[derive(Debug, Default)]
+struct Slot {
+    job: Mutex<Job>,
+    turn: Condvar,
+}
+
+impl Slot {
+    fn lock(&self) -> MutexGuard<'_, Job> {
+        // neither side runs a hart or can panic while holding the lock
+        self.job
+            .lock()
+            .expect("no thread panics holding a job slot")
+    }
+
+    /// Hands the pushed tasks to the worker.
+    fn post(&self, max_steps: u64) {
+        let mut job = self.lock();
+        (job.state, job.max_steps) = (State::Posted, max_steps);
+        self.turn.notify_all();
+    }
+
+    /// Waits until the worker has handed the tasks back; returns the
+    /// panic that cut them short, if any.
+    fn wait(&self) -> Option<Box<dyn Any + Send>> {
+        let mut job = self.lock();
+        while job.state == State::Posted {
+            job = self
+                .turn
+                .wait(job)
+                .expect("no thread panics holding a job slot");
+        }
+        job.panic.take()
+    }
+
+    /// A worker's life: run each posted job, hand it back, and return
+    /// once told to exit.
+    fn serve(&self) {
+        let mut job = self.lock();
+        loop {
+            match job.state {
+                State::Posted => {
+                    let (max_steps, mut tasks) = (job.max_steps, std::mem::take(&mut job.tasks));
+                    drop(job);
+                    let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                        for t in &mut tasks {
+                            (t.result, t.stats) = run_hart(&mut t.hart, &mut t.log, max_steps);
+                        }
+                    }));
+                    job = self.lock();
+                    (job.tasks, job.panic, job.state) = (tasks, outcome.err(), State::Idle);
+                    self.turn.notify_all();
+                }
+                State::Exit => return,
+                State::Idle => {
+                    job = self
+                        .turn
+                        .wait(job)
+                        .expect("no thread panics holding a job slot");
+                }
+            }
+        }
+    }
+}
+
+/// A persistent phase-1 thread and its job slot. Dropping it tells the
+/// thread to exit and joins it.
+#[derive(Debug)]
+struct Worker {
+    slot: Arc<Slot>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Drop for Worker {
+    fn drop(&mut self) {
+        let mut job = self.slot.job.lock().unwrap_or_else(PoisonError::into_inner);
+        job.state = State::Exit;
+        self.slot.turn.notify_all();
+        drop(job);
+        if let Some(thread) = self.thread.take() {
+            // the worker catches every hart panic, so it never ends in one
+            let _ = thread.join();
+        }
+    }
+}
+
+/// The cluster's phase-1 workers, spawned by its first multi-hart run.
+/// A clone starts with none and spawns its own the same way.
+#[derive(Debug, Default)]
+struct Workers {
+    crew: Vec<Worker>,
+}
+
+impl Clone for Workers {
+    fn clone(&self) -> Self {
+        Workers::default()
+    }
+}
+
+impl Workers {
+    /// Spawns the workers of a `harts`-hart cluster on its first run of
+    /// two or more (`n_active`) harts: one fewer than the host CPUs or
+    /// harts, whichever is smaller, and at least one, so every host takes
+    /// the same path. Returns how many are up (fewer only if the host
+    /// refused a thread, none before that first run).
+    fn spawn(&mut self, n_active: usize, harts: usize) -> usize {
+        if n_active > 1 && self.crew.is_empty() {
+            let cpus = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+            for _ in 0..cpus.min(harts).saturating_sub(1).max(1) {
+                let slot = Arc::new(Slot::default());
+                slot.lock().tasks.reserve(harts);
+                let theirs = Arc::clone(&slot);
+                let spawned = thread::Builder::new()
+                    .name("cluster-hart".into())
+                    .spawn(move || theirs.serve());
+                match spawned {
+                    Ok(thread) => self.crew.push(Worker {
+                        slot,
+                        thread: Some(thread),
+                    }),
+                    Err(_) => break,
+                }
+            }
+        }
+        self.crew.len()
     }
 }
 
@@ -902,6 +1148,31 @@ mod tests {
         assert_eq!(per_hart[1].total_count(), 0, "idle-armed hart stays free");
         let summed = cluster.summed_class_histogram();
         assert_eq!(summed.total_count(), per_hart[0].total_count());
+    }
+
+    /// A hart whose cycle counter overflows panics (overflow checks are
+    /// on in debug builds only). Whether it ran on the caller (hart 0)
+    /// or a worker (hart 1), the panic reaches the caller with every
+    /// hart back at its index, and the cluster runs on.
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_hart_panic_comes_back_with_every_hart_home() {
+        let template = Machine::load(&hammer_program(10), Platform::ibex()).unwrap();
+        for victim in 0..2 {
+            let mut cluster = Cluster::replicate(&template, 2, BankConfig::default8());
+            for h in 0..2 {
+                cluster.hart_mut(h).cpu.set_reg(Reg::T6, 100 + h as u32);
+            }
+            cluster.hart_mut(victim).cpu.cycles = u64::MAX;
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| cluster.run_all(1_000)));
+            assert!(caught.is_err(), "hart {victim} overflow must panic");
+            assert_eq!(cluster.num_harts(), 2);
+            for h in 0..2 {
+                assert_eq!(cluster.hart(h).cpu.reg(Reg::T6), 100 + h as u32, "hart {h}");
+            }
+            cluster.hart_mut(victim).cpu.cycles = 0;
+            assert_eq!(cluster.run_all(1_000).results.len(), 2);
+        }
     }
 
     #[test]

@@ -59,7 +59,11 @@
 //! [`cluster`] runs each hart alone through the same runner with a
 //! recording sink, so cluster harts get block dispatch too; only a fault
 //! plan, watchdog or class histogram moves a hart onto the monitored
-//! step loop, which records the same entries.
+//! step loop, which records the same entries. Those per-hart runs share
+//! nothing, so a multi-hart wave splits them between the calling thread
+//! and the cluster's persistent worker threads; the replay of their
+//! logs that follows stays on the caller, and results are the same for
+//! any thread count.
 //!
 //! # Custom-instruction encoding map
 //!

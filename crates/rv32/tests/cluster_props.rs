@@ -22,8 +22,8 @@
 //!   bytes, zero-cost instructions, and the real A8 image.
 
 use kwt_rv32::{
-    BankConfig, Cluster, FaultPlan, HartStats, Machine, Platform, RunResult, StepOutcome,
-    TimingModel, Trap,
+    BankConfig, Cluster, ClusterRun, FaultPlan, HartStats, Machine, Platform, RunResult,
+    StepOutcome, TimingModel, Trap,
 };
 use kwt_rvasm::{Asm, Inst, Program, Reg};
 use proptest::prelude::*;
@@ -398,11 +398,9 @@ proptest! {
     }
 }
 
-/// A contended case pinned outright: every hart hammers the same words,
-/// so the reference must reproduce real stalls, not just idle banks.
-#[test]
-fn contended_cluster_matches_reference_arbiter() {
-    let hammer = [6u8, 7, 8, 9, 6, 7]
+/// A fixed loop body of six stores and loads to one word.
+fn hammer() -> Vec<RandInst> {
+    [6u8, 7, 8, 9, 6, 7]
         .iter()
         .enumerate()
         .map(|(i, &op)| RandInst {
@@ -412,8 +410,14 @@ fn contended_cluster_matches_reference_arbiter() {
             rs2: (i + 5) % 8,
             imm: 0x40,
         })
-        .collect::<Vec<_>>();
-    let p = assemble_loop(&hammer, 20);
+        .collect()
+}
+
+/// A contended case pinned outright: every hart hammers the same words,
+/// so the reference must reproduce real stalls, not just idle banks.
+#[test]
+fn contended_cluster_matches_reference_arbiter() {
+    let p = assemble_loop(&hammer(), 20);
     for n in 2..=4 {
         assert_cluster_matches_reference(&p, n, 1, 100_000, None);
     }
@@ -506,7 +510,7 @@ impl Setup {
 /// Runs `p` (an `assemble_shared_loop` program) on a cluster and on the
 /// reference arbiter under `s` and asserts they agree exactly: results,
 /// `HartStats`, `soc_cycles`, registers and the armed class histogram.
-fn check_against_reference(p: &Program, s: &Setup) {
+fn check_against_reference(p: &Program, s: &Setup) -> ClusterRun {
     let mut template = Machine::load(p, Platform::ibex()).expect("fits");
     if let Some(timing) = s.timing {
         template = template.with_timing(timing);
@@ -562,6 +566,7 @@ fn check_against_reference(p: &Program, s: &Setup) {
             "{s:?}"
         );
     }
+    run
 }
 
 /// A random timing model with every cost in `min..max` (a taken branch
@@ -843,4 +848,138 @@ fn out_of_fuel_grant_moves_the_round_robin_pointer() {
             }
         }
     }
+}
+
+/// The highest hart runs on a worker thread: in a 2-hart cluster on
+/// every host, in a 4-hart one on every host but one with three CPUs
+/// (where hart 3 falls to the caller). A trap
+/// (forced by a fault plan, or a faulting load), a step budget that runs
+/// out and an armed histogram or watchdog must reach the results there
+/// exactly as on the calling thread.
+#[test]
+fn worker_harts_trap_run_out_of_fuel_and_keep_monitors() {
+    let p = assemble_shared_loop(&hammer(), 3, true);
+    for harts in [2, 4] {
+        let top = Some(harts - 1);
+        let run = check_against_reference(
+            &p,
+            &Setup {
+                forced_hart: top,
+                ..Setup::harts(harts)
+            },
+        );
+        assert!(run.results[..harts - 1].iter().all(Result::is_ok));
+        check_against_reference(
+            &p,
+            &Setup {
+                faulting_hart: top,
+                ..Setup::harts(harts)
+            },
+        );
+        check_against_reference(
+            &p,
+            &Setup {
+                histogram_hart: top,
+                watchdog_hart: top,
+                ..Setup::harts(harts)
+            },
+        );
+        // hart h runs 3 + 10h passes of about eight instructions
+        let run = check_against_reference(
+            &p,
+            &Setup {
+                drift: 10,
+                max_steps: 60,
+                ..Setup::harts(harts)
+            },
+        );
+        assert!(run.results[0].is_ok(), "{harts} harts");
+        assert!(
+            matches!(run.results[harts - 1], Err(Trap::OutOfFuel { .. })),
+            "{harts} harts"
+        );
+    }
+}
+
+/// Harts `0..n_active` of a `harts`-hart cluster against the reference
+/// arbiter over those harts alone; the idle harts never step.
+fn check_active(p: &Program, harts: usize, n_active: usize) {
+    let cfg = BankConfig::default8();
+    let template = Machine::load(p, Platform::ibex()).expect("fits");
+    let mut cluster = Cluster::replicate(&template, harts, cfg);
+    let mut reference: Vec<Machine> = (0..n_active).map(|_| template.clone()).collect();
+    for h in 0..harts {
+        cluster.hart_mut(h).cpu.set_reg(Reg::T6, h as u32);
+    }
+    for (h, solo) in reference.iter_mut().enumerate() {
+        solo.cpu.set_reg(Reg::T6, h as u32);
+    }
+    let run = cluster.run_active(n_active, 100_000);
+    let want = reference_schedule(&mut reference, cfg, 100_000, None);
+    let at = format!("{n_active} of {harts} harts");
+    assert_eq!(run.results, want.results, "{at}");
+    assert_eq!(run.stats, want.stats, "{at}");
+    assert_eq!(run.soc_cycles, want.soc_cycles, "{at}");
+    for (h, r) in reference.iter().enumerate() {
+        assert_eq!(cluster.hart(h).cpu.regs, r.cpu.regs, "hart {h}, {at}");
+    }
+    for h in n_active..harts {
+        assert_eq!(cluster.hart(h).cpu.instret, 0, "idle hart {h}, {at}");
+    }
+}
+
+/// One hart (no worker), 3 of 4 (an uneven split between threads) and
+/// all of 8 (up to seven workers), on one bank and spread out.
+#[test]
+fn partial_and_full_waves_match_reference() {
+    for one_word in [true, false] {
+        let p = assemble_shared_loop(&hammer(), 4, one_word);
+        check_active(&p, 4, 1);
+        check_active(&p, 4, 3);
+        check_active(&p, 8, 8);
+    }
+}
+
+/// A clone of a cluster whose workers are up runs on workers of its
+/// own: it continues bit-identically to the original and to the
+/// reference, and neither run, nor dropping the original, disturbs the
+/// other.
+#[test]
+fn clone_of_a_warm_cluster_runs_identically_and_independently() {
+    let cfg = BankConfig::default8();
+    let p = assemble_shared_loop(&hammer(), 40, true);
+    let template = Machine::load(&p, Platform::ibex()).expect("fits");
+    let mut a = Cluster::replicate(&template, 4, cfg);
+    let mut reference: Vec<Machine> = (0..4).map(|_| template.clone()).collect();
+    for (h, solo) in reference.iter_mut().enumerate() {
+        a.hart_mut(h).cpu.set_reg(Reg::T6, h as u32);
+        solo.cpu.set_reg(Reg::T6, h as u32);
+    }
+    // a budget that stops every hart mid-loop, so each later run goes on
+    let first = a.run_all(100);
+    let want = reference_schedule(&mut reference, cfg, 100, None);
+    assert_eq!(first.results, want.results);
+    assert!(first
+        .results
+        .iter()
+        .all(|r| matches!(r, Err(Trap::OutOfFuel { .. }))));
+    let mut b = a.clone();
+    let want = reference_schedule(&mut reference, cfg, 100, None);
+    let ra = a.run_all(100);
+    let regs_a: Vec<_> = (0..4).map(|h| a.hart(h).cpu.regs).collect();
+    let rb = b.run_all(100);
+    for (name, run) in [("original", &ra), ("clone", &rb)] {
+        assert_eq!(run.results, want.results, "{name}");
+        assert_eq!(run.stats, want.stats, "{name}");
+        assert_eq!(run.soc_cycles, want.soc_cycles, "{name}");
+    }
+    for (h, r) in reference.iter().enumerate() {
+        assert_eq!(b.hart(h).cpu.regs, r.cpu.regs, "clone hart {h}");
+        assert_eq!(a.hart(h).cpu.regs, regs_a[h], "original hart {h}");
+    }
+    drop(a);
+    let want = reference_schedule(&mut reference, cfg, 100, None);
+    let rb = b.run_all(100);
+    assert_eq!(rb.results, want.results, "clone after the original dropped");
+    assert_eq!(rb.stats, want.stats, "clone after the original dropped");
 }
