@@ -33,7 +33,7 @@
 //! counter. The `tests/cluster_props.rs` proptests assert this over
 //! random programs.
 //!
-//! # Two phases: run each hart alone, then replay the accesses
+//! # Two phases: run each hart alone, then scan for bank conflicts
 //!
 //! Timing never feeds back into function, so [`Cluster::run_active`]
 //! does not interleave the harts at all:
@@ -41,41 +41,53 @@
 //! 1. **Per-hart runs.** Each active hart runs alone to its halt, trap
 //!    or step budget through the same runner as [`Machine::run`] — block
 //!    dispatch, or one monitored step per instruction while a fault
-//!    plan, watchdog or class histogram is armed — and appends one byte
-//!    per arbiter grant to a log the cluster owns: the instruction's
-//!    cost and the bank of its data access, if any (a trap and the
-//!    budget check that ends an out-of-fuel run are grants too). Costs
-//!    or banks too large for the byte spill to a side list. No hart sees
-//!    another in this phase, so the harts run on several host threads:
-//!    the calling thread and persistent workers, one fewer than the
-//!    host CPUs or harts (at least one), spawned by the first wave of
-//!    two or more harts and joined when the cluster drops. With `t`
-//!    threads, hart `h` runs on thread `h % t` — worker harts and their
-//!    logs move to the worker and back within the call — and a panic
+//!    plan, watchdog or class histogram is armed — and records every
+//!    arbiter grant (a trap and the budget check that ends an
+//!    out-of-fuel run are grants too) in a table the cluster owns,
+//!    indexed by the hart's own cycle count: four bits per cycle saying
+//!    whether a grant starts there and the bank of its data access, if
+//!    any. No hart sees another in this phase, so the harts run on
+//!    several host threads: the calling thread and persistent workers,
+//!    one fewer than the host CPUs or harts (at least one), spawned by
+//!    the first wave of two or more harts and joined when the cluster
+//!    drops. With `t` threads, hart `h` runs on thread `h % t` — worker
+//!    harts and their tables move to the worker and back within the
+//!    call — and a panic
 //!    there comes back to the caller once every hart is home. Each hart
-//!    and log is the same whichever thread runs it, so results do not
+//!    and table is the same whichever thread runs it, so results do not
 //!    depend on the thread count.
-//! 2. **Access replay.** Only data accesses touch shared state, so the
-//!    replay merges the harts' accesses in SoC-time order and skips
-//!    everything between them: a hart's issue times are prefix sums of
-//!    its logged costs plus its stalls. The round-robin pointer the
-//!    arbiter moves on every grant matters only when two accesses reach
-//!    the same bank at the same time. There the replay rebuilds it: it
-//!    walks every hart's issue times backwards and composes each earlier
-//!    same-time group's round-robin map (`r ↦ 1 + the group's last
-//!    grantee counting from r`) until the composition is constant or
-//!    reaches the last tie it resolved. A custom [`crate::TimingModel`]
-//!    that charges some instruction nothing lets one hart take several
-//!    grants at one time; under one, a run replays grant by grant
-//!    instead.
+//! 2. **Bank-conflict scan.** A hart's SoC time is its own cycle plus
+//!    the stalls it has taken so far. With single-cycle banks an access
+//!    stalls only behind another access to its bank at the same SoC
+//!    time, or behind one that a stall pushed onto that time. So the
+//!    scan compares every pair of harts' tables, shifted by their
+//!    stalls, sixty-four cycles at a time in lane-wise loops, and skips
+//!    in bulk to the next cycle where two accesses meet on a bank. From
+//!    there it grants cycle by cycle — the tied harts in round-robin
+//!    order, each stall held on the bank for the next cycle's accesses
+//!    — until no bank is busy and no hart stalled, then skips on. The
+//!    round-robin pointer the arbiter moves on every grant matters only
+//!    at such a tie. There the scan rebuilds it: it walks every hart's
+//!    grants back through the tables and composes each earlier same-time
+//!    group's round-robin map (`r ↦ 1 + the group's last grantee counting
+//!    from r`) until the composition is constant or passes the last
+//!    cycle it granted, whose pointer it carries.
+//!
+//! The scan needs every instruction to cost a cycle, single-cycle banks
+//! and at most eight of them, the most a four-bit cell can name. Any
+//! other run — a custom [`crate::TimingModel`] that charges some
+//! instruction nothing, slower banks or more of them — logs each grant's
+//! cost and access instead and replays grant by grant. A lone hart has
+//! no pair to compare, so its scan costs next to nothing.
 //!
 //! Both replays reproduce the interleaved arbiter exactly — per-hart
 //! results, [`HartStats`], `soc_cycles` and registers — which the
 //! test-local per-`Cpu::step` reference arbiter in
-//! `tests/cluster_props.rs` pins. The logs, the replay state, the
+//! `tests/cluster_props.rs` pins. The tables, the scan state, the
 //! workers' job slots and the run results live in buffers the cluster
-//! reuses, grown on the first run, so [`Cluster::run_active_into`]
-//! allocates nothing once warm, on any thread.
+//! reuses, grown by the first run that needs them, so
+//! [`Cluster::run_active_into`] allocates nothing once warm, on any
+//! thread.
 
 use crate::cpu::RetireSink;
 use crate::machine::{Machine, RunResult};
@@ -313,56 +325,55 @@ impl Cluster {
             n_active,
             self.harts.len()
         );
-        self.arbiter.prepare(self.harts.len(), self.cfg);
         let free_grants = self.harts[..n_active]
             .iter()
             .any(|hart| !hart.cpu.timing().charges_every_instruction());
+        self.arbiter
+            .prepare(self.harts.len(), self.cfg, free_grants);
         run.results.clear();
         run.results.resize(n_active, PENDING);
         run.stats.clear();
         run.stats.resize(n_active, HartStats::default());
         self.run_alone(n_active, max_steps, run);
         // phase 2: the shared timeline
-        run.soc_cycles = self.arbiter.replay(
-            n_active,
-            self.cfg.service_cycles,
-            free_grants,
-            &mut run.stats,
-        );
+        run.soc_cycles = self.arbiter.replay(n_active, self.cfg, &mut run.stats);
     }
 
-    /// Phase 1: runs harts `0..n_active` alone, each into its grant log,
+    /// Phase 1: runs harts `0..n_active` alone, each into its record,
     /// filling `run`'s results and busy accounting. With `t` threads,
     /// hart `h` runs on thread `h % t`: thread 0 is the caller, thread
-    /// `w + 1` worker `w`, which holds its harts and logs only until this
-    /// returns.
+    /// `w + 1` worker `w`, which holds its harts and records only until
+    /// this returns.
     fn run_alone(&mut self, n_active: usize, max_steps: u64, run: &mut ClusterRun) {
         let threads = (self.workers.spawn(n_active, self.harts.len()) + 1).min(n_active);
         let crew = &self.workers.crew[..threads - 1];
+        let replay = self.arbiter.replay;
         // highest hart first, so every lower hart keeps its index
         for h in (0..n_active).rev().filter(|h| h % threads != 0) {
             crew[h % threads - 1].slot.lock().tasks.push(Task {
                 hart: self.harts.remove(h),
-                log: std::mem::take(&mut self.arbiter.logs[h]),
+                record: std::mem::take(&mut self.arbiter.records[h]),
                 result: PENDING,
                 stats: HartStats::default(),
             });
         }
         for worker in crew {
-            worker.slot.post(max_steps);
+            worker.slot.post(max_steps, replay);
         }
         // the caller's harts 0, t, 2t, .. now sit at 0, 1, 2, ..
-        let logs = &mut self.arbiter.logs;
+        let records = &mut self.arbiter.records;
         let harts = &mut self.harts[..n_active.div_ceil(threads)];
         let mine = panic::catch_unwind(AssertUnwindSafe(|| {
-            // size a cold log like the previous one rather than doubling
-            // up to it, which would leave the smaller copies behind
-            let mut sized = 0;
+            // size a cold table like the previous one rather than
+            // growing up to it, which would leave the smaller copies
+            // behind
+            let mut sized: usize = 0;
             for (k, hart) in harts.iter_mut().enumerate() {
                 let h = k * threads;
-                logs[h].bytes.reserve_exact(sized);
-                (run.results[h], run.stats[h]) = run_hart(hart, &mut logs[h], max_steps);
-                sized = logs[h].bytes.len();
+                let words = &mut records[h].cells.words;
+                words.reserve_exact(sized.saturating_sub(words.len()));
+                (run.results[h], run.stats[h]) = run_hart(hart, &mut records[h], max_steps, replay);
+                sized = records[h].cells.words.len();
             }
         }));
         // every hart comes home before any panic goes on
@@ -382,7 +393,7 @@ impl Cluster {
                 .pop()
                 .expect("a worker hands back every hart it was given");
             self.harts.insert(h, task.hart);
-            self.arbiter.logs[h] = task.log;
+            self.arbiter.records[h] = task.record;
             (run.results[h], run.stats[h]) = (task.result, task.stats);
         }
         if let Some(payload) = panicked {
@@ -394,15 +405,26 @@ impl Cluster {
 /// Placeholder result of a hart that has not run yet.
 const PENDING: Result<RunResult, Trap> = Err(Trap::OutOfFuel { executed: 0 });
 
-/// Runs `hart` alone to its halt, trap or `max_steps`, logging its
-/// grants into `log`; returns the result and the busy accounting.
+/// Runs `hart` alone to its halt, trap or `max_steps`, recording its
+/// grants into `record` for `replay`; returns the result and the busy
+/// accounting.
 fn run_hart(
     hart: &mut Machine,
-    log: &mut HartLog,
+    record: &mut Record,
     max_steps: u64,
+    replay: Replay,
 ) -> (Result<RunResult, Trap>, HartStats) {
     let (cycles0, instret0) = (hart.cpu.cycles, hart.cpu.instret);
-    let result = hart.run_logged(max_steps, log);
+    let result = match replay {
+        Replay::Scan(bank_mask) => {
+            record.cells.restart(bank_mask);
+            hart.run_logged(max_steps, &mut record.cells)
+        }
+        Replay::Grants => {
+            record.log.0.clear();
+            hart.run_logged(max_steps, &mut record.log)
+        }
+    };
     let stats = HartStats {
         busy_cycles: hart.cpu.cycles - cycles0,
         instructions: hart.cpu.instret - instret0,
@@ -411,12 +433,12 @@ fn run_hart(
     (result, stats)
 }
 
-/// One hart lent to a worker for one phase 1: the hart, its grant log
+/// One hart lent to a worker for one phase 1: the hart, its record
 /// and, once run, its result and busy accounting.
 #[derive(Debug)]
 struct Task {
     hart: Machine,
-    log: HartLog,
+    record: Record,
     result: Result<RunResult, Trap>,
     stats: HartStats,
 }
@@ -433,12 +455,14 @@ enum State {
     Exit,
 }
 
-/// A worker's job slot: the tasks, the step budget and, if running
-/// them panicked, the panic, reused from wave to wave.
+/// A worker's job slot: the tasks, the step budget, the replay they
+/// record for and, if running them panicked, the panic, reused from wave
+/// to wave.
 #[derive(Debug, Default)]
 struct Job {
     state: State,
     max_steps: u64,
+    replay: Replay,
     tasks: Vec<Task>,
     panic: Option<Box<dyn Any + Send>>,
 }
@@ -460,9 +484,9 @@ impl Slot {
     }
 
     /// Hands the pushed tasks to the worker.
-    fn post(&self, max_steps: u64) {
+    fn post(&self, max_steps: u64, replay: Replay) {
         let mut job = self.lock();
-        (job.state, job.max_steps) = (State::Posted, max_steps);
+        (job.state, job.max_steps, job.replay) = (State::Posted, max_steps, replay);
         self.turn.notify_all();
     }
 
@@ -486,11 +510,13 @@ impl Slot {
         loop {
             match job.state {
                 State::Posted => {
-                    let (max_steps, mut tasks) = (job.max_steps, std::mem::take(&mut job.tasks));
+                    let (max_steps, replay) = (job.max_steps, job.replay);
+                    let mut tasks = std::mem::take(&mut job.tasks);
                     drop(job);
                     let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
                         for t in &mut tasks {
-                            (t.result, t.stats) = run_hart(&mut t.hart, &mut t.log, max_steps);
+                            (t.result, t.stats) =
+                                run_hart(&mut t.hart, &mut t.record, max_steps, replay);
                         }
                     }));
                     job = self.lock();
@@ -572,365 +598,454 @@ impl Workers {
     }
 }
 
-/// Log byte flag of a grant that made a data access.
-const ACCESS: u8 = 0x80;
-/// Log byte of a grant whose cost or bank does not fit the byte; its
-/// values are the next [`Spill`] of the log.
-const SPILLED: u8 = 0xFF;
+/// Cell of a cycle on which an access-free grant starts (a cycle inside
+/// an instruction is 0).
+const GRANT: u64 = 1;
+/// Cell of a cycle on which an access to bank 0 starts; bank `b` is
+/// `ACCESS + b`.
+const ACCESS: u64 = 2;
+/// The most banks a 4-bit cell holds (a power of two).
+const SCAN_BANKS: usize = 8;
+/// Cells (cycles) per table word.
+const CELLS: u64 = 16;
+/// Table words per hart the scan compares at once.
+const CHUNK: usize = 4;
+/// Words a table keeps past the word of its last grant, so a chunk read
+/// from any cell up to that grant stays inside the table.
+const MARGIN: usize = CHUNK + 2;
+/// Words a table grows by past the margin.
+const GROW: usize = 1024;
+/// Bit 0 of every cell.
+const LOW1: u64 = 0x1111_1111_1111_1111;
+/// Bits 0 to 2 of every cell.
+const LOW3: u64 = 0x7777_7777_7777_7777;
+/// Bit 3 of every cell.
+const HIGH: u64 = 0x8888_8888_8888_8888;
 
-/// A grant too large for its log byte.
-#[derive(Debug, Clone, Copy)]
-struct Spill {
-    /// Index of the grant in the log.
-    entry: usize,
-    cost: u64,
-    bank: Option<usize>,
+/// Bit 3 of each cell of `v` set where that cell is not 0 (exact: the
+/// add never carries into the next cell).
+#[inline(always)]
+fn nonzero(v: u64) -> u64 {
+    (((v & LOW3) + LOW3) | v) & HIGH
 }
 
-/// One hart's grants for one run, a byte each in issue order:
-/// `0x00..=0x7F` is an access-free grant of that many cycles,
-/// `0x80..=0xFE` an access whose low seven bits hold
-/// `cost << bank_bits | bank`, and [`SPILLED`] anything larger.
+/// How phase 2 places a run's grants on the shared timeline.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Replay {
+    /// The bank-conflict scan over per-cycle cells, with the bank mask.
+    Scan(u32),
+    /// Grant by grant over the grant logs.
+    #[default]
+    Grants,
+}
+
+impl Replay {
+    /// The scan where every instruction costs a cycle, a bank serves an
+    /// access in one and a cell holds every bank; grant by grant
+    /// otherwise.
+    fn of(cfg: BankConfig, free_grants: bool) -> Self {
+        if free_grants || cfg.service_cycles != 1 || cfg.banks > SCAN_BANKS {
+            Replay::Grants
+        } else {
+            Replay::Scan(cfg.banks as u32 - 1)
+        }
+    }
+}
+
+/// What phase 1 records of one hart: its cells for the scan or its grant
+/// log for the grant-by-grant replay, whichever the run takes.
 #[derive(Debug, Clone, Default)]
-struct HartLog {
-    bytes: Vec<u8>,
-    spills: Vec<Spill>,
-    /// `(grant, stall cycles)` of every access the replay stalled, in
-    /// grant order: the walk-back needs them to recover issue times.
-    stalls: Vec<(usize, u64)>,
-    bank_bits: u32,
+struct Record {
+    cells: HartCells,
+    log: GrantLog,
 }
 
-impl RetireSink for HartLog {
+/// One hart's grants for one run, indexed by the hart's own cycle count
+/// since the run began: a 4-bit cell per cycle, sixteen to a word, the
+/// earliest in the lowest bits. A cell is 0 inside an instruction,
+/// [`GRANT`] where an access-free grant starts and `ACCESS + bank` where
+/// an access starts. Every instruction costs at least a cycle, so a
+/// cycle starts at most one grant; only a run's last grant (a trap's,
+/// or the budget check that ends an out-of-fuel run) may cost nothing,
+/// and it sits on the run's cycle count. The table reaches [`MARGIN`]
+/// words past the word of the last grant, zeroed past that grant.
+#[derive(Debug, Clone, Default)]
+struct HartCells {
+    words: Vec<u64>,
+    /// The cycle the next grant starts on.
+    now: u64,
+    /// Data accesses logged.
+    accesses: u64,
+    bank_mask: u32,
+    /// `(cycle, stall)` of every access the scan stalled, in cycle
+    /// order: the walk-back needs them to recover SoC times.
+    stalls: Vec<(u64, u64)>,
+}
+
+impl RetireSink for HartCells {
     const ON: bool = true;
 
     #[inline(always)]
     fn retire(&mut self, cost: u64, access: Option<u32>) {
-        let byte = match access {
-            None if cost < u64::from(ACCESS) => cost as u8,
-            Some(addr) if self.bank_bits < 7 && cost < 0x80 >> self.bank_bits => {
-                let bank = (addr >> 2) & ((1 << self.bank_bits) - 1);
-                let code = (cost as u32) << self.bank_bits | bank;
-                if code < 0x7F {
-                    ACCESS | code as u8
-                } else {
-                    self.spill(cost, access)
-                }
+        let cell = match access {
+            None => GRANT,
+            Some(addr) => {
+                self.accesses += 1;
+                ACCESS + u64::from((addr >> 2) & self.bank_mask)
             }
-            _ => self.spill(cost, access),
         };
-        self.bytes.push(byte);
-    }
-}
-
-impl HartLog {
-    fn clear(&mut self, bank_bits: u32) {
-        self.bytes.clear();
-        self.spills.clear();
-        self.stalls.clear();
-        self.bank_bits = bank_bits;
-    }
-
-    #[cold]
-    fn spill(&mut self, cost: u64, access: Option<u32>) -> u8 {
-        let mask = (1usize << self.bank_bits) - 1;
-        self.spills.push(Spill {
-            entry: self.bytes.len(),
-            cost,
-            bank: access.map(|addr| (addr >> 2) as usize & mask),
-        });
-        SPILLED
-    }
-
-    /// Cost and bank (if it made an access) of grant `i`.
-    #[inline(always)]
-    fn grant(&self, i: usize) -> (u64, Option<usize>) {
-        match self.bytes[i] {
-            b if b < ACCESS => (u64::from(b), None),
-            SPILLED => self.spilled(i),
-            b => {
-                let code = usize::from(b & !ACCESS);
-                let bank = code & ((1 << self.bank_bits) - 1);
-                ((code >> self.bank_bits) as u64, Some(bank))
-            }
+        let word = (self.now / CELLS) as usize;
+        if word + MARGIN >= self.words.len() {
+            self.grow(word);
         }
-    }
-
-    #[cold]
-    fn spilled(&self, i: usize) -> (u64, Option<usize>) {
-        let s = self.spills[self.spills.partition_point(|s| s.entry < i)];
-        (s.cost, s.bank)
+        self.words[word] |= cell << (self.now % CELLS * 4);
+        self.now += cost;
     }
 }
 
-/// A hart's replay position: its next unreplayed grant and that grant's
-/// issue time, and while that grant is an access its cost and bank; plus
-/// the hart's access accounting so far.
+impl HartCells {
+    /// Zeroes the last run's cells and starts a run.
+    fn restart(&mut self, bank_mask: u32) {
+        let used = ((self.now / CELLS) as usize + 1).min(self.words.len());
+        self.words[..used].fill(0);
+        (self.now, self.accesses, self.bank_mask) = (0, 0, bank_mask);
+        self.stalls.clear();
+    }
+
+    #[cold]
+    fn grow(&mut self, word: usize) {
+        self.words.resize(word + MARGIN + GROW, 0);
+    }
+
+    /// The cell of `cycle`, up to the last grant's.
+    fn cell(&self, cycle: u64) -> u64 {
+        self.words[(cycle / CELLS) as usize] >> (cycle % CELLS * 4) & 0xF
+    }
+
+    /// One past the run's last grant: no cell from there on is set.
+    fn limit(&self) -> u64 {
+        self.grant_before(self.now + 1).map_or(0, |last| last + 1)
+    }
+
+    /// The cells of the `CHUNK * CELLS` cycles from `cycle` on, zero
+    /// from `limit` on.
+    #[inline(always)]
+    fn window(&self, cycle: u64, limit: u64) -> [u64; CHUNK] {
+        if cycle >= limit {
+            return [0; CHUNK];
+        }
+        let shift = (cycle % CELLS * 4) as u32;
+        let word = (cycle / CELLS) as usize;
+        let src = &self.words[word..word + CHUNK + 1];
+        // a funnel shift that is exact at shift 0 too
+        std::array::from_fn(|k| src[k] >> shift | (src[k + 1] << 1) << (63 - shift))
+    }
+
+    /// The cycle of the last grant before `cycle`, if any.
+    fn grant_before(&self, cycle: u64) -> Option<u64> {
+        let last = cycle.checked_sub(1)?;
+        let (mut word, mut starts) = match self.words.get((last / CELLS) as usize) {
+            Some(&w) => (
+                (last / CELLS) as usize,
+                nonzero(w) & HIGH >> ((CELLS - 1 - last % CELLS) * 4),
+            ),
+            // past the table every cell is 0
+            None => (self.words.len(), 0),
+        };
+        while starts == 0 {
+            word = word.checked_sub(1)?;
+            starts = nonzero(self.words[word]);
+        }
+        Some(word as u64 * CELLS + u64::from(63 - starts.leading_zeros()) / 4)
+    }
+}
+
+/// One hart's grants for one run in issue order, for the grant-by-grant
+/// replay: each grant's cost and the address of its data access, if any.
+#[derive(Debug, Clone, Default)]
+struct GrantLog(Vec<(u64, Option<u32>)>);
+
+impl RetireSink for GrantLog {
+    const ON: bool = true;
+
+    #[inline(always)]
+    fn retire(&mut self, cost: u64, access: Option<u32>) {
+        self.0.push((cost, access));
+    }
+}
+
+/// A hart's place on the SoC timeline during the scan.
 #[derive(Debug, Clone, Copy, Default)]
 struct Lane {
-    time: u64,
-    cost: u64,
-    pos: usize,
-    bank: usize,
-    accesses: u64,
-    conflicts: u64,
-    stall_cycles: u64,
+    /// Cycles stalled so far: the SoC time of a cycle from `from` on
+    /// minus the cycle.
+    offset: u64,
+    /// The hart's first cycle not yet placed: one past its last stalled
+    /// access.
+    from: u64,
+    /// One past the hart's last grant ([`HartCells::limit`]).
+    limit: u64,
 }
 
 impl Lane {
-    /// Moves past the access-free grants to the next access (or the
-    /// log's end), setting `due` to its issue time (`u64::MAX` once no
-    /// access is left).
-    #[inline(always)]
-    fn advance(&mut self, log: &HartLog, due: &mut u64) {
-        let bytes = &log.bytes[..];
-        let (mut pos, mut time) = (self.pos, self.time);
-        *due = u64::MAX;
-        loop {
-            if let Some(chunk) = bytes.get(pos..pos + 8) {
-                // eight grants at once: add the costs before the first
-                // access (all eight when there is none)
-                let word = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
-                let access = word & 0x8080_8080_8080_8080;
-                let below = ((access & access.wrapping_neg()) >> 7).wrapping_sub(1);
-                time += byte_sum(word & below);
-                if access == 0 {
-                    pos += 8;
-                    continue;
-                }
-                pos += access.trailing_zeros() as usize / 8;
-            } else {
-                match bytes.get(pos) {
-                    None => break,
-                    Some(&b) if b < ACCESS => {
-                        time += u64::from(b);
-                        pos += 1;
-                        continue;
-                    }
-                    Some(_) => {}
-                }
-            }
-            match log.grant(pos) {
-                (cost, Some(bank)) => {
-                    (self.cost, self.bank, *due) = (cost, bank, time);
-                    break;
-                }
-                (cost, None) => {
-                    time += cost;
-                    pos += 1;
-                }
-            }
-        }
-        (self.pos, self.time) = (pos, time);
+    /// The SoC time of cycle `from`: the hart issues nothing before it.
+    fn resume(&self) -> u64 {
+        self.from + self.offset
     }
 
-    /// Grants the due access against its bank (busy until `*ready`),
-    /// books the bank for `service` cycles, records any stall, and
-    /// advances to the next access.
-    #[inline(always)]
-    fn access(&mut self, log: &mut HartLog, ready: &mut u64, service: u64, due: &mut u64) {
-        let grant = self.time.max(*ready);
-        *ready = grant + service;
-        self.accesses += 1;
-        let stall = grant - self.time;
-        if stall > 0 {
-            self.conflicts += 1;
-            self.stall_cycles += stall;
-            log.stalls.push((self.pos, stall));
-        }
-        self.time = grant + self.cost;
-        self.pos += 1;
-        self.advance(log, due);
-    }
-
-    /// Adds the access accounting to `stats`.
-    fn account(&self, stats: &mut HartStats) {
-        stats.accesses += self.accesses;
-        stats.conflicts += self.conflicts;
-        stats.stall_cycles += self.stall_cycles;
+    /// The SoC time of cycle `limit`: the hart issues nothing from it on.
+    fn finish(&self) -> u64 {
+        self.limit + self.offset
     }
 }
 
-/// Sum of the eight bytes of `word`, each below 0x80.
-#[inline(always)]
-fn byte_sum(word: u64) -> u64 {
-    let pairs = (word & 0x00FF_00FF_00FF_00FF) + ((word >> 8) & 0x00FF_00FF_00FF_00FF);
-    pairs.wrapping_mul(0x0001_0001_0001_0001) >> 48
-}
-
-/// A hart's position in a walk-back: a grant, its issue time, and how
-/// many of the hart's stall records lie before it.
+/// A hart's position in a walk-back: a cycle, the hart's stall offset
+/// there, and how many of its stall records lie before it.
 #[derive(Debug, Clone, Copy, Default)]
 struct Cursor {
-    pos: usize,
-    time: u64,
+    cycle: u64,
+    offset: u64,
     stalls: usize,
-    /// Issue time of the grant the walk stands on, `None` past the
-    /// hart's first grant.
+    /// SoC time of the grant the walk stands on, `None` past the hart's
+    /// first grant.
     at: Option<u64>,
 }
 
 impl Cursor {
-    /// Steps back to the hart's previous grant, returning its issue
-    /// time: the later issue time minus the grant's cost and stall.
-    fn back(&mut self, log: &HartLog) -> Option<u64> {
-        if self.pos == 0 {
-            return None;
-        }
-        self.pos -= 1;
-        let (cost, bank) = log.grant(self.pos);
-        let mut stall = 0;
-        if bank.is_some() {
-            while self.stalls > 0 && log.stalls[self.stalls - 1].0 > self.pos {
+    /// Steps back to the hart's previous grant, returning its SoC time:
+    /// its cycle plus the stalls before it.
+    fn back(&mut self, cells: &HartCells) -> Option<u64> {
+        self.cycle = cells.grant_before(self.cycle)?;
+        if let Some(&(cycle, stall)) = cells.stalls[..self.stalls].last() {
+            if cycle == self.cycle {
                 self.stalls -= 1;
-            }
-            if self.stalls > 0 && log.stalls[self.stalls - 1].0 == self.pos {
-                self.stalls -= 1;
-                stall = log.stalls[self.stalls].1;
+                self.offset -= stall;
             }
         }
-        self.time -= cost + stall;
-        Some(self.time)
+        Some(self.cycle + self.offset)
     }
 }
 
-/// The timing layer's reusable state: per-hart logs and replay
-/// positions, per-bank busy-until times and the walk-back scratch.
+/// The timing layer's reusable state: per-hart records and scan lanes,
+/// per-bank busy-until times and the scan and walk-back scratch.
 #[derive(Debug, Clone, Default)]
 struct Arbiter {
-    logs: Vec<HartLog>,
+    replay: Replay,
+    records: Vec<Record>,
     lanes: Vec<Lane>,
-    /// Issue time of each hart's next access, `u64::MAX` once none is
-    /// left: the merge key of the replay.
-    due: Vec<u64>,
     bank_ready: Vec<u64>,
+    /// Each hart's cell at the SoC cycle the scan steps through.
+    stepped: Vec<u64>,
+    /// The harts a bulk scan compares, and their current windows and
+    /// the windows' access bits ([`nonzero`] of the bank bits).
+    live: Vec<usize>,
+    windows: Vec<[u64; CHUNK]>,
+    accesses: Vec<[u64; CHUNK]>,
     walk: Vec<Cursor>,
     map: Vec<usize>,
     scratch: Vec<usize>,
+    /// Each hart's next grant and its ready time, grant by grant.
+    heads: Vec<(usize, u64)>,
 }
 
 impl Arbiter {
-    /// Sizes every buffer for `harts` harts and clears the logs; only the
-    /// first call (or a bigger cluster) allocates.
-    fn prepare(&mut self, harts: usize, cfg: BankConfig) {
-        self.logs.resize_with(harts, HartLog::default);
+    /// Picks the replay and sizes every buffer for `harts` harts; only
+    /// the first call (or a bigger cluster) allocates.
+    fn prepare(&mut self, harts: usize, cfg: BankConfig, free_grants: bool) {
+        self.replay = Replay::of(cfg, free_grants);
+        self.records.resize_with(harts, Record::default);
         self.lanes.resize(harts, Lane::default());
-        self.due.resize(harts, u64::MAX);
+        self.bank_ready.resize(cfg.banks, 0);
+        self.stepped.resize(harts, 0);
+        self.live.clear();
+        self.live.reserve(harts);
+        self.windows.resize(harts, [0; CHUNK]);
+        self.accesses.resize(harts, [0; CHUNK]);
         self.walk.resize(harts, Cursor::default());
         self.map.resize(harts, 0);
         self.scratch.resize(harts, 0);
-        self.bank_ready.resize(cfg.banks, 0);
-        for log in &mut self.logs {
-            log.clear(cfg.banks.trailing_zeros());
+        self.heads.resize(harts, (0, 0));
+    }
+
+    /// Places the recorded grants of harts `0..n` on the shared
+    /// timeline, accumulating access accounting into `stats`; returns
+    /// the SoC cycles.
+    fn replay(&mut self, n: usize, cfg: BankConfig, stats: &mut [HartStats]) -> u64 {
+        self.bank_ready.fill(0);
+        match self.replay {
+            Replay::Scan(_) => self.scan(n, stats),
+            Replay::Grants => self.replay_grants(n, cfg, stats),
         }
     }
 
-    /// Replays the logged grants of harts `0..n` on the shared timeline,
-    /// accumulating stalls into `stats`; returns the SoC cycles.
-    /// `free_grants` says a grant before a log's end may cost nothing.
-    fn replay(
-        &mut self,
-        n: usize,
-        service: u64,
-        free_grants: bool,
-        stats: &mut [HartStats],
-    ) -> u64 {
-        self.bank_ready.fill(0);
-        if free_grants {
-            return self.replay_grants(n, service, stats);
+    /// The bank-conflict scan. With single-cycle banks an access stalls
+    /// only behind another on its bank at the same SoC time, or behind
+    /// one that stalled onto its time, so the scan skips in bulk to the
+    /// next cycle where two harts' accesses meet on a bank and from
+    /// there places cycle by cycle until no bank is busy and no hart
+    /// stalled.
+    fn scan(&mut self, n: usize, stats: &mut [HartStats]) -> u64 {
+        for (lane, record) in self.lanes[..n].iter_mut().zip(&self.records) {
+            *lane = Lane {
+                limit: record.cells.limit(),
+                ..Lane::default()
+            };
         }
-        for ((lane, log), due) in self.lanes[..n]
-            .iter_mut()
-            .zip(&self.logs)
-            .zip(&mut self.due)
-        {
-            *lane = Lane::default();
-            lane.advance(log, due);
-        }
-        // the last same-time group whose round-robin pointer is known:
-        // every hart issues its first grant at time 0, from pointer 0
+        // the round-robin pointer at the first grant from a SoC time on
+        // (every earlier grant composed into it): 0 from time 0
         let mut known = (0, 0);
+        // the SoC time until which a bank is busy or a hart stalled
+        let (mut t, mut held) = (0, 0);
         loop {
-            // the earliest due access, and the next due time after it
-            let (mut t, mut next, mut first) = (u64::MAX, u64::MAX, 0);
-            for (h, &d) in self.due[..n].iter().enumerate() {
-                let earlier = d < t;
-                next = if earlier { t } else { next.min(d) };
-                t = if earlier { d } else { t };
-                first = if earlier { h } else { first };
-            }
-            if t == u64::MAX {
-                break;
-            }
-            // same-time accesses go in round-robin order, which matters
-            // only between accesses to the same bank
-            if t < next || !self.shares_bank(n, first) {
-                self.access(first, service);
-                continue;
-            }
-            let rr = self.rr_at(n, t, known);
-            known = (t, rr);
-            for h in (rr..n).chain(0..rr) {
-                if self.due[h] == t {
-                    self.access(h, service);
+            if t >= held {
+                match self.next_clash(n, t) {
+                    Some(clash) => t = clash,
+                    None => break,
                 }
             }
+            held = held.max(self.step(n, t, &mut known));
+            t += 1;
         }
-        for (lane, s) in self.lanes[..n].iter().zip(stats) {
-            lane.account(s);
+        let mut soc_cycles = 0;
+        for ((lane, record), s) in self.lanes[..n].iter().zip(&self.records).zip(stats) {
+            let cells = &record.cells;
+            s.accesses += cells.accesses;
+            s.conflicts += cells.stalls.len() as u64;
+            s.stall_cycles += lane.offset;
+            soc_cycles = soc_cycles.max(cells.now + lane.offset);
         }
-        self.lanes[..n].iter().map(|l| l.time).max().unwrap_or(0)
+        soc_cycles
     }
 
-    /// Grants hart `h`'s due access.
-    #[inline(always)]
-    fn access(&mut self, h: usize, service: u64) {
-        let lane = &mut self.lanes[h];
-        let ready = &mut self.bank_ready[lane.bank];
-        lane.access(&mut self.logs[h], ready, service, &mut self.due[h]);
+    /// The first SoC cycle from `t` on where two harts' accesses meet on
+    /// one bank, or `None` once fewer than two harts have cells left.
+    /// No bank may be busy and no hart stalled at `t`. Compares every
+    /// pair of harts' cells a chunk of cycles at a time, lane-wise.
+    fn next_clash(&mut self, n: usize, t: u64) -> Option<u64> {
+        let Arbiter {
+            lanes,
+            records,
+            live,
+            windows,
+            accesses,
+            ..
+        } = self;
+        live.clear();
+        live.extend((0..n).filter(|&h| lanes[h].finish() > t));
+        // past the second-latest finish at most one hart has cells
+        let (mut latest, mut end) = (0, 0);
+        for &h in live.iter() {
+            let finish = lanes[h].finish();
+            (latest, end) = (latest.max(finish), end.max(latest.min(finish)));
+        }
+        let (windows, accesses) = (&mut windows[..live.len()], &mut accesses[..live.len()]);
+        let mut s = t;
+        while s < end {
+            for ((window, access), &h) in windows.iter_mut().zip(accesses.iter_mut()).zip(&*live) {
+                let lane = &lanes[h];
+                *window = records[h].cells.window(s - lane.offset, lane.limit);
+                *access = window.map(|w| nonzero(w & !LOW1));
+            }
+            let mut hits = [0; CHUNK];
+            for (a, (wa, aa)) in windows.iter().zip(accesses.iter()).enumerate() {
+                for wb in &windows[a + 1..] {
+                    for k in 0..CHUNK {
+                        hits[k] |= aa[k] & !nonzero(wa[k] ^ wb[k]);
+                    }
+                }
+            }
+            if let Some(k) = hits.iter().position(|&w| w != 0) {
+                return Some(s + k as u64 * CELLS + u64::from(hits[k].trailing_zeros() / 4));
+            }
+            s += CHUNK as u64 * CELLS;
+        }
+        None
     }
 
-    /// Whether another hart's access is due with hart `h`'s, at the
-    /// same time on the same bank.
-    fn shares_bank(&self, n: usize, h: usize) -> bool {
-        let (due, lanes) = (&self.due[..n], &self.lanes[..n]);
-        (0..n).any(|o| o != h && due[o] == due[h] && lanes[o].bank == lanes[h].bank)
+    /// Grants SoC cycle `t`'s accesses: in round-robin order where two
+    /// of them meet on a bank, stalling each behind its bank's earlier
+    /// grants. Where it knows the round-robin pointer at `t`, it carries
+    /// `known` past `t`'s grants. Returns the time until which it left a
+    /// bank busy or a hart stalled.
+    fn step(&mut self, n: usize, t: u64, known: &mut (u64, usize)) -> u64 {
+        for ((cell, lane), record) in self.stepped[..n]
+            .iter_mut()
+            .zip(&self.lanes)
+            .zip(&self.records)
+        {
+            *cell = if lane.resume() <= t && t < lane.finish() {
+                record.cells.cell(t - lane.offset)
+            } else {
+                0
+            };
+        }
+        let cells = &self.stepped[..n];
+        let tie = (0..n).any(|a| cells[a] >= ACCESS && cells[a + 1..].contains(&cells[a]));
+        let rr = if t == known.0 {
+            Some(known.1)
+        } else {
+            tie.then(|| self.rr_at(n, t, *known))
+        };
+        // the order matters only between accesses that meet on a bank
+        let cells = &self.stepped[..n];
+        let rr = rr.map_or(0, |rr| {
+            let last = (rr..n).chain(0..rr).rfind(|&h| cells[h] != 0);
+            *known = (t + 1, last.map_or(rr, |h| (h + 1) % n));
+            rr
+        });
+        let mut held = 0;
+        for h in (rr..n).chain(0..rr) {
+            let Some(bank) = self.stepped[h].checked_sub(ACCESS) else {
+                continue;
+            };
+            let ready = &mut self.bank_ready[bank as usize];
+            let grant = t.max(*ready);
+            *ready = grant + 1;
+            if grant > t {
+                let lane = &mut self.lanes[h];
+                let cycle = t - lane.offset;
+                self.records[h].cells.stalls.push((cycle, grant - t));
+                (lane.offset, lane.from) = (lane.offset + grant - t, cycle + 1);
+                held = held.max(grant + 1);
+            }
+        }
+        held
     }
 
     /// The round-robin pointer at the start of the grants issued at `t`:
     /// one past the last hart granted before `t`. Walks every hart's
-    /// issue times back from its replay position, composing the
-    /// round-robin map of each earlier same-time group of grants, until
-    /// the composition is constant or reaches `known`, a group whose
-    /// starting pointer is known.
+    /// grants back from `t`, composing the round-robin map of each
+    /// earlier same-time group of grants, until the composition is
+    /// constant or passes `known`: the time before which every grant is
+    /// composed into the pointer it holds.
     fn rr_at(&mut self, n: usize, t: u64, known: (u64, usize)) -> usize {
-        if t == known.0 {
-            return known.1;
-        }
-        for ((c, lane), log) in self.walk[..n].iter_mut().zip(&self.lanes).zip(&self.logs) {
+        for ((c, lane), record) in self.walk[..n]
+            .iter_mut()
+            .zip(&self.lanes)
+            .zip(&self.records)
+        {
+            let cells = &record.cells;
             *c = Cursor {
-                pos: lane.pos,
-                time: lane.time,
-                stalls: log.stalls.len(),
+                // a stalled hart's last grant before `t` is its stalled one
+                cycle: if lane.resume() > t {
+                    lane.from
+                } else {
+                    (t - lane.offset).min(lane.limit)
+                },
+                offset: lane.offset,
+                stalls: cells.stalls.len(),
                 at: None,
             };
-            while let Some(at) = c.back(log) {
-                if at < t {
-                    c.at = Some(at);
-                    break;
-                }
-            }
+            c.at = c.back(cells);
         }
         for (r, m) in self.map[..n].iter_mut().enumerate() {
             *m = r;
         }
         loop {
-            let t1 = self.walk[..n]
-                .iter()
-                .filter_map(|c| c.at)
-                .max()
-                .expect("the known group precedes every later one");
-            debug_assert!(t1 >= known.0, "the walk passed the known group");
+            let t1 = match self.walk[..n].iter().filter_map(|c| c.at).max() {
+                Some(t1) if t1 >= known.0 => t1,
+                _ => return self.map[known.1],
+            };
             let member = |h: usize| self.walk[h].at == Some(t1);
             let (members, mut last) = (0..n)
                 .filter(|&h| member(h))
@@ -951,15 +1066,12 @@ impl Arbiter {
             }
             std::mem::swap(&mut self.map, &mut self.scratch);
             let map = &self.map[..n];
-            if t1 == known.0 {
-                return map[known.1];
-            }
             if map.iter().all(|&m| m == map[0]) {
                 return map[0];
             }
-            for (c, log) in self.walk[..n].iter_mut().zip(&self.logs) {
+            for (c, record) in self.walk[..n].iter_mut().zip(&self.records) {
                 if c.at == Some(t1) {
-                    c.at = c.back(log);
+                    c.at = c.back(&record.cells);
                 }
             }
         }
@@ -967,40 +1079,40 @@ impl Arbiter {
 
     /// The arbiter grant by grant over the logs: the earliest-ready live
     /// hart, ties round-robin from the hart after the last grantee.
-    /// Exact for any log; the access replay is its fast path.
-    fn replay_grants(&mut self, n: usize, service: u64, stats: &mut [HartStats]) -> u64 {
-        for lane in &mut self.lanes[..n] {
-            *lane = Lane::default();
-        }
+    /// Exact for any log, where the scan needs every instruction to cost
+    /// a cycle, single-cycle banks and at most [`SCAN_BANKS`] of them.
+    fn replay_grants(&mut self, n: usize, cfg: BankConfig, stats: &mut [HartStats]) -> u64 {
+        let heads = &mut self.heads[..n];
+        heads.fill((0, 0));
         let mut rr = 0;
         loop {
             let mut chosen = None;
             let mut best = u64::MAX;
             for h in (rr..n).chain(0..rr) {
-                let lane = &self.lanes[h];
-                if lane.pos < self.logs[h].bytes.len() && (chosen.is_none() || lane.time < best) {
-                    (best, chosen) = (lane.time, Some(h));
+                let (pos, time) = heads[h];
+                if pos < self.records[h].log.0.len() && (chosen.is_none() || time < best) {
+                    (best, chosen) = (time, Some(h));
                 }
             }
             let Some(h) = chosen else { break };
             rr = (h + 1) % n;
-            let lane = &mut self.lanes[h];
-            let (cost, bank) = self.logs[h].grant(lane.pos);
-            if let Some(bank) = bank {
-                let ready = &mut self.bank_ready[bank];
-                let grant = lane.time.max(*ready);
-                *ready = grant + service;
+            let (pos, time) = &mut heads[h];
+            let (cost, access) = self.records[h].log.0[*pos];
+            if let Some(addr) = access {
+                let ready = &mut self.bank_ready[cfg.bank_of(addr)];
+                let grant = (*time).max(*ready);
+                *ready = grant + cfg.service_cycles;
                 stats[h].accesses += 1;
-                if grant > lane.time {
+                if grant > *time {
                     stats[h].conflicts += 1;
-                    stats[h].stall_cycles += grant - lane.time;
+                    stats[h].stall_cycles += grant - *time;
                 }
-                lane.time = grant;
+                *time = grant;
             }
-            lane.time += cost;
-            lane.pos += 1;
+            *time += cost;
+            *pos += 1;
         }
-        self.lanes[..n].iter().map(|l| l.time).max().unwrap_or(0)
+        heads.iter().map(|&(_, time)| time).max().unwrap_or(0)
     }
 }
 
@@ -1009,6 +1121,7 @@ mod tests {
     use super::*;
     use crate::{Platform, Trap};
     use kwt_rvasm::{Asm, Inst, Program, Reg};
+    use proptest::prelude::*;
 
     fn program(build: impl FnOnce(&mut Asm)) -> Program {
         let mut asm = Asm::new(0, 0x8000);
@@ -1172,6 +1285,91 @@ mod tests {
             }
             cluster.hart_mut(victim).cpu.cycles = 0;
             assert_eq!(cluster.run_all(1_000).results.len(), 2);
+        }
+    }
+
+    /// One hart's synthetic grants: each grant's cost and the word its
+    /// access touches, if any.
+    type Grants = Vec<(u64, Option<u32>)>;
+
+    fn grant() -> impl Strategy<Value = (u64, Option<u32>)> {
+        (0u8..4, 1u64..4, 1u64..301, any::<bool>(), 0u32..64).prop_map(
+            |(pick, short, long, access, word)| {
+                // mostly short instructions, so the harts meet often
+                let cost = if pick < 3 { short } else { long };
+                (cost, access.then_some(word))
+            },
+        )
+    }
+
+    /// Places `harts` on one arbiter under `cfg`, by [`Arbiter::replay`]
+    /// and grant by grant, and asserts they agree; returns whether the
+    /// scan ran.
+    fn replays_agree(harts: &[Grants], cfg: BankConfig) -> bool {
+        let n = harts.len();
+        let mut arbiter = Arbiter::default();
+        arbiter.prepare(n, cfg, false);
+        let bank_mask = cfg.banks as u32 - 1;
+        for (record, grants) in arbiter.records.iter_mut().zip(harts) {
+            record.cells.restart(bank_mask);
+            for &(cost, word) in grants {
+                let access = word.map(|w| w * 4);
+                record.cells.retire(cost, access);
+                record.log.retire(cost, access);
+            }
+        }
+        let mut got = vec![HartStats::default(); n];
+        let soc = arbiter.replay(n, cfg, &mut got);
+        let mut want = vec![HartStats::default(); n];
+        arbiter.bank_ready.fill(0);
+        let want_soc = arbiter.replay_grants(n, cfg, &mut want);
+        assert_eq!(got, want, "{cfg:?}");
+        assert_eq!(soc, want_soc, "{cfg:?}");
+        arbiter.replay != Replay::Grants
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The scan against the grant-by-grant replay on synthetic logs:
+        /// identical and k-cycle-shifted copies of one log, so the harts
+        /// meet in lockstep on one bank and stalls cascade, some ending
+        /// in a grant that costs nothing (a trap or the out-of-fuel
+        /// check). Configurations outside the scan take the
+        /// grant-by-grant replay, so they agree by construction.
+        #[test]
+        fn replay_matches_grant_by_grant_on_synthetic_logs(
+            base in proptest::collection::vec(grant(), 1..48),
+            copies in proptest::collection::vec((0u64..4, any::<bool>(), any::<bool>()), 1..9),
+            own in proptest::collection::vec(grant(), 0..24),
+            bank_bits in 0u32..9,
+            service in 1u64..5,
+            scan in any::<bool>(),
+        ) {
+            // half the cases in the scan's domain
+            let (bank_bits, service) = if scan { (bank_bits % 4, 1) } else { (bank_bits, service) };
+            let cfg = BankConfig { banks: 1 << bank_bits, service_cycles: service };
+            let harts: Vec<Grants> = copies
+                .iter()
+                .enumerate()
+                .map(|(h, &(shift, mixed, trap))| {
+                    let mut grants: Grants = Vec::new();
+                    if shift > 0 {
+                        grants.push((shift, None));
+                    }
+                    grants.extend(&base);
+                    if mixed && h % 2 == 1 {
+                        // an odd hart may run its own stream after the copy
+                        grants.extend(&own);
+                    }
+                    if trap {
+                        grants.push((0, None));
+                    }
+                    grants
+                })
+                .collect();
+            let scanned = replays_agree(&harts, cfg);
+            prop_assert_eq!(scanned, bank_bits <= 3 && service == 1);
         }
     }
 

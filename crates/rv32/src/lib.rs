@@ -61,9 +61,9 @@
 //! plan, watchdog or class histogram moves a hart onto the monitored
 //! step loop, which records the same entries. Those per-hart runs share
 //! nothing, so a multi-hart wave splits them between the calling thread
-//! and the cluster's persistent worker threads; the replay of their
-//! logs that follows stays on the caller, and results are the same for
-//! any thread count.
+//! and the cluster's persistent worker threads; the bank-conflict scan
+//! over what they recorded stays on the caller, and results are the
+//! same for any thread count.
 //!
 //! # Custom-instruction encoding map
 //!
@@ -117,9 +117,11 @@
 //!   busy-until counter; conflicting accesses stall the losing hart,
 //!   ties resolve round-robin, and the whole schedule is deterministic.
 //!   The cluster computes it in two phases: each hart runs alone and
-//!   logs a cost and a bank per arbiter grant, then a replay merges only
-//!   the data accesses in SoC-time order and rebuilds the round-robin
-//!   pointer where two accesses meet one bank at one time.
+//!   marks, per cycle of its own, where a grant starts and which bank
+//!   its access uses; then a scan compares the harts' cycle tables pair
+//!   by pair, shifted by their stalls, skips to each cycle where two
+//!   accesses meet one bank, and there rebuilds the round-robin pointer
+//!   and grants cycle by cycle until the stalls settle.
 //!
 //! Timing never feeds back into function — contention changes *when* an
 //! access happens, never *what* it reads — which is what makes a
