@@ -24,7 +24,7 @@ use crate::image::{
 use crate::{BuildError, DeviceError, Result};
 use kwt_model::KwtConfig;
 use kwt_quant::{A8Config, QuantConfig};
-use kwt_rv32::{BankConfig, ClassHistogram, Cluster, ClusterRun, HartStats, Machine, RunResult};
+use kwt_rv32::{ClassHistogram, Cluster, ClusterRun, HartStats, Machine, RunResult};
 use kwt_tensor::Mat;
 
 /// Per-run step budget, matching the serial session's `run_machine`.
@@ -99,31 +99,25 @@ pub struct ClusterSession {
 }
 
 impl InferenceImage {
-    /// Opens an `n`-hart cluster session with the default bank geometry
-    /// (eight word-interleaved single-cycle banks).
+    /// Opens an `harts`-hart cluster session on the SoC's
+    /// [`BANKS`](kwt_rv32::BANKS) shared banks.
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError::Trap`] if the image does not fit the
-    /// platform RAM.
+    /// Returns [`BuildError::Model`] for zero harts and
+    /// [`BuildError::Trap`] if the image does not fit the platform RAM.
     pub fn cluster_session(&self, harts: usize) -> Result<ClusterSession> {
-        self.cluster_session_with(harts, BankConfig::default8())
-    }
-
-    /// [`cluster_session`](Self::cluster_session) with explicit bank
-    /// geometry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError::Trap`] if the image does not fit the
-    /// platform RAM.
-    pub fn cluster_session_with(&self, harts: usize, banks: BankConfig) -> Result<ClusterSession> {
+        if harts == 0 {
+            return Err(BuildError::Model(
+                "a cluster needs at least one hart".into(),
+            ));
+        }
         let mut template = Machine::load(&self.program, self.platform())?;
         for (id, name) in crate::regions::region_names() {
             template.name_region(id, &name);
         }
         Ok(ClusterSession {
-            cluster: Cluster::replicate(&template, harts, banks),
+            cluster: Cluster::replicate(&template, harts),
             flavor: self.flavor,
             config: self.config,
             qconfig: self.qconfig,
@@ -158,11 +152,6 @@ impl ClusterSession {
     /// Successful inferences completed across all harts.
     pub fn runs(&self) -> u64 {
         self.runs
-    }
-
-    /// The bank geometry of the shared memory.
-    pub fn bank_config(&self) -> BankConfig {
-        self.cluster.bank_config()
     }
 
     fn check_shape(&self, shape: (usize, usize)) -> Result<()> {

@@ -31,7 +31,7 @@ use kwt_baremetal::InferenceImage;
 use kwt_engine::{Engine, Prediction};
 use kwt_model::{KwtConfig, KwtParams};
 use kwt_quant::{A8Config, A8Kwt, Nonlinearity, QuantConfig, QuantizedKwt};
-use kwt_rv32::StepOutcome;
+use kwt_rv32::{StepOutcome, BANKS};
 use serde::Serialize;
 use std::hint::black_box;
 
@@ -201,24 +201,6 @@ pub struct ClusterRow {
     pub host_cpus: usize,
 }
 
-/// One row of the sharded-batch scaling table.
-#[derive(Debug, Clone, Serialize)]
-pub struct ParallelRow {
-    /// Backend name.
-    pub backend: String,
-    /// Worker thread count passed to `classify_batch_parallel`.
-    pub threads: usize,
-    /// Clips per measured batch.
-    pub clips: usize,
-    /// Clips per second, audio in → prediction out.
-    pub clips_per_s: f64,
-    /// Throughput relative to the 1-thread row.
-    pub speedup_vs_1_thread: f64,
-    /// Host CPUs visible to the process — scaling is bounded by this
-    /// (a 1-CPU container time-slices the workers and shows ~1×).
-    pub host_cpus: usize,
-}
-
 /// The full `BENCH_engine.json` document.
 #[derive(Debug, Clone, Serialize)]
 pub struct EngineBenchSummary {
@@ -236,9 +218,6 @@ pub struct EngineBenchSummary {
     pub frontend: Vec<FrontendRow>,
     /// Per-backend speedups of the engine paths over the seed path.
     pub speedups: Vec<EngineSpeedup>,
-    /// Sharded `classify_batch_parallel` throughput over the rv32 A8
-    /// engine at 1/2/4 host threads.
-    pub parallel_scaling: Vec<ParallelRow>,
     /// Simulated-cluster throughput of the tuned A8 image at 1/2/4/8
     /// harts against the banked shared memory (deterministic SoC
     /// cycles; gated by `paper check-cluster`).
@@ -504,41 +483,6 @@ pub fn collect(smoke: bool) -> EngineBenchSummary {
         }
     }
 
-    // sharded-batch scaling: the A8 rv32 engine across host threads
-    // (each worker owns an independent DeviceSession clone)
-    let mut parallel_scaling = Vec::new();
-    {
-        let host_cpus = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let clips = bench_clips(rv32_clips * 4);
-        let mut engine = Engine::rv32_sim(&a8image, fe.clone()).expect("engine");
-        let mut out = Vec::new();
-        let mut base = 0.0f64;
-        for threads in [1usize, 2, 4] {
-            engine
-                .classify_batch_parallel(&clips, threads, &mut out)
-                .expect("parallel batch");
-            let ns = time_ns(smoke, || {
-                engine
-                    .classify_batch_parallel(black_box(&clips), threads, &mut out)
-                    .expect("parallel batch");
-            })
-            .ns / clips.len() as f64;
-            if threads == 1 {
-                base = ns;
-            }
-            parallel_scaling.push(ParallelRow {
-                backend: "rv32_sim_a8".to_string(),
-                threads,
-                clips: clips.len(),
-                clips_per_s: 1e9 / ns,
-                speedup_vs_1_thread: base / ns,
-                host_cpus,
-            });
-        }
-    }
-
     let sim_dispatch = vec![collect_sim_dispatch(smoke, &a8image, &fe)];
 
     // simulated-cluster scaling: the tuned A8 image at 1/2/4/8 harts
@@ -597,7 +541,6 @@ pub fn collect(smoke: bool) -> EngineBenchSummary {
         sim_dispatch,
         frontend,
         speedups,
-        parallel_scaling,
         cluster_scaling,
         device_cycles,
         rv32_cycle_classes,
@@ -704,7 +647,7 @@ pub fn collect_cluster(
         });
         rows.push(ClusterRow {
             harts,
-            banks: cs.bank_config().banks,
+            banks: BANKS,
             clips: mfccs.len(),
             soc_cycles: soc,
             serial_cycles,
@@ -837,13 +780,6 @@ pub fn run_and_write(smoke: bool) -> String {
         out.push_str(&format!(
             "  {:<17} scratch-reuse {:.2}x   batched {:.2}x\n",
             s.backend, s.scratch_reuse_vs_one_shot, s.batched_vs_one_shot
-        ));
-    }
-    out.push_str("sharded classify_batch_parallel (rv32_sim_a8):\n");
-    for p in &summary.parallel_scaling {
-        out.push_str(&format!(
-            "  {} threads ({} clips, {} cpus) {:>10.1} clips/s  {:.2}x vs 1 thread\n",
-            p.threads, p.clips, p.host_cpus, p.clips_per_s, p.speedup_vs_1_thread
         ));
     }
     out.push_str("simulated cluster, tuned A8 image (clips/SoC-cycle; gate: >=3x at 4 harts):\n");

@@ -154,9 +154,8 @@ pub trait Backend: Send {
 
     /// Clones this backend into an independent instance (own scratch
     /// arenas / own simulator machine), or `None` if the backend cannot
-    /// be replicated. Used by the engine's parallel batch path to give
-    /// each worker thread its own [`DeviceSession`]; every built-in
-    /// backend supports it.
+    /// be replicated. [`ResilientBackend`](crate::ResilientBackend)
+    /// clones its chain through it; every built-in backend supports it.
     fn clone_boxed(&self) -> Option<Box<dyn Backend>> {
         None
     }

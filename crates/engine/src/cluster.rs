@@ -15,7 +15,7 @@ use crate::backend::{Backend, BackendKind};
 use crate::{EngineError, Result};
 use kwt_baremetal::{ClusterSession, ClusterWave, InferenceImage, RecoveryReport};
 use kwt_model::KwtConfig;
-use kwt_rv32::{BankConfig, RunResult};
+use kwt_rv32::RunResult;
 use kwt_tensor::Mat;
 
 /// Simulated-cluster backend over a persistent [`ClusterSession`]:
@@ -35,24 +35,13 @@ pub struct Rv32ClusterBackend {
 }
 
 impl Rv32ClusterBackend {
-    /// Opens an `harts`-hart cluster session on a built inference image
-    /// with the default bank geometry (eight word-interleaved
-    /// single-cycle banks).
+    /// Opens an `harts`-hart cluster session on a built inference image.
     ///
     /// # Errors
     ///
     /// Propagates [`InferenceImage::cluster_session`] errors.
     pub fn new(image: &InferenceImage, harts: usize) -> Result<Self> {
-        Rv32ClusterBackend::with_banks(image, harts, BankConfig::default8())
-    }
-
-    /// [`new`](Self::new) with explicit bank geometry.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`InferenceImage::cluster_session_with`] errors.
-    pub fn with_banks(image: &InferenceImage, harts: usize, banks: BankConfig) -> Result<Self> {
-        let session = image.cluster_session_with(harts, banks)?;
+        let session = image.cluster_session(harts)?;
         let config = *session.config();
         Ok(Rv32ClusterBackend {
             session,
@@ -201,14 +190,18 @@ impl Backend for Rv32ClusterBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kwt_audio::{MfccConfig, MfccExtractor};
     use kwt_model::KwtParams;
     use kwt_quant::{A8Config, A8Kwt};
 
-    fn backend() -> Rv32ClusterBackend {
+    fn image() -> InferenceImage {
         let params = KwtParams::init(KwtConfig::kwt_tiny(), 77).expect("valid preset");
         let a8 = A8Kwt::quantize(&params, A8Config::paper_a8()).expect("a8 exponents valid");
-        let image = InferenceImage::build_a8(&a8).expect("a8 image builds");
-        Rv32ClusterBackend::new(&image, 4).expect("cluster session")
+        InferenceImage::build_a8(&a8).expect("a8 image builds")
+    }
+
+    fn backend() -> Rv32ClusterBackend {
+        Rv32ClusterBackend::new(&image(), 4).expect("cluster session")
     }
 
     fn clips(n: usize) -> Vec<Mat<f32>> {
@@ -239,5 +232,24 @@ mod tests {
         let r = b.infer_wave(&clips(3), &mut logits);
         assert!(matches!(r, Err(EngineError::Config { .. })), "{r:?}");
         assert!(b.last_wave().is_none(), "no wave ran");
+    }
+
+    #[test]
+    fn zero_harts_is_an_error_not_a_panic() {
+        let image = image();
+        let r = image.cluster_session(0);
+        assert!(
+            matches!(r, Err(kwt_baremetal::BuildError::Model(_))),
+            "{r:?}"
+        );
+        let fe = MfccExtractor::new(MfccConfig::default()).expect("default front end");
+        let r = crate::Engine::rv32_cluster(&image, fe, 0);
+        assert!(
+            matches!(
+                r,
+                Err(EngineError::Device(kwt_baremetal::BuildError::Model(_)))
+            ),
+            "{r:?}"
+        );
     }
 }

@@ -371,93 +371,6 @@ impl Engine {
             out,
         )
     }
-
-    /// [`classify_batch_into`](Self::classify_batch_into) sharded across
-    /// `threads` host threads.
-    ///
-    /// The clip list is split into contiguous chunks; each worker owns an
-    /// independent clone of the backend (for [`BackendKind::Rv32Sim`]
-    /// that is a whole `DeviceSession` — its own simulator machine with
-    /// its own warm decode cache) plus private MFCC scratch and wave
-    /// staging, runs the serial path's wave loop over its chunk, and
-    /// writes into a disjoint slice of `out`. Clip `i` therefore always
-    /// lands in `out[i]`, computed by the same deterministic pipeline as
-    /// the serial path — sessions are stateless across inputs (proven by
-    /// the bare-metal differential tests), so the logits are
-    /// **identical** to [`classify_batch_into`](Self::classify_batch_into)'s,
-    /// in the same order, for any thread count.
-    ///
-    /// `threads` is clamped to the clip count; `threads <= 1` runs the
-    /// serial path (as does a backend that cannot be cloned).
-    ///
-    /// # Errors
-    ///
-    /// Fails if any clip fails anywhere in the batch; `out` contents are
-    /// then unspecified (like the serial path's discard semantics).
-    pub fn classify_batch_parallel(
-        &mut self,
-        clips: &[impl AsRef<[f32]> + Sync],
-        threads: usize,
-        out: &mut Vec<Prediction>,
-    ) -> Result<()> {
-        let n = clips.len();
-        let t = threads.min(n).max(1);
-        if t == 1 {
-            return self.classify_batch_into(clips, out);
-        }
-        // one extra backend per worker beyond the engine's own
-        let mut extra: Vec<Box<dyn Backend>> = Vec::with_capacity(t - 1);
-        for _ in 1..t {
-            match self.backend.clone_boxed() {
-                Some(b) => extra.push(b),
-                None => return self.classify_batch_into(clips, out),
-            }
-        }
-        out.resize_with(n, Prediction::default);
-        let chunk = n.div_ceil(t);
-        let frontend = &self.frontend;
-        let run_chunk =
-            |backend: &mut dyn Backend, clips: &[_], preds: &mut [Prediction]| -> Result<()> {
-                WaveArena::default().classify_clips(
-                    frontend,
-                    &mut MfccScratch::new(),
-                    backend,
-                    clips,
-                    preds,
-                )
-            };
-        let (head_clips, tail_clips) = clips.split_at(chunk.min(n));
-        let (head_out, tail_out) = out.split_at_mut(chunk.min(n));
-        let own_backend = self.backend.as_mut();
-        std::thread::scope(|scope| -> Result<()> {
-            let run_chunk = &run_chunk;
-            let mut handles = Vec::new();
-            let mut rem_clips = tail_clips;
-            let mut rem_out = tail_out;
-            for backend in extra.iter_mut() {
-                let take = chunk.min(rem_clips.len());
-                let (clip_slice, clips_rest) = rem_clips.split_at(take);
-                let (out_slice, out_rest) = std::mem::take(&mut rem_out).split_at_mut(take);
-                rem_clips = clips_rest;
-                rem_out = out_rest;
-                handles
-                    .push(scope.spawn(move || run_chunk(backend.as_mut(), clip_slice, out_slice)));
-            }
-            // the calling thread works its own chunk while workers run
-            let own_result = run_chunk(own_backend, head_clips, head_out);
-            let mut first_err = own_result.err();
-            for h in handles {
-                let r = h.join().expect("worker thread never panics");
-                if first_err.is_none() {
-                    first_err = r.err();
-                }
-            }
-            match first_err {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }
-        })
-    }
 }
 
 impl std::fmt::Debug for Engine {

@@ -23,15 +23,6 @@
 //! image flavour it is given — including the fully-INT8
 //! `kwt_baremetal::Flavor::A8` pipeline ([`Rv32SimBackend::flavor`]).
 //!
-//! # Parallel batches
-//!
-//! [`Engine::classify_batch_parallel`] shards a batch across host
-//! threads: every worker owns an independent clone of the backend (for
-//! the simulator, a whole `DeviceSession` — machine, RAM and decode
-//! cache) and writes a disjoint output range, so results are
-//! deterministic, ordered, and bit-identical to the serial path at any
-//! thread count.
-//!
 //! # Scratch lifecycle
 //!
 //! Arenas are allocated once at engine construction and resized in place

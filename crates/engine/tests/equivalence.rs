@@ -103,12 +103,12 @@ fn rv32_engine_matches_one_shot_image_run() {
 
 #[test]
 fn a8_engine_classify_batch_and_parallel_match_session_run_on_float_features() {
-    // A8 engine classify/batch/parallel == `DeviceSession::run` on float
+    // A8 engine classify/batch == `DeviceSession::run` on float
     // features: the engine hands the A8 device the same float MFCCs as
     // every other backend, and the session quantises them to i8 in its
     // one input path. Logits must be bit-identical to a bare session on
-    // the front end's float features, on the serial, batch and parallel
-    // paths alike.
+    // the front end's float features, on the serial and batch paths
+    // alike.
     use kwt_quant::{A8Config, A8Kwt};
     let params = trained_ish();
     let a8 = A8Kwt::quantize(&params, A8Config::paper_a8()).unwrap();
@@ -126,11 +126,8 @@ fn a8_engine_classify_batch_and_parallel_match_session_run_on_float_features() {
         wants.push(want);
     }
     let batch = engine.classify_batch(&clips).unwrap();
-    let mut par = Vec::new();
-    engine.classify_batch_parallel(&clips, 2, &mut par).unwrap();
-    for (i, ((b, p), want)) in batch.iter().zip(&par).zip(&wants).enumerate() {
+    for (i, (b, want)) in batch.iter().zip(&wants).enumerate() {
         assert_bits_eq(&b.logits, want, &format!("batch a8 clip {i}"));
-        assert_eq!(b, p, "parallel a8 clip {i}");
     }
 }
 
@@ -189,31 +186,6 @@ fn short_and_long_clips_are_padded_like_the_seed_path() {
         let mfcc = fe.extract_padded(&audio).unwrap();
         let want = kwt_model::forward(&params, &mfcc).unwrap();
         assert_bits_eq(&pred.logits, &want, "padded clip");
-    }
-}
-
-#[test]
-fn parallel_batch_identical_to_serial_on_rv32() {
-    // The sharded batch path must match the serial path bit-for-bit, in
-    // order, for any thread count — each worker owns its own
-    // DeviceSession clone and sessions are stateless across inputs.
-    use kwt_quant::{A8Config, A8Kwt};
-    let a8 = A8Kwt::quantize(&trained_ish(), A8Config::paper_a8()).unwrap();
-    let image = InferenceImage::build_a8(&a8).unwrap();
-    let fe = kwt_tiny_frontend().unwrap();
-    let mut engine = Engine::rv32_sim(&image, fe).unwrap();
-    let clips: Vec<Vec<f32>> = (0..7).map(clip).collect();
-    let serial = engine.classify_batch(&clips).unwrap();
-    for threads in [1usize, 2, 4, 16] {
-        let mut par = Vec::new();
-        engine
-            .classify_batch_parallel(&clips, threads, &mut par)
-            .unwrap();
-        assert_eq!(par.len(), serial.len(), "threads {threads}");
-        for (i, (p, s)) in par.iter().zip(&serial).enumerate() {
-            assert_eq!(p.class, s.class, "threads {threads} clip {i}");
-            assert_bits_eq(&p.logits, &s.logits, "parallel rv32");
-        }
     }
 }
 
@@ -309,26 +281,4 @@ fn window_wave_entry_matches_per_window_classify() {
         host.classify_window_wave_into(&windows, &mut short),
         Err(EngineError::Config { .. })
     ));
-}
-
-#[test]
-fn parallel_batch_identical_to_serial_on_a8_and_hosts() {
-    use kwt_quant::{A8Config, A8Kwt};
-    let fe = kwt_tiny_frontend().unwrap();
-    let a8 = A8Kwt::quantize(&trained_ish(), A8Config::paper_a8()).unwrap();
-    let a8_image = InferenceImage::build_a8(&a8).unwrap();
-    let mut engines = vec![
-        Engine::rv32_sim(&a8_image, fe.clone()).unwrap(),
-        Engine::host_float(trained_ish(), fe.clone()).unwrap(),
-        Engine::host_quant(quantized(), fe).unwrap(),
-    ];
-    let clips: Vec<Vec<f32>> = (0..5).map(clip).collect();
-    for engine in &mut engines {
-        let serial = engine.classify_batch(&clips).unwrap();
-        let mut par = Vec::new();
-        engine.classify_batch_parallel(&clips, 3, &mut par).unwrap();
-        for (p, s) in par.iter().zip(&serial) {
-            assert_bits_eq(&p.logits, &s.logits, "parallel batch");
-        }
-    }
 }

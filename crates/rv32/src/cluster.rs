@@ -15,7 +15,7 @@
 //!   another hart's writes in either formulation.
 //! * The *timing* layer places the per-hart instruction streams on a
 //!   shared SoC timeline. Every data access is routed to a memory bank
-//!   (word-interleaved: `bank = (addr >> 2) mod banks`); each bank has a
+//!   (word-interleaved: `bank = (addr >> 2) mod BANKS`); each bank has a
 //!   busy-until counter, and an access arriving while its bank is busy
 //!   **stalls the issuing hart** until the bank frees up. The arbiter
 //!   grants one instruction at a time to the live hart with the
@@ -23,15 +23,20 @@
 //!   last grantee, so the schedule is deterministic — two runs of the
 //!   same workload produce identical per-hart cycle and stall counts.
 //!
+//! # The SoC it models
+//!
+//! One geometry: [`BANKS`] word-interleaved banks, each serving an access
+//! in one cycle, and harts whose timing model charges every instruction
+//! at least one cycle (both [`crate::TimingModel`] presets do;
+//! [`Cluster::run_active_into`] refuses a hart whose model does not).
+//!
 //! Because the timing layer only ever *delays* a hart (it never reorders
 //! or rewrites its stream), a single-hart cluster is provably bit- and
-//! cycle-identical to a plain [`Machine::run`]: with
-//! `service_cycles = 1` (the default) a bank frees up after one cycle,
-//! and every instruction of the default timing model costs at least one
-//! cycle, so a lone hart can never catch its own bank busy — zero
-//! stalls, and the SoC timeline collapses onto the hart's own cycle
-//! counter. The `tests/cluster_props.rs` proptests assert this over
-//! random programs.
+//! cycle-identical to a plain [`Machine::run`]: a bank frees up after
+//! one cycle and every instruction takes at least one, so a lone hart
+//! can never catch its own bank busy — zero stalls, and the SoC timeline
+//! collapses onto the hart's own cycle counter. The
+//! `tests/cluster_props.rs` proptests assert this over random programs.
 //!
 //! # Two phases: run each hart alone, then scan for bank conflicts
 //!
@@ -57,9 +62,9 @@
 //!    and table is the same whichever thread runs it, so results do not
 //!    depend on the thread count.
 //! 2. **Bank-conflict scan.** A hart's SoC time is its own cycle plus
-//!    the stalls it has taken so far. With single-cycle banks an access
-//!    stalls only behind another access to its bank at the same SoC
-//!    time, or behind one that a stall pushed onto that time. So the
+//!    the stalls it has taken so far. An access stalls only behind
+//!    another access to its bank at the same SoC time, or behind one
+//!    that a stall pushed onto that time. So the
 //!    scan compares every pair of harts' tables, shifted by their
 //!    stalls, sixty-four cycles at a time in lane-wise loops, and skips
 //!    in bulk to the next cycle where two accesses meet on a bank. From
@@ -73,14 +78,10 @@
 //!    from r`) until the composition is constant or passes the last
 //!    cycle it granted, whose pointer it carries.
 //!
-//! The scan needs every instruction to cost a cycle, single-cycle banks
-//! and at most eight of them, the most a four-bit cell can name. Any
-//! other run — a custom [`crate::TimingModel`] that charges some
-//! instruction nothing, slower banks or more of them — logs each grant's
-//! cost and access instead and replays grant by grant. A lone hart has
-//! no pair to compare, so its scan costs next to nothing.
+//! A lone hart has no pair to compare, so its scan costs next to
+//! nothing.
 //!
-//! Both replays reproduce the interleaved arbiter exactly — per-hart
+//! The scan reproduces the interleaved arbiter exactly — per-hart
 //! results, [`HartStats`], `soc_cycles` and registers — which the
 //! test-local per-`Cpu::step` reference arbiter in
 //! `tests/cluster_props.rs` pins. The tables, the scan state, the
@@ -99,36 +100,13 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 
-/// Geometry and service time of the shared banked memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BankConfig {
-    /// Number of interleaved banks (must be a power of two).
-    pub banks: usize,
-    /// Cycles a bank stays busy after accepting an access. The default
-    /// of 1 models single-cycle SRAM banks and guarantees a lone hart
-    /// never stalls against itself (every instruction costs ≥ 1 cycle).
-    pub service_cycles: u64,
-}
+/// Word-interleaved single-cycle banks of the shared memory (a power of
+/// two that a four-bit scan cell can name).
+pub const BANKS: usize = 8;
 
-impl BankConfig {
-    /// Eight word-interleaved single-cycle banks — the default SoC.
-    pub fn default8() -> Self {
-        BankConfig {
-            banks: 8,
-            service_cycles: 1,
-        }
-    }
-
-    /// The bank serving `addr` (word-interleaved).
-    pub fn bank_of(&self, addr: u32) -> usize {
-        ((addr >> 2) as usize) & (self.banks - 1)
-    }
-}
-
-impl Default for BankConfig {
-    fn default() -> Self {
-        BankConfig::default8()
-    }
+/// The bank serving `addr`.
+fn bank_of(addr: u32) -> usize {
+    (addr >> 2) as usize & (BANKS - 1)
 }
 
 /// Per-hart accounting for one cluster run.
@@ -207,27 +185,20 @@ impl ClusterRun {
 #[derive(Debug, Clone)]
 pub struct Cluster {
     harts: Vec<Machine>,
-    cfg: BankConfig,
     arbiter: Arbiter,
     workers: Workers,
 }
 
 impl Cluster {
-    /// Builds a cluster over `harts` with the given bank geometry.
+    /// Builds a cluster over `harts`.
     ///
     /// # Panics
     ///
-    /// Panics if `harts` is empty or `cfg.banks` is not a power of two.
-    pub fn new(harts: Vec<Machine>, cfg: BankConfig) -> Self {
+    /// Panics if `harts` is empty.
+    pub fn new(harts: Vec<Machine>) -> Self {
         assert!(!harts.is_empty(), "a cluster needs at least one hart");
-        assert!(
-            cfg.banks.is_power_of_two(),
-            "bank count must be a power of two, got {}",
-            cfg.banks
-        );
         let mut cluster = Cluster {
             harts,
-            cfg,
             arbiter: Arbiter::default(),
             workers: Workers::default(),
         };
@@ -241,22 +212,20 @@ impl Cluster {
     /// and weight banks are mapped once (read-only, so per-hart copies
     /// are observationally identical); each hart's scratch, stack and IO
     /// regions are its own.
-    pub fn replicate(template: &Machine, n: usize, cfg: BankConfig) -> Self {
-        assert!(n >= 1, "a cluster needs at least one hart");
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero.
+    pub fn replicate(template: &Machine, n: usize) -> Self {
         let harts = std::iter::repeat_with(|| template.clone())
             .take(n)
             .collect();
-        Cluster::new(harts, cfg)
+        Cluster::new(harts)
     }
 
     /// Number of harts.
     pub fn num_harts(&self) -> usize {
         self.harts.len()
-    }
-
-    /// The bank geometry.
-    pub fn bank_config(&self) -> BankConfig {
-        self.cfg
     }
 
     /// Immutable access to hart `h`.
@@ -303,7 +272,8 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if `n_active` is zero or exceeds the hart count.
+    /// Panics if `n_active` is zero or exceeds the hart count, or if an
+    /// active hart's timing model charges some instruction nothing.
     pub fn run_active(&mut self, n_active: usize, max_steps: u64) -> ClusterRun {
         let mut run = ClusterRun::default();
         self.run_active_into(n_active, max_steps, &mut run);
@@ -317,7 +287,12 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if `n_active` is zero or exceeds the hart count.
+    /// Panics if `n_active` is zero or exceeds the hart count, or if an
+    /// active hart's timing model charges some instruction nothing: the
+    /// scan needs every cycle to start at most one grant. The check runs
+    /// here rather than in [`new`](Self::new) because
+    /// [`hart_mut`](Self::hart_mut) can swap in a machine with another
+    /// timing model.
     pub fn run_active_into(&mut self, n_active: usize, max_steps: u64, run: &mut ClusterRun) {
         assert!(
             (1..=self.harts.len()).contains(&n_active),
@@ -325,18 +300,20 @@ impl Cluster {
             n_active,
             self.harts.len()
         );
-        let free_grants = self.harts[..n_active]
-            .iter()
-            .any(|hart| !hart.cpu.timing().charges_every_instruction());
-        self.arbiter
-            .prepare(self.harts.len(), self.cfg, free_grants);
+        assert!(
+            self.harts[..n_active]
+                .iter()
+                .all(|hart| hart.cpu.timing().charges_every_instruction()),
+            "every instruction of a cluster hart must cost at least one cycle"
+        );
+        self.arbiter.prepare(self.harts.len());
         run.results.clear();
         run.results.resize(n_active, PENDING);
         run.stats.clear();
         run.stats.resize(n_active, HartStats::default());
         self.run_alone(n_active, max_steps, run);
         // phase 2: the shared timeline
-        run.soc_cycles = self.arbiter.replay(n_active, self.cfg, &mut run.stats);
+        run.soc_cycles = self.arbiter.replay(n_active, &mut run.stats);
     }
 
     /// Phase 1: runs harts `0..n_active` alone, each into its record,
@@ -347,7 +324,6 @@ impl Cluster {
     fn run_alone(&mut self, n_active: usize, max_steps: u64, run: &mut ClusterRun) {
         let threads = (self.workers.spawn(n_active, self.harts.len()) + 1).min(n_active);
         let crew = &self.workers.crew[..threads - 1];
-        let replay = self.arbiter.replay;
         // highest hart first, so every lower hart keeps its index
         for h in (0..n_active).rev().filter(|h| h % threads != 0) {
             crew[h % threads - 1].slot.lock().tasks.push(Task {
@@ -358,7 +334,7 @@ impl Cluster {
             });
         }
         for worker in crew {
-            worker.slot.post(max_steps, replay);
+            worker.slot.post(max_steps);
         }
         // the caller's harts 0, t, 2t, .. now sit at 0, 1, 2, ..
         let records = &mut self.arbiter.records;
@@ -370,10 +346,10 @@ impl Cluster {
             let mut sized: usize = 0;
             for (k, hart) in harts.iter_mut().enumerate() {
                 let h = k * threads;
-                let words = &mut records[h].cells.words;
+                let words = &mut records[h].words;
                 words.reserve_exact(sized.saturating_sub(words.len()));
-                (run.results[h], run.stats[h]) = run_hart(hart, &mut records[h], max_steps, replay);
-                sized = records[h].cells.words.len();
+                (run.results[h], run.stats[h]) = run_hart(hart, &mut records[h], max_steps);
+                sized = records[h].words.len();
             }
         }));
         // every hart comes home before any panic goes on
@@ -406,25 +382,15 @@ impl Cluster {
 const PENDING: Result<RunResult, Trap> = Err(Trap::OutOfFuel { executed: 0 });
 
 /// Runs `hart` alone to its halt, trap or `max_steps`, recording its
-/// grants into `record` for `replay`; returns the result and the busy
-/// accounting.
+/// grants into `record`; returns the result and the busy accounting.
 fn run_hart(
     hart: &mut Machine,
-    record: &mut Record,
+    record: &mut HartCells,
     max_steps: u64,
-    replay: Replay,
 ) -> (Result<RunResult, Trap>, HartStats) {
     let (cycles0, instret0) = (hart.cpu.cycles, hart.cpu.instret);
-    let result = match replay {
-        Replay::Scan(bank_mask) => {
-            record.cells.restart(bank_mask);
-            hart.run_logged(max_steps, &mut record.cells)
-        }
-        Replay::Grants => {
-            record.log.0.clear();
-            hart.run_logged(max_steps, &mut record.log)
-        }
-    };
+    record.restart();
+    let result = hart.run_logged(max_steps, record);
     let stats = HartStats {
         busy_cycles: hart.cpu.cycles - cycles0,
         instructions: hart.cpu.instret - instret0,
@@ -438,7 +404,7 @@ fn run_hart(
 #[derive(Debug)]
 struct Task {
     hart: Machine,
-    record: Record,
+    record: HartCells,
     result: Result<RunResult, Trap>,
     stats: HartStats,
 }
@@ -455,14 +421,12 @@ enum State {
     Exit,
 }
 
-/// A worker's job slot: the tasks, the step budget, the replay they
-/// record for and, if running them panicked, the panic, reused from wave
-/// to wave.
+/// A worker's job slot: the tasks, the step budget and, if running them
+/// panicked, the panic, reused from wave to wave.
 #[derive(Debug, Default)]
 struct Job {
     state: State,
     max_steps: u64,
-    replay: Replay,
     tasks: Vec<Task>,
     panic: Option<Box<dyn Any + Send>>,
 }
@@ -484,9 +448,9 @@ impl Slot {
     }
 
     /// Hands the pushed tasks to the worker.
-    fn post(&self, max_steps: u64, replay: Replay) {
+    fn post(&self, max_steps: u64) {
         let mut job = self.lock();
-        (job.state, job.max_steps, job.replay) = (State::Posted, max_steps, replay);
+        (job.state, job.max_steps) = (State::Posted, max_steps);
         self.turn.notify_all();
     }
 
@@ -510,13 +474,12 @@ impl Slot {
         loop {
             match job.state {
                 State::Posted => {
-                    let (max_steps, replay) = (job.max_steps, job.replay);
+                    let max_steps = job.max_steps;
                     let mut tasks = std::mem::take(&mut job.tasks);
                     drop(job);
                     let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
                         for t in &mut tasks {
-                            (t.result, t.stats) =
-                                run_hart(&mut t.hart, &mut t.record, max_steps, replay);
+                            (t.result, t.stats) = run_hart(&mut t.hart, &mut t.record, max_steps);
                         }
                     }));
                     job = self.lock();
@@ -604,8 +567,6 @@ const GRANT: u64 = 1;
 /// Cell of a cycle on which an access to bank 0 starts; bank `b` is
 /// `ACCESS + b`.
 const ACCESS: u64 = 2;
-/// The most banks a 4-bit cell holds (a power of two).
-const SCAN_BANKS: usize = 8;
 /// Cells (cycles) per table word.
 const CELLS: u64 = 16;
 /// Table words per hart the scan compares at once.
@@ -629,37 +590,6 @@ fn nonzero(v: u64) -> u64 {
     (((v & LOW3) + LOW3) | v) & HIGH
 }
 
-/// How phase 2 places a run's grants on the shared timeline.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-enum Replay {
-    /// The bank-conflict scan over per-cycle cells, with the bank mask.
-    Scan(u32),
-    /// Grant by grant over the grant logs.
-    #[default]
-    Grants,
-}
-
-impl Replay {
-    /// The scan where every instruction costs a cycle, a bank serves an
-    /// access in one and a cell holds every bank; grant by grant
-    /// otherwise.
-    fn of(cfg: BankConfig, free_grants: bool) -> Self {
-        if free_grants || cfg.service_cycles != 1 || cfg.banks > SCAN_BANKS {
-            Replay::Grants
-        } else {
-            Replay::Scan(cfg.banks as u32 - 1)
-        }
-    }
-}
-
-/// What phase 1 records of one hart: its cells for the scan or its grant
-/// log for the grant-by-grant replay, whichever the run takes.
-#[derive(Debug, Clone, Default)]
-struct Record {
-    cells: HartCells,
-    log: GrantLog,
-}
-
 /// One hart's grants for one run, indexed by the hart's own cycle count
 /// since the run began: a 4-bit cell per cycle, sixteen to a word, the
 /// earliest in the lowest bits. A cell is 0 inside an instruction,
@@ -676,7 +606,6 @@ struct HartCells {
     now: u64,
     /// Data accesses logged.
     accesses: u64,
-    bank_mask: u32,
     /// `(cycle, stall)` of every access the scan stalled, in cycle
     /// order: the walk-back needs them to recover SoC times.
     stalls: Vec<(u64, u64)>,
@@ -691,7 +620,7 @@ impl RetireSink for HartCells {
             None => GRANT,
             Some(addr) => {
                 self.accesses += 1;
-                ACCESS + u64::from((addr >> 2) & self.bank_mask)
+                ACCESS + bank_of(addr) as u64
             }
         };
         let word = (self.now / CELLS) as usize;
@@ -705,10 +634,10 @@ impl RetireSink for HartCells {
 
 impl HartCells {
     /// Zeroes the last run's cells and starts a run.
-    fn restart(&mut self, bank_mask: u32) {
+    fn restart(&mut self) {
         let used = ((self.now / CELLS) as usize + 1).min(self.words.len());
         self.words[..used].fill(0);
-        (self.now, self.accesses, self.bank_mask) = (0, 0, bank_mask);
+        (self.now, self.accesses) = (0, 0);
         self.stalls.clear();
     }
 
@@ -757,20 +686,6 @@ impl HartCells {
             starts = nonzero(self.words[word]);
         }
         Some(word as u64 * CELLS + u64::from(63 - starts.leading_zeros()) / 4)
-    }
-}
-
-/// One hart's grants for one run in issue order, for the grant-by-grant
-/// replay: each grant's cost and the address of its data access, if any.
-#[derive(Debug, Clone, Default)]
-struct GrantLog(Vec<(u64, Option<u32>)>);
-
-impl RetireSink for GrantLog {
-    const ON: bool = true;
-
-    #[inline(always)]
-    fn retire(&mut self, cost: u64, access: Option<u32>) {
-        self.0.push((cost, access));
     }
 }
 
@@ -830,10 +745,9 @@ impl Cursor {
 /// per-bank busy-until times and the scan and walk-back scratch.
 #[derive(Debug, Clone, Default)]
 struct Arbiter {
-    replay: Replay,
-    records: Vec<Record>,
+    records: Vec<HartCells>,
     lanes: Vec<Lane>,
-    bank_ready: Vec<u64>,
+    bank_ready: [u64; BANKS],
     /// Each hart's cell at the SoC cycle the scan steps through.
     stepped: Vec<u64>,
     /// The harts a bulk scan compares, and their current windows and
@@ -844,18 +758,14 @@ struct Arbiter {
     walk: Vec<Cursor>,
     map: Vec<usize>,
     scratch: Vec<usize>,
-    /// Each hart's next grant and its ready time, grant by grant.
-    heads: Vec<(usize, u64)>,
 }
 
 impl Arbiter {
-    /// Picks the replay and sizes every buffer for `harts` harts; only
-    /// the first call (or a bigger cluster) allocates.
-    fn prepare(&mut self, harts: usize, cfg: BankConfig, free_grants: bool) {
-        self.replay = Replay::of(cfg, free_grants);
-        self.records.resize_with(harts, Record::default);
+    /// Sizes every buffer for `harts` harts; only the first call (or a
+    /// bigger cluster) allocates.
+    fn prepare(&mut self, harts: usize) {
+        self.records.resize_with(harts, HartCells::default);
         self.lanes.resize(harts, Lane::default());
-        self.bank_ready.resize(cfg.banks, 0);
         self.stepped.resize(harts, 0);
         self.live.clear();
         self.live.reserve(harts);
@@ -864,30 +774,22 @@ impl Arbiter {
         self.walk.resize(harts, Cursor::default());
         self.map.resize(harts, 0);
         self.scratch.resize(harts, 0);
-        self.heads.resize(harts, (0, 0));
     }
 
     /// Places the recorded grants of harts `0..n` on the shared
     /// timeline, accumulating access accounting into `stats`; returns
     /// the SoC cycles.
-    fn replay(&mut self, n: usize, cfg: BankConfig, stats: &mut [HartStats]) -> u64 {
+    ///
+    /// The bank-conflict scan: an access stalls only behind another on
+    /// its bank at the same SoC time, or behind one that stalled onto
+    /// its time, so the scan skips in bulk to the next cycle where two
+    /// harts' accesses meet on a bank and from there places cycle by
+    /// cycle until no bank is busy and no hart stalled.
+    fn replay(&mut self, n: usize, stats: &mut [HartStats]) -> u64 {
         self.bank_ready.fill(0);
-        match self.replay {
-            Replay::Scan(_) => self.scan(n, stats),
-            Replay::Grants => self.replay_grants(n, cfg, stats),
-        }
-    }
-
-    /// The bank-conflict scan. With single-cycle banks an access stalls
-    /// only behind another on its bank at the same SoC time, or behind
-    /// one that stalled onto its time, so the scan skips in bulk to the
-    /// next cycle where two harts' accesses meet on a bank and from
-    /// there places cycle by cycle until no bank is busy and no hart
-    /// stalled.
-    fn scan(&mut self, n: usize, stats: &mut [HartStats]) -> u64 {
-        for (lane, record) in self.lanes[..n].iter_mut().zip(&self.records) {
+        for (lane, cells) in self.lanes[..n].iter_mut().zip(&self.records) {
             *lane = Lane {
-                limit: record.cells.limit(),
+                limit: cells.limit(),
                 ..Lane::default()
             };
         }
@@ -907,8 +809,7 @@ impl Arbiter {
             t += 1;
         }
         let mut soc_cycles = 0;
-        for ((lane, record), s) in self.lanes[..n].iter().zip(&self.records).zip(stats) {
-            let cells = &record.cells;
+        for ((lane, cells), s) in self.lanes[..n].iter().zip(&self.records).zip(stats) {
             s.accesses += cells.accesses;
             s.conflicts += cells.stalls.len() as u64;
             s.stall_cycles += lane.offset;
@@ -943,7 +844,7 @@ impl Arbiter {
         while s < end {
             for ((window, access), &h) in windows.iter_mut().zip(accesses.iter_mut()).zip(&*live) {
                 let lane = &lanes[h];
-                *window = records[h].cells.window(s - lane.offset, lane.limit);
+                *window = records[h].window(s - lane.offset, lane.limit);
                 *access = window.map(|w| nonzero(w & !LOW1));
             }
             let mut hits = [0; CHUNK];
@@ -968,13 +869,13 @@ impl Arbiter {
     /// `known` past `t`'s grants. Returns the time until which it left a
     /// bank busy or a hart stalled.
     fn step(&mut self, n: usize, t: u64, known: &mut (u64, usize)) -> u64 {
-        for ((cell, lane), record) in self.stepped[..n]
+        for ((cell, lane), cells) in self.stepped[..n]
             .iter_mut()
             .zip(&self.lanes)
             .zip(&self.records)
         {
             *cell = if lane.resume() <= t && t < lane.finish() {
-                record.cells.cell(t - lane.offset)
+                cells.cell(t - lane.offset)
             } else {
                 0
             };
@@ -1004,7 +905,7 @@ impl Arbiter {
             if grant > t {
                 let lane = &mut self.lanes[h];
                 let cycle = t - lane.offset;
-                self.records[h].cells.stalls.push((cycle, grant - t));
+                self.records[h].stalls.push((cycle, grant - t));
                 (lane.offset, lane.from) = (lane.offset + grant - t, cycle + 1);
                 held = held.max(grant + 1);
             }
@@ -1019,12 +920,11 @@ impl Arbiter {
     /// constant or passes `known`: the time before which every grant is
     /// composed into the pointer it holds.
     fn rr_at(&mut self, n: usize, t: u64, known: (u64, usize)) -> usize {
-        for ((c, lane), record) in self.walk[..n]
+        for ((c, lane), cells) in self.walk[..n]
             .iter_mut()
             .zip(&self.lanes)
             .zip(&self.records)
         {
-            let cells = &record.cells;
             *c = Cursor {
                 // a stalled hart's last grant before `t` is its stalled one
                 cycle: if lane.resume() > t {
@@ -1069,50 +969,12 @@ impl Arbiter {
             if map.iter().all(|&m| m == map[0]) {
                 return map[0];
             }
-            for (c, record) in self.walk[..n].iter_mut().zip(&self.records) {
+            for (c, cells) in self.walk[..n].iter_mut().zip(&self.records) {
                 if c.at == Some(t1) {
-                    c.at = c.back(&record.cells);
+                    c.at = c.back(cells);
                 }
             }
         }
-    }
-
-    /// The arbiter grant by grant over the logs: the earliest-ready live
-    /// hart, ties round-robin from the hart after the last grantee.
-    /// Exact for any log, where the scan needs every instruction to cost
-    /// a cycle, single-cycle banks and at most [`SCAN_BANKS`] of them.
-    fn replay_grants(&mut self, n: usize, cfg: BankConfig, stats: &mut [HartStats]) -> u64 {
-        let heads = &mut self.heads[..n];
-        heads.fill((0, 0));
-        let mut rr = 0;
-        loop {
-            let mut chosen = None;
-            let mut best = u64::MAX;
-            for h in (rr..n).chain(0..rr) {
-                let (pos, time) = heads[h];
-                if pos < self.records[h].log.0.len() && (chosen.is_none() || time < best) {
-                    (best, chosen) = (time, Some(h));
-                }
-            }
-            let Some(h) = chosen else { break };
-            rr = (h + 1) % n;
-            let (pos, time) = &mut heads[h];
-            let (cost, access) = self.records[h].log.0[*pos];
-            if let Some(addr) = access {
-                let ready = &mut self.bank_ready[cfg.bank_of(addr)];
-                let grant = (*time).max(*ready);
-                *ready = grant + cfg.service_cycles;
-                stats[h].accesses += 1;
-                if grant > *time {
-                    stats[h].conflicts += 1;
-                    stats[h].stall_cycles += grant - *time;
-                }
-                *time = grant;
-            }
-            *time += cost;
-            *pos += 1;
-        }
-        heads.iter().map(|&(_, time)| time).max().unwrap_or(0)
     }
 }
 
@@ -1171,7 +1033,7 @@ mod tests {
         let mut solo = Machine::load(&p, Platform::ibex()).unwrap();
         let baseline = solo.run(10_000).unwrap();
         let template = Machine::load(&p, Platform::ibex()).unwrap();
-        let mut cluster = Cluster::replicate(&template, 1, BankConfig::default8());
+        let mut cluster = Cluster::replicate(&template, 1);
         let run = cluster.run_all(10_000);
         assert_eq!(run.results[0], Ok(baseline));
         assert_eq!(run.stats[0].stall_cycles, 0, "a lone hart never stalls");
@@ -1186,7 +1048,7 @@ mod tests {
     #[test]
     fn same_bank_hammering_accounts_conflicts() {
         let template = Machine::load(&hammer_program(50), Platform::ibex()).unwrap();
-        let mut cluster = Cluster::replicate(&template, 4, BankConfig::default8());
+        let mut cluster = Cluster::replicate(&template, 4);
         let run = cluster.run_all(100_000);
         for (h, r) in run.results.iter().enumerate() {
             let r = r.as_ref().unwrap();
@@ -1205,8 +1067,8 @@ mod tests {
     #[test]
     fn scheduling_is_deterministic() {
         let template = Machine::load(&hammer_program(40), Platform::ibex()).unwrap();
-        let mut a = Cluster::replicate(&template, 4, BankConfig::default8());
-        let mut b = Cluster::replicate(&template, 4, BankConfig::default8());
+        let mut a = Cluster::replicate(&template, 4);
+        let mut b = Cluster::replicate(&template, 4);
         let ra = a.run_all(100_000);
         let rb = b.run_all(100_000);
         assert_eq!(ra.results, rb.results);
@@ -1218,7 +1080,7 @@ mod tests {
     fn trap_on_one_hart_leaves_the_others_running() {
         let good = hammer_program(30);
         let template = Machine::load(&good, Platform::ibex()).unwrap();
-        let mut cluster = Cluster::replicate(&template, 3, BankConfig::default8());
+        let mut cluster = Cluster::replicate(&template, 3);
         // Hart 1 gets a forced trap at its entry pc.
         let trap = Trap::AccessOutOfBounds { addr: 0xBAD, pc: 0 };
         let pc = cluster.hart(1).cpu.pc;
@@ -1234,7 +1096,7 @@ mod tests {
     #[test]
     fn out_of_fuel_is_per_hart() {
         let template = Machine::load(&hammer_program(1000), Platform::ibex()).unwrap();
-        let mut cluster = Cluster::replicate(&template, 2, BankConfig::default8());
+        let mut cluster = Cluster::replicate(&template, 2);
         let run = cluster.run_all(50);
         for r in &run.results {
             assert!(matches!(r, Err(Trap::OutOfFuel { .. })));
@@ -1244,7 +1106,7 @@ mod tests {
     #[test]
     fn run_active_schedules_only_the_prefix() {
         let template = Machine::load(&hammer_program(10), Platform::ibex()).unwrap();
-        let mut cluster = Cluster::replicate(&template, 4, BankConfig::default8());
+        let mut cluster = Cluster::replicate(&template, 4);
         let run = cluster.run_active(2, 100_000);
         assert_eq!(run.results.len(), 2);
         assert_eq!(cluster.hart(3).cpu.instret, 0, "idle hart never stepped");
@@ -1253,7 +1115,7 @@ mod tests {
     #[test]
     fn histograms_are_per_hart_and_summable() {
         let template = Machine::load(&hammer_program(10), Platform::ibex()).unwrap();
-        let mut cluster = Cluster::replicate(&template, 2, BankConfig::default8());
+        let mut cluster = Cluster::replicate(&template, 2);
         cluster.set_class_histogram_enabled(0, true);
         let _ = cluster.run_all(100_000);
         let per_hart = cluster.class_histograms();
@@ -1272,7 +1134,7 @@ mod tests {
     fn a_hart_panic_comes_back_with_every_hart_home() {
         let template = Machine::load(&hammer_program(10), Platform::ibex()).unwrap();
         for victim in 0..2 {
-            let mut cluster = Cluster::replicate(&template, 2, BankConfig::default8());
+            let mut cluster = Cluster::replicate(&template, 2);
             for h in 0..2 {
                 cluster.hart_mut(h).cpu.set_reg(Reg::T6, 100 + h as u32);
             }
@@ -1302,30 +1164,43 @@ mod tests {
         )
     }
 
-    /// Places `harts` on one arbiter under `cfg`, by [`Arbiter::replay`]
-    /// and grant by grant, and asserts they agree; returns whether the
-    /// scan ran.
-    fn replays_agree(harts: &[Grants], cfg: BankConfig) -> bool {
+    /// The arbiter grant by grant over synthetic logs: the
+    /// earliest-ready live hart, ties round-robin from the hart after
+    /// the last grantee. Exact for any log, zero-cost grants included,
+    /// so it is the scan's oracle.
+    fn replay_grants(harts: &[Grants], stats: &mut [HartStats]) -> u64 {
         let n = harts.len();
-        let mut arbiter = Arbiter::default();
-        arbiter.prepare(n, cfg, false);
-        let bank_mask = cfg.banks as u32 - 1;
-        for (record, grants) in arbiter.records.iter_mut().zip(harts) {
-            record.cells.restart(bank_mask);
-            for &(cost, word) in grants {
-                let access = word.map(|w| w * 4);
-                record.cells.retire(cost, access);
-                record.log.retire(cost, access);
+        let mut heads = vec![(0, 0); n];
+        let mut bank_ready = [0; BANKS];
+        let mut rr = 0;
+        loop {
+            let mut chosen = None;
+            let mut best = u64::MAX;
+            for h in (rr..n).chain(0..rr) {
+                let (pos, time) = heads[h];
+                if pos < harts[h].len() && (chosen.is_none() || time < best) {
+                    (best, chosen) = (time, Some(h));
+                }
             }
+            let Some(h) = chosen else { break };
+            rr = (h + 1) % n;
+            let (pos, time) = &mut heads[h];
+            let (cost, word) = harts[h][*pos];
+            if let Some(word) = word {
+                let ready = &mut bank_ready[bank_of(word * 4)];
+                let grant = (*time).max(*ready);
+                *ready = grant + 1;
+                stats[h].accesses += 1;
+                if grant > *time {
+                    stats[h].conflicts += 1;
+                    stats[h].stall_cycles += grant - *time;
+                }
+                *time = grant;
+            }
+            *time += cost;
+            *pos += 1;
         }
-        let mut got = vec![HartStats::default(); n];
-        let soc = arbiter.replay(n, cfg, &mut got);
-        let mut want = vec![HartStats::default(); n];
-        arbiter.bank_ready.fill(0);
-        let want_soc = arbiter.replay_grants(n, cfg, &mut want);
-        assert_eq!(got, want, "{cfg:?}");
-        assert_eq!(soc, want_soc, "{cfg:?}");
-        arbiter.replay != Replay::Grants
+        heads.iter().map(|&(_, time)| time).max().unwrap_or(0)
     }
 
     proptest! {
@@ -1335,20 +1210,13 @@ mod tests {
         /// identical and k-cycle-shifted copies of one log, so the harts
         /// meet in lockstep on one bank and stalls cascade, some ending
         /// in a grant that costs nothing (a trap or the out-of-fuel
-        /// check). Configurations outside the scan take the
-        /// grant-by-grant replay, so they agree by construction.
+        /// check).
         #[test]
         fn replay_matches_grant_by_grant_on_synthetic_logs(
             base in proptest::collection::vec(grant(), 1..48),
             copies in proptest::collection::vec((0u64..4, any::<bool>(), any::<bool>()), 1..9),
             own in proptest::collection::vec(grant(), 0..24),
-            bank_bits in 0u32..9,
-            service in 1u64..5,
-            scan in any::<bool>(),
         ) {
-            // half the cases in the scan's domain
-            let (bank_bits, service) = if scan { (bank_bits % 4, 1) } else { (bank_bits, service) };
-            let cfg = BankConfig { banks: 1 << bank_bits, service_cycles: service };
             let harts: Vec<Grants> = copies
                 .iter()
                 .enumerate()
@@ -1368,20 +1236,32 @@ mod tests {
                     grants
                 })
                 .collect();
-            let scanned = replays_agree(&harts, cfg);
-            prop_assert_eq!(scanned, bank_bits <= 3 && service == 1);
+            let n = harts.len();
+            let mut arbiter = Arbiter::default();
+            arbiter.prepare(n);
+            for (cells, grants) in arbiter.records.iter_mut().zip(&harts) {
+                cells.restart();
+                for &(cost, word) in grants {
+                    cells.retire(cost, word.map(|w| w * 4));
+                }
+            }
+            let mut got = vec![HartStats::default(); n];
+            let soc = arbiter.replay(n, &mut got);
+            let mut want = vec![HartStats::default(); n];
+            let want_soc = replay_grants(&harts, &mut want);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(soc, want_soc);
         }
     }
 
     #[test]
     fn bank_mapping_is_word_interleaved() {
-        let cfg = BankConfig::default8();
-        assert_eq!(cfg.bank_of(0x0), 0);
-        assert_eq!(cfg.bank_of(0x4), 1);
-        assert_eq!(cfg.bank_of(0x1C), 7);
-        assert_eq!(cfg.bank_of(0x20), 0);
+        assert_eq!(bank_of(0x0), 0);
+        assert_eq!(bank_of(0x4), 1);
+        assert_eq!(bank_of(0x1C), 7);
+        assert_eq!(bank_of(0x20), 0);
         // byte accesses within a word hit the same bank
-        assert_eq!(cfg.bank_of(0x21), 0);
-        assert_eq!(cfg.bank_of(0x23), 0);
+        assert_eq!(bank_of(0x21), 0);
+        assert_eq!(bank_of(0x23), 0);
     }
 }

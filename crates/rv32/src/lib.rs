@@ -178,7 +178,7 @@ mod profile;
 pub mod softfp;
 mod trap;
 
-pub use cluster::{BankConfig, Cluster, ClusterRun, HartStats};
+pub use cluster::{Cluster, ClusterRun, HartStats, BANKS};
 pub use cpu::{Cpu, FuncUnit, StepOutcome};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultRecord, FaultTrigger};
 pub use icache::DecodeCacheStats;

@@ -18,12 +18,13 @@
 //!   arbiter's round-robin pointer: one to eight harts, every access on
 //!   one bank with the harts in lockstep, step budgets that expire,
 //!   traps that cost a grant nothing or something, monitors that move a
-//!   hart off block dispatch, costs and banks too large for the log's
-//!   bytes, zero-cost instructions, and the real A8 image.
+//!   hart off block dispatch, instruction costs up to 300 cycles, and the
+//!   real A8 image. A timing model that charges some instruction nothing
+//!   is outside the cluster's SoC and refused.
 
 use kwt_rv32::{
-    BankConfig, Cluster, ClusterRun, FaultPlan, HartStats, Machine, Platform, RunResult,
-    StepOutcome, TimingModel, Trap,
+    Cluster, ClusterRun, FaultPlan, HartStats, Machine, Platform, RunResult, StepOutcome,
+    TimingModel, Trap, BANKS,
 };
 use kwt_rvasm::{Asm, Inst, Program, Reg};
 use proptest::prelude::*;
@@ -165,13 +166,13 @@ struct ReferenceRun {
 /// The cluster's interleaved round-robin arbiter, written out over
 /// `Cpu::step` and `Cpu::take_data_access`: grant the live hart with
 /// the earliest ready time (ties from the hart after the last grantee),
-/// step it once, and route its data access (if any) to a word-
-/// interleaved bank that stalls the hart while busy. `forced` injects
+/// step it once, and route its data access (if any) to one of
+/// [`BANKS`] word-interleaved single-cycle banks, which stalls the hart
+/// while busy. `forced` injects
 /// `trap` on hart `h` the first time it reaches `pc`, as a
 /// `force_trap_at_pc` fault plan does (the faulting grant costs nothing).
 fn reference_schedule(
     harts: &mut [Machine],
-    cfg: BankConfig,
     max_steps: u64,
     mut forced: Option<(usize, u32, Trap)>,
 ) -> ReferenceRun {
@@ -180,7 +181,7 @@ fn reference_schedule(
         hart.cpu.set_data_trace_enabled(true);
     }
     let mut hart_ready = vec![0u64; n];
-    let mut bank_ready = vec![0u64; cfg.banks];
+    let mut bank_ready = [0u64; BANKS];
     let mut steps = vec![0u64; n];
     let mut stats = vec![HartStats::default(); n];
     let mut results: Vec<Option<Result<RunResult, Trap>>> = vec![None; n];
@@ -215,10 +216,10 @@ fn reference_schedule(
         let cost = cpu.cycles - before;
         match cpu.take_data_access() {
             Some(addr) => {
-                let bank = cfg.bank_of(addr);
+                let bank = (addr >> 2) as usize % BANKS;
                 let grant = hart_ready[h].max(bank_ready[bank]);
                 let stall = grant - hart_ready[h];
-                bank_ready[bank] = grant + cfg.service_cycles;
+                bank_ready[bank] = grant + 1;
                 hart_ready[h] = grant + cost;
                 stats[h].accesses += 1;
                 if stall > 0 {
@@ -266,9 +267,8 @@ fn assert_cluster_matches_reference(
     max_steps: u64,
     forced_hart: Option<usize>,
 ) {
-    let cfg = BankConfig::default8();
     let template = Machine::load(p, Platform::ibex()).expect("fits");
-    let mut cluster = Cluster::replicate(&template, n, cfg);
+    let mut cluster = Cluster::replicate(&template, n);
     let mut reference: Vec<Machine> = (0..n).map(|_| template.clone()).collect();
     for (h, hart) in reference.iter_mut().enumerate() {
         cluster.hart_mut(h).cpu.set_reg(Reg::T6, h as u32 * drift);
@@ -286,7 +286,7 @@ fn assert_cluster_matches_reference(
         (h, top, trap)
     });
     let run = cluster.run_all(max_steps);
-    let want = reference_schedule(&mut reference, cfg, max_steps, forced);
+    let want = reference_schedule(&mut reference, max_steps, forced);
     prop_assert_eq!(&run.results, &want.results);
     prop_assert_eq!(&run.stats, &want.stats);
     prop_assert_eq!(run.soc_cycles, want.soc_cycles);
@@ -351,7 +351,7 @@ proptest! {
         let baseline = solo.run(10_000).expect("halts");
 
         let template = Machine::load(&p, Platform::ibex()).expect("fits");
-        let mut cluster = Cluster::replicate(&template, 1, BankConfig::default8());
+        let mut cluster = Cluster::replicate(&template, 1);
         let run = cluster.run_all(10_000);
 
         prop_assert_eq!(run.results[0], Ok(baseline));
@@ -370,8 +370,8 @@ proptest! {
     ) {
         let p = assemble(&insts);
         let template = Machine::load(&p, Platform::ibex()).expect("fits");
-        let mut first = Cluster::replicate(&template, n, BankConfig::default8());
-        let mut second = Cluster::replicate(&template, n, BankConfig::default8());
+        let mut first = Cluster::replicate(&template, n);
+        let mut second = Cluster::replicate(&template, n);
         let ra = first.run_all(10_000);
         let rb = second.run_all(10_000);
         prop_assert_eq!(ra.results, rb.results);
@@ -389,7 +389,7 @@ proptest! {
         let mut solo = Machine::load(&p, Platform::ibex()).expect("fits");
         let baseline = solo.run(10_000).expect("halts");
         let template = Machine::load(&p, Platform::ibex()).expect("fits");
-        let mut cluster = Cluster::replicate(&template, 4, BankConfig::default8());
+        let mut cluster = Cluster::replicate(&template, 4);
         let run = cluster.run_all(10_000);
         for h in 0..4 {
             prop_assert_eq!(run.results[h], Ok(baseline));
@@ -422,7 +422,7 @@ fn contended_cluster_matches_reference_arbiter() {
         assert_cluster_matches_reference(&p, n, 1, 100_000, None);
     }
     let template = Machine::load(&p, Platform::ibex()).expect("fits");
-    let mut cluster = Cluster::replicate(&template, 4, BankConfig::default8());
+    let mut cluster = Cluster::replicate(&template, 4);
     let run = cluster.run_all(100_000);
     assert!(
         run.stats.iter().any(|s| s.stall_cycles > 0),
@@ -476,7 +476,6 @@ fn assemble_shared_loop(insts: &[RandInst], passes: i32, one_word: bool) -> Prog
 #[derive(Debug, Clone)]
 struct Setup {
     harts: usize,
-    cfg: BankConfig,
     /// Hart `h` runs `h * drift` extra loop passes.
     drift: u32,
     max_steps: u64,
@@ -495,7 +494,6 @@ impl Setup {
     fn harts(harts: usize) -> Self {
         Setup {
             harts,
-            cfg: BankConfig::default8(),
             drift: 1,
             max_steps: 100_000,
             timing: None,
@@ -515,7 +513,7 @@ fn check_against_reference(p: &Program, s: &Setup) -> ClusterRun {
     if let Some(timing) = s.timing {
         template = template.with_timing(timing);
     }
-    let mut cluster = Cluster::replicate(&template, s.harts, s.cfg);
+    let mut cluster = Cluster::replicate(&template, s.harts);
     let mut reference: Vec<Machine> = (0..s.harts).map(|_| template.clone()).collect();
     for (h, solo) in reference.iter_mut().enumerate() {
         let base = if s.faulting_hart == Some(h) {
@@ -544,7 +542,7 @@ fn check_against_reference(p: &Program, s: &Setup) -> ClusterRun {
         (h, top, trap)
     });
     let run = cluster.run_all(s.max_steps);
-    let want = reference_schedule(&mut reference, s.cfg, s.max_steps, forced);
+    let want = reference_schedule(&mut reference, s.max_steps, forced);
     assert_eq!(run.results, want.results, "{s:?}");
     assert_eq!(run.stats, want.stats, "{s:?}");
     assert_eq!(run.soc_cycles, want.soc_cycles, "{s:?}");
@@ -673,44 +671,40 @@ proptest! {
         });
     }
 
-    /// Costs and bank numbers too large for a log byte, slow banks, and
-    /// budgets that may expire.
+    /// Random instruction costs up to 300 cycles on the fixed bank
+    /// geometry, with budgets that may expire.
     #[test]
-    fn spilled_costs_and_banks_match_reference(
+    fn random_costs_and_expiring_budgets_match_reference(
         insts in proptest::collection::vec(rand_inst(), 1..16),
         harts in 1usize..9,
         timing in timing_model(1, 300),
-        bank_bits in 0u32..9,
-        service_cycles in 1u64..5,
+        one_word in any::<bool>(),
         max_steps in 1u64..400,
     ) {
-        let p = assemble_shared_loop(&insts, 3, bank_bits % 2 == 0);
-        let cfg = BankConfig { banks: 1 << bank_bits, service_cycles };
+        let p = assemble_shared_loop(&insts, 3, one_word);
         check_against_reference(&p, &Setup {
-            cfg,
             max_steps,
             timing: Some(timing),
             ..Setup::harts(harts)
         });
     }
+}
 
-    /// Timing models that charge some instructions nothing, so one hart
-    /// takes several grants at one SoC time.
-    #[test]
-    fn zero_cost_instructions_match_reference(
-        insts in proptest::collection::vec(rand_inst(), 1..16),
-        harts in 2usize..9,
-        timing in timing_model(0, 4),
-        drift in 0u32..2,
-        one_word in any::<bool>(),
-    ) {
-        let p = assemble_shared_loop(&insts, 3, one_word);
-        check_against_reference(&p, &Setup {
-            drift,
-            timing: Some(timing),
-            ..Setup::harts(harts)
-        });
-    }
+/// A timing model that charges some instruction nothing would let one
+/// hart take several grants at one SoC time, which the cluster's scan
+/// cannot place: the run is refused.
+#[test]
+#[should_panic(expected = "must cost at least one cycle")]
+fn zero_cost_instructions_are_refused() {
+    let p = assemble_shared_loop(&hammer(), 3, true);
+    let timing = TimingModel {
+        alu: 0,
+        ..TimingModel::ibex()
+    };
+    let template = Machine::load(&p, Platform::ibex())
+        .expect("fits")
+        .with_timing(timing);
+    Cluster::replicate(&template, 2).run_all(100_000);
 }
 
 /// The real A8 inference image: 4- and 8-hart waves of distinct clips
@@ -742,7 +736,7 @@ fn a8_waves_match_reference() {
         let mut reference: Vec<Machine> = (0..harts).map(|h| session.hart(h).clone()).collect();
         let cycles0: Vec<u64> = reference.iter().map(|m| m.cpu.cycles).collect();
         let wave = session.run_loaded(harts).clone();
-        let want = reference_schedule(&mut reference, session.bank_config(), 2_000_000_000, None);
+        let want = reference_schedule(&mut reference, 2_000_000_000, None);
         assert_eq!(wave.soc_cycles, want.soc_cycles, "{harts} harts");
         assert_eq!(wave.stats, want.stats, "{harts} harts");
         assert!(
@@ -904,9 +898,8 @@ fn worker_harts_trap_run_out_of_fuel_and_keep_monitors() {
 /// Harts `0..n_active` of a `harts`-hart cluster against the reference
 /// arbiter over those harts alone; the idle harts never step.
 fn check_active(p: &Program, harts: usize, n_active: usize) {
-    let cfg = BankConfig::default8();
     let template = Machine::load(p, Platform::ibex()).expect("fits");
-    let mut cluster = Cluster::replicate(&template, harts, cfg);
+    let mut cluster = Cluster::replicate(&template, harts);
     let mut reference: Vec<Machine> = (0..n_active).map(|_| template.clone()).collect();
     for h in 0..harts {
         cluster.hart_mut(h).cpu.set_reg(Reg::T6, h as u32);
@@ -915,7 +908,7 @@ fn check_active(p: &Program, harts: usize, n_active: usize) {
         solo.cpu.set_reg(Reg::T6, h as u32);
     }
     let run = cluster.run_active(n_active, 100_000);
-    let want = reference_schedule(&mut reference, cfg, 100_000, None);
+    let want = reference_schedule(&mut reference, 100_000, None);
     let at = format!("{n_active} of {harts} harts");
     assert_eq!(run.results, want.results, "{at}");
     assert_eq!(run.stats, want.stats, "{at}");
@@ -946,10 +939,9 @@ fn partial_and_full_waves_match_reference() {
 /// other.
 #[test]
 fn clone_of_a_warm_cluster_runs_identically_and_independently() {
-    let cfg = BankConfig::default8();
     let p = assemble_shared_loop(&hammer(), 40, true);
     let template = Machine::load(&p, Platform::ibex()).expect("fits");
-    let mut a = Cluster::replicate(&template, 4, cfg);
+    let mut a = Cluster::replicate(&template, 4);
     let mut reference: Vec<Machine> = (0..4).map(|_| template.clone()).collect();
     for (h, solo) in reference.iter_mut().enumerate() {
         a.hart_mut(h).cpu.set_reg(Reg::T6, h as u32);
@@ -957,14 +949,14 @@ fn clone_of_a_warm_cluster_runs_identically_and_independently() {
     }
     // a budget that stops every hart mid-loop, so each later run goes on
     let first = a.run_all(100);
-    let want = reference_schedule(&mut reference, cfg, 100, None);
+    let want = reference_schedule(&mut reference, 100, None);
     assert_eq!(first.results, want.results);
     assert!(first
         .results
         .iter()
         .all(|r| matches!(r, Err(Trap::OutOfFuel { .. }))));
     let mut b = a.clone();
-    let want = reference_schedule(&mut reference, cfg, 100, None);
+    let want = reference_schedule(&mut reference, 100, None);
     let ra = a.run_all(100);
     let regs_a: Vec<_> = (0..4).map(|h| a.hart(h).cpu.regs).collect();
     let rb = b.run_all(100);
@@ -978,7 +970,7 @@ fn clone_of_a_warm_cluster_runs_identically_and_independently() {
         assert_eq!(a.hart(h).cpu.regs, regs_a[h], "original hart {h}");
     }
     drop(a);
-    let want = reference_schedule(&mut reference, cfg, 100, None);
+    let want = reference_schedule(&mut reference, 100, None);
     let rb = b.run_all(100);
     assert_eq!(rb.results, want.results, "clone after the original dropped");
     assert_eq!(rb.stats, want.stats, "clone after the original dropped");

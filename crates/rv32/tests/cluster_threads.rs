@@ -2,7 +2,7 @@
 //! the process's thread count, which any other test running alongside
 //! would move, so this binary holds exactly one test.
 
-use kwt_rv32::{BankConfig, Cluster, Machine, Platform};
+use kwt_rv32::{Cluster, Machine, Platform};
 use kwt_rvasm::{Asm, Inst, Reg};
 use std::time::{Duration, Instant};
 
@@ -29,9 +29,7 @@ fn dropped_clusters_leave_no_threads() {
     asm.emit(Inst::Ebreak);
     let template =
         Machine::load(&asm.finish().expect("assembles"), Platform::ibex()).expect("fits");
-    let mut clusters: Vec<Cluster> = (0..16)
-        .map(|_| Cluster::replicate(&template, 4, BankConfig::default8()))
-        .collect();
+    let mut clusters: Vec<Cluster> = (0..16).map(|_| Cluster::replicate(&template, 4)).collect();
     for c in &mut clusters {
         assert!(c.run_all(1_000).results.iter().all(Result::is_ok));
     }
